@@ -31,10 +31,21 @@ pub enum LinalgError {
         /// Value of the offending pivot.
         value: f64,
     },
-    /// The Jacobi eigen-solver did not converge within its sweep budget.
+    /// The tridiagonal QL eigen-solver did not converge within its
+    /// per-eigenvalue iteration budget.
     EigenNoConvergence {
-        /// Off-diagonal Frobenius norm remaining after the final sweep.
+        /// Magnitude of the subdiagonal element that had not vanished when
+        /// the budget ran out.
         off_diagonal: f64,
+    },
+    /// An input entry was NaN or infinite where finite values are required.
+    NonFinite {
+        /// Description of the operation that received the entry.
+        op: &'static str,
+        /// Row of the first offending entry (row-major scan order).
+        row: usize,
+        /// Column of the first offending entry.
+        col: usize,
     },
     /// A singular matrix was passed to an operation that requires full rank.
     Singular {
@@ -71,8 +82,11 @@ impl fmt::Display for LinalgError {
             ),
             LinalgError::EigenNoConvergence { off_diagonal } => write!(
                 f,
-                "Jacobi eigen-solver failed to converge (remaining off-diagonal norm {off_diagonal})"
+                "tridiagonal QL eigen-solver failed to converge (remaining subdiagonal {off_diagonal})"
             ),
+            LinalgError::NonFinite { op, row, col } => {
+                write!(f, "non-finite entry at ({row}, {col}) in {op}")
+            }
             LinalgError::Singular { op } => write!(f, "singular matrix in {op}"),
             LinalgError::Empty { op } => write!(f, "empty input in {op}"),
             LinalgError::InvalidArgument { msg } => write!(f, "invalid argument: {msg}"),
@@ -119,9 +133,18 @@ mod tests {
         assert!(LinalgError::NotSquare { shape: (2, 3) }
             .to_string()
             .contains("square"));
-        assert!(LinalgError::EigenNoConvergence { off_diagonal: 1.0 }
-            .to_string()
-            .contains("converge"));
+        let no_convergence = LinalgError::EigenNoConvergence { off_diagonal: 1.0 }.to_string();
+        assert!(no_convergence.contains("QL") && no_convergence.contains("converge"));
+        assert!(!no_convergence.contains("Jacobi"), "{no_convergence}");
+        assert_eq!(
+            LinalgError::NonFinite {
+                op: "eigen",
+                row: 3,
+                col: 7
+            }
+            .to_string(),
+            "non-finite entry at (3, 7) in eigen"
+        );
         assert!(LinalgError::Empty { op: "mean" }
             .to_string()
             .contains("empty"));

@@ -14,8 +14,8 @@
 //! * [`vector`] — free functions over `&[f64]` slices (dot products, norms,
 //!   axpy-style updates) used in the innermost loops of the neural-network
 //!   crate.
-//! * [`eigen`] — the cyclic Jacobi eigen-decomposition for symmetric
-//!   matrices, which backs (DP-)PCA.
+//! * [`eigen`] — the symmetric eigen-decomposition (Householder
+//!   tridiagonalization + implicit-shift QL), which backs (DP-)PCA.
 //! * [`cholesky`] — Cholesky factorization, triangular solves, log-determinant
 //!   and inverse of symmetric positive-definite matrices, which back the
 //!   Gaussian-mixture density evaluation and Wishart sampling.

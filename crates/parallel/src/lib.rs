@@ -6,7 +6,7 @@
 //! the DP-EM E-step, PCA covariance accumulation, batched matrix products)
 //! are all embarrassingly parallel over rows of a contiguous
 //! `p3gm_linalg::Matrix` batch. This crate provides the minimal scoped
-//! thread-pool primitives those kernels need, with one hard guarantee:
+//! parallel kernels those hot paths need, with one hard guarantee:
 //!
 //! **Results are bit-identical regardless of the number of worker threads.**
 //!
@@ -20,17 +20,26 @@
 //!   fixed. A run with one thread and a run with sixteen fold the exact same
 //!   partials in the exact same order.
 //!
-//! The worker count is resolved per call site by [`max_threads`]:
+//! Each parallel kernel call is **one dispatch**: one
+//! [`std::thread::scope`] in which the calling thread works chunks itself
+//! beside `threads − 1` spawned helpers, all claiming chunks dynamically.
+//! [`par_map_reduce`] folds inside that same scope, with helpers held to a
+//! bounded window ahead of the fold. A panic in any chunk, on any thread,
+//! reaches the caller once every thread has stopped.
+//!
+//! The thread count is resolved per call site by [`max_threads`]:
 //! a scoped [`with_threads`] override (used by benchmarks and the
 //! determinism test-suite) takes precedence, then the `P3GM_THREADS`
 //! environment variable, then [`std::thread::available_parallelism`].
-//! Parallelism does **not** nest: a kernel invoked from inside a worker
-//! thread runs serially on that worker, so one fan-out level never
-//! oversubscribes the machine and a pinned thread count is honored
-//! transitively.
+//! Parallelism does **not** nest: a kernel invoked from inside a chunk of a
+//! parallel call runs serially, whichever thread runs that chunk, so one
+//! fan-out level never oversubscribes the machine and a pinned thread count
+//! is honored transitively.
 //!
-//! Everything is implemented with [`std::thread::scope`] — no unsafe code,
-//! no dependencies — so the workspace keeps building offline.
+//! There is no persistent pool: parked workers running borrowed closures
+//! would need `unsafe` to erase lifetimes. Everything is built on
+//! [`std::thread::scope`] — no unsafe code, no dependencies — so the
+//! workspace keeps building offline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,15 +47,15 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Chunks currently executing across every kernel in the process.
 static CHUNKS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
 /// Chunks ever dispatched (monotone; identical for any thread count because
 /// chunk boundaries are a pure function of the problem size).
 static CHUNKS_TOTAL: AtomicU64 = AtomicU64::new(0);
-/// Worker closures ever run through [`scope`] (monotone).
-static SCOPE_TASKS_TOTAL: AtomicU64 = AtomicU64::new(0);
+/// Kernel calls that spawned helper threads (monotone).
+static DISPATCHES_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time snapshot of the process-wide pool counters, for
 /// observability exporters (the HTTP server re-exports these on
@@ -61,8 +70,11 @@ pub struct PoolStats {
     /// thread counts for a fixed workload (chunk boundaries never depend
     /// on the worker count).
     pub chunks_total: u64,
-    /// Total worker closures run through [`scope`] since process start.
-    pub scope_tasks_total: u64,
+    /// Total kernel calls that spawned helper threads since process
+    /// start: one per parallel call, whatever its chunk count. Calls that
+    /// ran serially (one thread configured, or a single chunk) spawn
+    /// nothing and are not counted.
+    pub dispatches_total: u64,
 }
 
 /// Read the process-wide pool counters. Each field is loaded independently
@@ -72,7 +84,7 @@ pub fn pool_stats() -> PoolStats {
     PoolStats {
         chunks_in_flight: CHUNKS_IN_FLIGHT.load(Ordering::Relaxed),
         chunks_total: CHUNKS_TOTAL.load(Ordering::Relaxed),
-        scope_tasks_total: SCOPE_TASKS_TOTAL.load(Ordering::Relaxed),
+        dispatches_total: DISPATCHES_TOTAL.load(Ordering::Relaxed),
     }
 }
 
@@ -178,107 +190,106 @@ pub fn chunk_range(n_items: usize, chunk_len: usize, index: usize) -> Range<usiz
     start..((start + chunk_len).min(n_items))
 }
 
-/// Runs a worker closure on a spawned thread with nested parallel kernels
-/// pinned to serial: worker threads are already the parallelism, so a
-/// kernel invoked *inside* one (e.g. a classifier's batched forward pass
-/// inside the suite fan-out) must not spawn its own workers on top —
-/// that would oversubscribe the machine and ignore a [`with_threads`] pin
-/// on the caller (the override is thread-local and would otherwise not be
-/// visible on the worker).
+/// Runs a kernel's share of work with nested parallel kernels pinned to
+/// serial: the dispatch's threads are already the parallelism, so a kernel
+/// invoked *inside* a chunk (e.g. a classifier's batched forward pass
+/// inside the suite fan-out) must not spawn its own helpers on top — that
+/// would oversubscribe the machine and ignore a [`with_threads`] pin on
+/// the caller (the override is thread-local and would otherwise not be
+/// visible on a helper). The calling thread's share is pinned too, so a
+/// chunk sees the same setting wherever it runs.
 fn run_pinned_serial<R>(f: impl FnOnce() -> R) -> R {
     with_threads(1, f)
 }
 
-/// Runs the closures of `workers` concurrently and waits for all of them
-/// (the task-parallel primitive for irregular shapes, e.g. a handful of
-/// independent model fits). At most [`max_threads`] threads are spawned;
-/// excess closures are distributed round-robin and run in index order on
-/// their worker. Nested parallel kernels inside a worker run serially (see
-/// the crate docs), so the total thread count stays bounded by the
-/// configured limit.
+/// One dispatch of a parallel kernel call: up to `threads - 1` spawned
+/// helpers run `helper` while the calling thread runs `caller`, all pinned
+/// serial. Returns the caller's result and the helpers' results once every
+/// helper has finished.
 ///
-/// With a single worker (or a single configured thread) the closures run
-/// inline on the calling thread, in order.
-pub fn scope<F: FnOnce() + Send>(workers: Vec<F>) {
-    let threads = max_threads().min(workers.len());
-    if threads <= 1 {
-        for w in workers {
-            SCOPE_TASKS_TOTAL.fetch_add(1, Ordering::Relaxed);
-            w();
-        }
-        return;
-    }
-    let mut queues: Vec<Vec<F>> = (0..threads).map(|_| Vec::new()).collect();
-    for (i, w) in workers.into_iter().enumerate() {
-        queues[i % threads].push(w);
-    }
+/// Callers must not depend on any helper running: the caller works chunks
+/// too, so a helper the OS refuses to spawn only costs parallelism.
+///
+/// A panic on any thread reaches the caller after all threads have
+/// stopped: the caller's own panic unwinds through the scope (which joins
+/// the helpers first), and a helper's panic is re-raised on the caller
+/// with its original payload. Kernels whose threads wait on each other
+/// must wake those waiters when a thread panics (see [`FoldWindow`]).
+fn dispatch<C, H: Send>(
+    threads: usize,
+    helper: impl Fn() -> H + Sync,
+    caller: impl FnOnce() -> C,
+) -> (C, Vec<H>) {
+    DISPATCHES_TOTAL.fetch_add(1, Ordering::Relaxed);
     std::thread::scope(|s| {
-        for queue in queues {
-            s.spawn(move || {
-                run_pinned_serial(|| {
-                    for w in queue {
-                        SCOPE_TASKS_TOTAL.fetch_add(1, Ordering::Relaxed);
-                        w();
-                    }
-                })
-            });
+        let helpers: Vec<_> = (1..threads)
+            .map_while(|_| {
+                std::thread::Builder::new()
+                    .spawn_scoped(s, || run_pinned_serial(&helper))
+                    .ok()
+            })
+            .collect();
+        let mine = run_pinned_serial(caller);
+        let joined: Vec<_> = helpers.into_iter().map(|h| h.join()).collect();
+        let theirs = joined
+            .into_iter()
+            .map(|result| result.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect();
+        (mine, theirs)
+    })
+}
+
+/// Runs `f` on every item `claim` hands out — on the calling thread alone
+/// when `threads <= 1`, else on the caller and `threads - 1` helpers
+/// claiming dynamically — and returns the results **in item-index order**.
+fn map_claimed<T, R: Send>(
+    threads: usize,
+    claim: impl Fn() -> Option<(usize, T)> + Sync,
+    f: impl Fn(usize, T) -> R + Sync,
+) -> Vec<R> {
+    let work = || {
+        let mut done = Vec::new();
+        while let Some((index, item)) = claim() {
+            let _chunk = ChunkGuard::begin();
+            done.push((index, f(index, item)));
         }
-    });
+        done
+    };
+    let tagged = if threads <= 1 {
+        work()
+    } else {
+        let (mut mine, theirs) = dispatch(threads, work, work);
+        mine.extend(theirs.into_iter().flatten());
+        mine.sort_unstable_by_key(|(index, _)| *index);
+        mine
+    };
+    tagged.into_iter().map(|(_, value)| value).collect()
 }
 
 /// Maps `f` over chunk indices `0..n_chunks` on up to [`max_threads`]
-/// workers and returns the results **in chunk order**.
+/// threads (the caller plus spawned helpers) and returns the results **in
+/// chunk order**.
 ///
 /// `f` must depend only on its chunk index (and captured shared state);
 /// scheduling is dynamic (atomic work counter) but the output order is
 /// index-sorted, so the result is independent of the thread count. Nested
-/// parallel kernels invoked from inside `f` run serially on their worker.
+/// parallel kernels invoked from inside `f` run serially.
 pub fn par_map_chunks<R: Send>(n_chunks: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 {
-        return (0..n_chunks)
-            .map(|index| {
-                let _chunk = ChunkGuard::begin();
-                f(index)
-            })
-            .collect();
-    }
-    let counter = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    run_pinned_serial(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let index = counter.fetch_add(1, Ordering::Relaxed);
-                            if index >= n_chunks {
-                                break;
-                            }
-                            let _chunk = ChunkGuard::begin();
-                            local.push((index, f(index)));
-                        }
-                        local
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("p3gm-parallel worker panicked"))
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|(index, _)| *index);
-    tagged.into_iter().map(|(_, value)| value).collect()
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        (index < n_chunks).then_some((index, ()))
+    };
+    map_claimed(max_threads().min(n_chunks), claim, |index, ()| f(index))
 }
 
 /// Splits `data` into `chunk_len`-sized chunks, applies `f(chunk_index,
-/// chunk)` to each on up to [`max_threads`] workers, and returns the
+/// chunk)` to each on up to [`max_threads`] threads, and returns the
 /// per-chunk results **in chunk order**.
 ///
 /// This is the mutable workhorse: disjoint `&mut` chunks are handed to
-/// workers (so e.g. each worker fills its rows of a per-example gradient
-/// matrix) while the per-chunk return values carry side statistics (losses,
+/// threads (so e.g. each fills its rows of a per-example gradient matrix)
+/// while the per-chunk return values carry side statistics (losses,
 /// partial sums) back for an in-order fold.
 pub fn par_chunks_mut_map<T: Send, R: Send>(
     data: &mut [T],
@@ -286,47 +297,10 @@ pub fn par_chunks_mut_map<T: Send, R: Send>(
     f: impl Fn(usize, &mut [T]) -> R + Sync,
 ) -> Vec<R> {
     let chunk_len = chunk_len.max(1);
-    let n_chunks = chunk_count(data.len(), chunk_len);
-    let threads = max_threads().min(n_chunks);
-    if threads <= 1 {
-        return data
-            .chunks_mut(chunk_len)
-            .enumerate()
-            .map(|(index, chunk)| {
-                let _chunk = ChunkGuard::begin();
-                f(index, chunk)
-            })
-            .collect();
-    }
+    let threads = max_threads().min(chunk_count(data.len(), chunk_len));
     let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    let mut tagged: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    run_pinned_serial(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let next = queue.lock().expect("p3gm-parallel queue poisoned").next();
-                            match next {
-                                Some((index, chunk)) => {
-                                    let _chunk = ChunkGuard::begin();
-                                    local.push((index, f(index, chunk)));
-                                }
-                                None => break,
-                            }
-                        }
-                        local
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("p3gm-parallel worker panicked"))
-            .collect()
-    });
-    tagged.sort_unstable_by_key(|(index, _)| *index);
-    tagged.into_iter().map(|(_, value)| value).collect()
+    let claim = || queue.lock().expect("p3gm-parallel queue poisoned").next();
+    map_claimed(threads, claim, f)
 }
 
 /// Like [`par_chunks_mut_map`] but discards the per-chunk results.
@@ -346,40 +320,194 @@ pub fn par_chunks_mut<T: Send>(
 /// calling thread. Returns `None` for an empty range.
 ///
 /// Because both the chunk boundaries and the fold order are fixed, the
-/// result is bit-identical for every thread count — including 1. To bound
-/// peak memory when the partials are large (e.g. per-chunk Gram matrices),
-/// chunks are processed in waves of a few per worker and each wave's
-/// partials are folded before the next wave is mapped; the wave size only
-/// groups identical partials under the same in-order fold, so it does not
-/// affect the result.
+/// result is bit-identical for every thread count — including 1. The
+/// whole call is one dispatch: the calling thread maps chunks beside
+/// `threads - 1` helpers and folds each partial as soon as every chunk
+/// before it has been folded. To bound peak memory when partials are large
+/// (e.g. per-chunk Gram matrices), no chunk is claimed more than
+/// `4 × threads` chunks ahead of the fold frontier, so at most that many
+/// unfolded partials are alive at once besides the running fold. `reduce`
+/// runs on the calling thread with nested kernels pinned serial.
 pub fn par_map_reduce<R: Send>(
     n_items: usize,
     chunk_len: usize,
     map: impl Fn(Range<usize>) -> R + Sync,
     mut reduce: impl FnMut(R, R) -> R,
 ) -> Option<R> {
-    if n_items == 0 {
-        return None;
-    }
     let chunk_len = chunk_len.max(1);
     let n_chunks = chunk_count(n_items, chunk_len);
-    let wave = (max_threads() * 4).max(1);
-    let mut acc: Option<R> = None;
-    let mut start = 0;
-    while start < n_chunks {
-        let end = (start + wave).min(n_chunks);
-        let partials = par_map_chunks(end - start, |offset| {
-            map(chunk_range(n_items, chunk_len, start + offset))
-        });
-        for partial in partials {
+    let map_chunk = |index: usize| {
+        let _chunk = ChunkGuard::begin();
+        map(chunk_range(n_items, chunk_len, index))
+    };
+    let threads = max_threads().min(n_chunks);
+    if threads <= 1 {
+        return (0..n_chunks).map(map_chunk).reduce(reduce);
+    }
+
+    let window = FoldWindow::new(n_chunks, 4 * threads);
+    let helper = || {
+        let _abort = AbortOnPanic(&window);
+        while let Some(index) = window.claim_ahead() {
+            window.finish(index, map_chunk(index));
+        }
+    };
+    let caller = || {
+        let _abort = AbortOnPanic(&window);
+        let mut acc: Option<R> = None;
+        for frontier in 0..n_chunks {
+            let partial = loop {
+                match window.next_for_fold(frontier)? {
+                    FoldStep::Fold(partial) => break partial,
+                    FoldStep::Map(index) if index == frontier => break map_chunk(index),
+                    FoldStep::Map(index) => window.finish(index, map_chunk(index)),
+                }
+            };
             acc = Some(match acc {
                 None => partial,
                 Some(folded) => reduce(folded, partial),
             });
+            window.advance(frontier + 1);
         }
-        start = end;
+        acc
+    };
+    // A `None` from the caller means a helper panicked; `dispatch` then
+    // re-raises that panic instead of returning.
+    dispatch(threads, helper, caller).0
+}
+
+/// No user code runs while the window's lock is held, so it cannot be
+/// poisoned short of a bug in this crate.
+const POISONED: &str = "p3gm-parallel fold window poisoned";
+
+/// The shared state of one parallel [`par_map_reduce`]: which chunk is
+/// claimed next, how far the caller has folded, and a ring of finished
+/// partials. Every chunk claimed but not yet folded lies in
+/// `frontier..frontier + slots.len()`, so each has its own slot
+/// (`index % slots.len()`) and at most `slots.len()` are alive.
+struct FoldWindow<R> {
+    state: Mutex<WindowState<R>>,
+    n_chunks: usize,
+    /// Wakes the caller: the frontier chunk's partial landed, or a helper
+    /// panicked.
+    landed: Condvar,
+    /// Wakes helpers: the frontier advanced, or a thread panicked.
+    opened: Condvar,
+}
+
+struct WindowState<R> {
+    next: usize,
+    frontier: usize,
+    slots: Vec<Option<R>>,
+    aborted: bool,
+}
+
+/// What the caller of a parallel [`par_map_reduce`] does next.
+enum FoldStep<R> {
+    /// Fold this partial of the frontier chunk.
+    Fold(R),
+    /// Map this chunk, which the caller has just claimed.
+    Map(usize),
+}
+
+impl<R> FoldWindow<R> {
+    fn new(n_chunks: usize, width: usize) -> Self {
+        FoldWindow {
+            state: Mutex::new(WindowState {
+                next: 0,
+                frontier: 0,
+                slots: (0..width).map(|_| None).collect(),
+                aborted: false,
+            }),
+            n_chunks,
+            landed: Condvar::new(),
+            opened: Condvar::new(),
+        }
     }
-    acc
+
+    fn lock(&self) -> MutexGuard<'_, WindowState<R>> {
+        self.state.lock().expect(POISONED)
+    }
+
+    /// Claims the next chunk if it lies inside the window, where `state`
+    /// is the held lock.
+    fn claim_in(&self, state: &mut WindowState<R>) -> Option<usize> {
+        let index = state.next;
+        (index < self.n_chunks && index < state.frontier + state.slots.len()).then(|| {
+            state.next += 1;
+            index
+        })
+    }
+
+    /// A helper's next chunk: waits while the window is full, and returns
+    /// `None` once every chunk is claimed or a thread panicked.
+    fn claim_ahead(&self) -> Option<usize> {
+        let mut state = self.lock();
+        loop {
+            if state.aborted || state.next >= self.n_chunks {
+                return None;
+            }
+            if let Some(index) = self.claim_in(&mut state) {
+                return Some(index);
+            }
+            state = self.opened.wait(state).expect(POISONED);
+        }
+    }
+
+    /// Stores chunk `index`'s partial until the caller folds it.
+    fn finish(&self, index: usize, partial: R) {
+        let mut state = self.lock();
+        let width = state.slots.len();
+        state.slots[index % width] = Some(partial);
+        if index == state.frontier {
+            self.landed.notify_one();
+        }
+    }
+
+    /// The caller's next step toward folding chunk `frontier`: fold its
+    /// partial if it is ready, else map a chunk of the window, else wait.
+    /// `None` means a helper panicked.
+    fn next_for_fold(&self, frontier: usize) -> Option<FoldStep<R>> {
+        let mut state = self.lock();
+        loop {
+            if state.aborted {
+                return None;
+            }
+            let width = state.slots.len();
+            if let Some(partial) = state.slots[frontier % width].take() {
+                return Some(FoldStep::Fold(partial));
+            }
+            if let Some(index) = self.claim_in(&mut state) {
+                return Some(FoldStep::Map(index));
+            }
+            state = self.landed.wait(state).expect(POISONED);
+        }
+    }
+
+    /// Marks every chunk before `frontier` folded, opening the window.
+    fn advance(&self, frontier: usize) {
+        self.lock().frontier = frontier;
+        self.opened.notify_all();
+    }
+}
+
+/// A guard held by every thread of a parallel [`par_map_reduce`]: if its
+/// thread unwinds, it stops the dispatch and wakes every waiter, so no
+/// thread is left waiting on a fold that will never come.
+struct AbortOnPanic<'a, R>(&'a FoldWindow<R>);
+
+impl<R> Drop for AbortOnPanic<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // Setting a flag leaves the state valid whatever a panicking
+            // thread was doing, so a poisoned lock is still usable here.
+            let mut state = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+            state.aborted = true;
+            drop(state);
+            self.0.landed.notify_all();
+            self.0.opened.notify_all();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -483,46 +611,11 @@ mod tests {
     }
 
     #[test]
-    fn scope_caps_workers_and_pins_nested_kernels() {
-        use std::sync::Mutex;
-        let seen = Mutex::new(Vec::new());
-        let workers: Vec<_> = (0..6)
-            .map(|i| {
-                let seen = &seen;
-                move || {
-                    seen.lock().unwrap().push((i, max_threads()));
-                }
-            })
-            .collect();
-        with_threads(2, || scope(workers));
-        let mut results = seen.into_inner().unwrap();
-        results.sort_unstable();
-        assert_eq!(results.len(), 6);
-        assert!(results.iter().all(|&(_, threads)| threads == 1));
-    }
-
-    #[test]
     fn par_map_reduce_empty_is_none() {
         assert_eq!(
             par_map_reduce(0, 4, |_| 0.0f64, |a, b| a + b).map(|v| v.to_bits()),
             None
         );
-    }
-
-    #[test]
-    fn scope_runs_every_worker() {
-        use std::sync::atomic::AtomicUsize;
-        let hits = AtomicUsize::new(0);
-        let workers: Vec<_> = (0..5)
-            .map(|_| {
-                let hits = &hits;
-                move || {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                }
-            })
-            .collect();
-        scope(workers);
-        assert_eq!(hits.load(Ordering::Relaxed), 5);
     }
 
     #[test]
@@ -533,11 +626,9 @@ mod tests {
         with_threads(2, || {
             par_map_chunks(10, |i| i);
         });
-        let mid = pool_stats();
-        assert!(mid.chunks_total >= before.chunks_total + 10);
-        scope((0..3).map(|_| || ()).collect::<Vec<_>>());
         let after = pool_stats();
-        assert!(after.scope_tasks_total >= mid.scope_tasks_total + 3);
+        assert!(after.chunks_total >= before.chunks_total + 10);
+        assert!(after.dispatches_total > before.dispatches_total);
     }
 
     #[test]

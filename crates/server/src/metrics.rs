@@ -284,11 +284,11 @@ impl ServerMetrics {
             .store(pool.chunks_total);
         self.registry
             .counter(
-                "p3gm_pool_scope_tasks_total",
-                "Task-parallel scope closures run since process start.",
+                "p3gm_pool_dispatches_total",
+                "Parallel kernel calls that spawned helper threads since process start.",
                 &[],
             )
-            .store(pool.scope_tasks_total);
+            .store(pool.dispatches_total);
     }
 
     /// Set the per-model ledger gauges from one ledger lock (spent is
@@ -422,10 +422,18 @@ mod tests {
 
     #[test]
     fn export_pool_stats_renders() {
+        p3gm_parallel::with_threads(2, || p3gm_parallel::par_map_chunks(4, |i| i));
         let m = ServerMetrics::new();
         m.export_pool_stats();
         let text = m.registry.render();
         assert!(text.contains("p3gm_pool_chunks_total"));
         assert!(text.contains("p3gm_pool_chunks_in_flight"));
+        // The parallel call above was a dispatch, so the counter is at
+        // least 1 whatever else ran in this process.
+        let dispatches = text
+            .lines()
+            .find_map(|line| line.strip_prefix("p3gm_pool_dispatches_total "))
+            .expect("p3gm_pool_dispatches_total is exported");
+        assert!(dispatches.parse::<u64>().unwrap() >= 1, "{text}");
     }
 }

@@ -14,9 +14,9 @@
 //! * [`obs`] — deterministic observability core (atomic counters, gauges,
 //!   fixed-bucket histograms, Prometheus text exposition, injectable-clock
 //!   spans); telemetry is post-processing and never part of DP state.
-//! * [`parallel`] — deterministic std-only data parallelism (scoped thread
-//!   pool, ordered map-reduce, `P3GM_THREADS` override).
-//! * [`linalg`] — dense matrices, Jacobi eigendecomposition, Cholesky.
+//! * [`parallel`] — deterministic std-only data parallelism (one scoped
+//!   dispatch per kernel call, ordered map-reduce, `P3GM_THREADS` override).
+//! * [`linalg`] — dense matrices, symmetric (tridiagonal QL) eigendecomposition, Cholesky.
 //! * [`nn`] — MLP/CNN layers, per-example backprop, optimizers, DP-SGD.
 //! * [`privacy`] — DP mechanisms (Gaussian, Laplace, Wishart, exponential)
 //!   and accounting (RDP, moments accountant, zCDP, calibration).

@@ -17,8 +17,13 @@
 //!   `2 (n-1) ε Σ|t_i|` to first order, so the tolerance scales with the
 //!   sum of absolute terms — a tight ULP-level bound that still fails
 //!   loudly on genuine kernel bugs.
+//!
+//! The symmetric eigensolver (tridiagonal QL) is checked the same way
+//! against the cyclic Jacobi method it replaced, kept here as
+//! [`jacobi_reference`]: the two share no code, so agreement on
+//! eigenvalues and on well-separated eigenspaces pins both.
 
-use p3gm::linalg::{vector, Matrix};
+use p3gm::linalg::{stats, vector, Matrix, SymmetricEigen};
 use p3gm::mixture::Gmm;
 use p3gm::nn::activation::Activation;
 use p3gm::nn::mlp::Mlp;
@@ -46,6 +51,157 @@ fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
+}
+
+/// Reference symmetric eigen-decomposition by the cyclic Jacobi method:
+/// eigenvalues in descending order with their unit eigenvectors as the
+/// columns of the returned matrix. Slow (several O(n³) sweeps) but simple
+/// and independent of the production tridiagonal-QL solver.
+fn jacobi_reference(a: &Matrix) -> (Vec<f64>, Matrix) {
+    let n = a.rows();
+    let mut m = a.clone();
+    let mut v = Matrix::identity(n);
+    let tol = 1e-14 * a.max_abs().max(f64::MIN_POSITIVE);
+    let off_diagonal_norm = |m: &Matrix| {
+        let mut acc = 0.0;
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    acc += m.get(i, j) * m.get(i, j);
+                }
+            }
+        }
+        acc.sqrt()
+    };
+    for _sweep in 0..100 {
+        if off_diagonal_norm(&m) <= tol {
+            break;
+        }
+        for p in 0..n - 1 {
+            for q in (p + 1)..n {
+                let apq = m.get(p, q);
+                if apq.abs() <= tol * 1e-2 {
+                    continue;
+                }
+                let theta = 0.5 * (m.get(q, q) - m.get(p, p)) / apq;
+                let t = if theta >= 0.0 {
+                    1.0 / (theta + (1.0 + theta * theta).sqrt())
+                } else {
+                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
+                };
+                let c = 1.0 / (1.0 + t * t).sqrt();
+                let s = t * c;
+                // M ← Gᵀ M G, then V ← V G.
+                for k in 0..n {
+                    let (mkp, mkq) = (m.get(k, p), m.get(k, q));
+                    m.set(k, p, c * mkp - s * mkq);
+                    m.set(k, q, s * mkp + c * mkq);
+                }
+                for k in 0..n {
+                    let (mpk, mqk) = (m.get(p, k), m.get(q, k));
+                    m.set(p, k, c * mpk - s * mqk);
+                    m.set(q, k, s * mpk + c * mqk);
+                }
+                for k in 0..n {
+                    let (vkp, vkq) = (v.get(k, p), v.get(k, q));
+                    v.set(k, p, c * vkp - s * vkq);
+                    v.set(k, q, s * vkp + c * vkq);
+                }
+            }
+        }
+    }
+    assert!(
+        off_diagonal_norm(&m) <= tol * 1e3,
+        "Jacobi reference did not converge"
+    );
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&i, &j| m.get(j, j).total_cmp(&m.get(i, i)));
+    let values = order.iter().map(|&i| m.get(i, i)).collect();
+    let vectors = Matrix::from_fn(n, n, |row, col| v.get(row, order[col]));
+    (values, vectors)
+}
+
+/// Checks the production eigensolver on the symmetric `a` against
+/// [`jacobi_reference`]:
+/// * eigenvalues agree within `1e-10 · max|aᵢⱼ|`;
+/// * `VΛVᵀ = A` within `1e-9 · max|aᵢⱼ|` and `VᵀV = I` within `1e-9`;
+/// * the top-k projectors `VₖVₖᵀ` agree within `1e-8` for every k whose
+///   eigenvalue gap `λₖ − λₖ₊₁` exceeds `1e-3 · max|aᵢⱼ|` (below that the
+///   k-dimensional eigenspace is ill-determined and may differ).
+fn check_against_jacobi(a: &Matrix) {
+    let n = a.rows();
+    let scale = a.max_abs();
+    let eig = SymmetricEigen::new(a).unwrap();
+    let (ref_values, ref_vectors) = jacobi_reference(a);
+    for (i, (&got, &want)) in eig.eigenvalues.iter().zip(&ref_values).enumerate() {
+        assert!(
+            (got - want).abs() <= 1e-10 * scale,
+            "n = {n}: eigenvalue {i} is {got}, Jacobi gives {want}"
+        );
+    }
+    let residual = eig.reconstruct().sub(a).unwrap().max_abs();
+    assert!(residual <= 1e-9 * scale, "n = {n}: ‖VΛVᵀ − A‖ = {residual}");
+    let v = &eig.eigenvectors;
+    let gram = v.transpose().matmul(v).unwrap();
+    let orthogonality = gram.sub(&Matrix::identity(n)).unwrap().max_abs();
+    assert!(
+        orthogonality <= 1e-9,
+        "n = {n}: ‖VᵀV − I‖ = {orthogonality}"
+    );
+
+    // D = Σ_{i<k} (vᵢvᵢᵀ − wᵢwᵢᵀ), grown one eigenpair at a time.
+    let mut projector_gap = Matrix::zeros(n, n);
+    for k in 1..n {
+        let (vk, wk) = (v.col(k - 1), ref_vectors.col(k - 1));
+        for r in 0..n {
+            for c in 0..n {
+                let d = projector_gap.get(r, c) + vk[r] * vk[c] - wk[r] * wk[c];
+                projector_gap.set(r, c, d);
+            }
+        }
+        if eig.eigenvalues[k - 1] - eig.eigenvalues[k] > 1e-3 * scale {
+            let diff = projector_gap.max_abs();
+            assert!(diff <= 1e-8, "n = {n}: top-{k} projectors differ by {diff}");
+        }
+    }
+}
+
+/// A symmetric `n x n` matrix with entries in `[-1, 1]`, generically
+/// indefinite with distinct eigenvalues.
+fn random_symmetric(n: usize, seed: u64) -> Matrix {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut a = Matrix::from_fn(n, n, |_, _| rng.gen_range(-1.0..1.0));
+    a.symmetrize();
+    a
+}
+
+/// `Q diag(λ) Qᵀ` for a random orthogonal `Q` (a product of `n` Householder
+/// reflections) and eigenvalues drawn with repetition from five values in
+/// `[-1, 1]`, so most spectra have repeated and negative eigenvalues.
+fn repeated_spectrum(n: usize, seed: u64) -> Matrix {
+    use rand::{Rng, SeedableRng};
+    const LEVELS: [f64; 5] = [-1.0, -0.25, 0.0, 0.5, 1.0];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut q = Matrix::identity(n);
+    for _ in 0..n {
+        let u: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let uu = vector::norm2_squared(&u);
+        // Q ← Q (I − 2uuᵀ/uᵀu)
+        for r in 0..n {
+            let qu = vector::dot(q.row(r), &u);
+            for (c, &uc) in u.iter().enumerate() {
+                q.set(r, c, q.get(r, c) - 2.0 * qu * uc / uu);
+            }
+        }
+    }
+    let lambda: Vec<f64> = (0..n).map(|_| LEVELS[rng.gen_range(0..5usize)]).collect();
+    let mut a = q
+        .matmul(&Matrix::from_diagonal(&lambda))
+        .and_then(|ql| ql.matmul_transposed(&q))
+        .unwrap();
+    a.symmetrize();
+    a
 }
 
 /// First-order bound on the difference between two fixed summation orders
@@ -188,6 +344,20 @@ proptest! {
         }
     }
 
+    /// The tridiagonal-QL eigensolver agrees with the Jacobi reference on
+    /// random symmetric (indefinite) matrices up to 48×48.
+    #[test]
+    fn eigen_matches_jacobi_on_random_symmetric(n in 1usize..49, seed in 0u64..1_000_000) {
+        check_against_jacobi(&random_symmetric(n, seed));
+    }
+
+    /// ...and on spectra with repeated eigenvalues, where only the
+    /// projectors onto whole eigenspaces are determined.
+    #[test]
+    fn eigen_matches_jacobi_on_repeated_spectra(n in 1usize..49, seed in 0u64..1_000_000) {
+        check_against_jacobi(&repeated_spectrum(n, seed));
+    }
+
     /// A batched MLP forward row is bit-identical to the single-example
     /// forward (both reduce with the same lane-folded dot and add the bias
     /// with one IEEE addition), including on widths smaller than a lane.
@@ -204,4 +374,25 @@ proptest! {
             }
         }
     }
+}
+
+/// The DP-PCA input of the high-dimensional workload: the covariance of
+/// 800 prepared MNIST-like rows (14×14 pixels plus a one-hot label, 206
+/// columns, scaled by 1/√d as the private pipeline does) plus the Wishart
+/// noise of an ε = 0.1 release.
+#[test]
+fn eigen_matches_jacobi_on_wishart_noised_covariance() {
+    use p3gm::core::synthesis::LabelledSynthesizer;
+    use p3gm::privacy::mechanisms::wishart_noise;
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let images = p3gm::datasets::images::mnist_like(&mut rng, 800, 14);
+    let (_, prepared) =
+        LabelledSynthesizer::prepare(&images.features, &images.labels, images.n_classes).unwrap();
+    let d = prepared.cols();
+    assert_eq!(d, 206);
+    let scaled = prepared.scale(1.0 / (d as f64).sqrt());
+    let covariance = stats::covariance_matrix(&scaled, None).unwrap();
+    let noise = wishart_noise(&mut rng, d, scaled.rows(), 0.1).unwrap();
+    check_against_jacobi(&covariance.add(&noise).unwrap());
 }
