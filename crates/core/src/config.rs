@@ -99,6 +99,7 @@ impl PgmConfig {
     /// Validates the configuration against a dataset of `n` rows and `d`
     /// features.
     pub fn validate(&self, n: usize, d: usize) -> Result<()> {
+        self.check_finite()?;
         if self.latent_dim == 0 || self.latent_dim > d {
             return Err(CoreError::InvalidConfig {
                 msg: format!("latent_dim must be in 1..={d}, got {}", self.latent_dim),
@@ -151,6 +152,24 @@ impl PgmConfig {
             });
         }
         Ok(())
+    }
+
+    /// Rejects a non-finite value in any floating-point field (see
+    /// [`check_finite`]).
+    fn check_finite(&self) -> Result<()> {
+        let fixed_variance = match self.variance_mode {
+            VarianceMode::Learned => 0.0,
+            VarianceMode::Fixed(v) => v,
+        };
+        check_finite(&[
+            ("learning_rate", self.learning_rate),
+            ("clip_norm", self.clip_norm),
+            ("eps_p", self.eps_p),
+            ("sigma_e", self.sigma_e),
+            ("sigma_s", self.sigma_s),
+            ("delta", self.delta),
+            ("fixed log-variance", fixed_variance),
+        ])
     }
 
     /// Writes the configuration into a snapshot payload. The field order is
@@ -212,20 +231,7 @@ impl PgmConfig {
                 })
             }
         };
-        // NaN passes every `<= 0.0` range check in `validate()` (all NaN
-        // comparisons are false), so finiteness must be enforced here or a
-        // crafted buffer would decode into a model that silently computes
-        // NaN.
-        let mut floats = vec![learning_rate, clip_norm, eps_p, sigma_e, sigma_s, delta];
-        if let VarianceMode::Fixed(v) = variance_mode {
-            floats.push(v);
-        }
-        if floats.iter().any(|v| !v.is_finite()) {
-            return Err(p3gm_store::StoreError::Invalid {
-                msg: "configuration floats must be finite".to_string(),
-            });
-        }
-        Ok(PgmConfig {
+        let config = PgmConfig {
             latent_dim,
             hidden_dim,
             mog_components,
@@ -241,7 +247,11 @@ impl PgmConfig {
             delta,
             variance_mode,
             decoder_loss,
-        })
+        };
+        config
+            .check_finite()
+            .map_err(|e| p3gm_store::StoreError::Invalid { msg: e.to_string() })?;
+        Ok(config)
     }
 
     /// Number of DP-SGD steps `T_s` the Decoding Phase will take on a
@@ -333,6 +343,7 @@ impl VaeConfig {
     /// Validates the configuration against a dataset of `n` rows and `d`
     /// features.
     pub fn validate(&self, n: usize, d: usize) -> Result<()> {
+        self.check_finite()?;
         if self.latent_dim == 0 || self.latent_dim > d {
             return Err(CoreError::InvalidConfig {
                 msg: format!("latent_dim must be in 1..={d}, got {}", self.latent_dim),
@@ -357,6 +368,17 @@ impl VaeConfig {
         Ok(())
     }
 
+    /// Rejects a non-finite value in any floating-point field (see
+    /// [`check_finite`]).
+    pub(crate) fn check_finite(&self) -> Result<()> {
+        check_finite(&[
+            ("learning_rate", self.learning_rate),
+            ("clip_norm", self.clip_norm),
+            ("sigma_s", self.sigma_s),
+            ("delta", self.delta),
+        ])
+    }
+
     /// Number of SGD steps taken on `n` rows.
     pub fn sgd_steps(&self, n: usize) -> usize {
         n.div_ceil(self.batch_size.max(1)).max(1) * self.epochs
@@ -365,6 +387,19 @@ impl VaeConfig {
     /// Sampling probability `q = B/N`.
     pub fn sampling_probability(&self, n: usize) -> f64 {
         (self.batch_size as f64 / n.max(1) as f64).min(1.0)
+    }
+}
+
+/// Rejects the first non-finite `(name, value)` field. The range checks
+/// cannot catch NaN, since every comparison with NaN is false: a NaN clip
+/// norm or noise multiplier would train with no clipping or no noise under
+/// a DP stamp.
+fn check_finite(fields: &[(&str, f64)]) -> Result<()> {
+    match fields.iter().find(|(_, value)| !value.is_finite()) {
+        Some((name, value)) => Err(CoreError::InvalidConfig {
+            msg: format!("{name} must be finite, got {value}"),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -452,6 +487,76 @@ mod tests {
         .validate(100, 20)
         .is_ok());
         assert!(base.validate(2, 20).is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_floats() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let base = PgmConfig::default();
+            let pgm_fields = [
+                PgmConfig {
+                    learning_rate: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    clip_norm: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    eps_p: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    sigma_e: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    sigma_s: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    delta: bad,
+                    ..base.clone()
+                },
+                PgmConfig {
+                    variance_mode: VarianceMode::Fixed(bad),
+                    ..base.clone()
+                },
+            ];
+            for cfg in pgm_fields {
+                for cfg in [cfg.clone(), cfg.non_private()] {
+                    assert!(
+                        matches!(cfg.validate(100, 20), Err(CoreError::InvalidConfig { .. })),
+                        "{cfg:?}"
+                    );
+                }
+            }
+            let base = VaeConfig::default();
+            let vae_fields = [
+                VaeConfig {
+                    learning_rate: bad,
+                    ..base.clone()
+                },
+                VaeConfig {
+                    clip_norm: bad,
+                    ..base.clone()
+                },
+                VaeConfig {
+                    sigma_s: bad,
+                    ..base.clone()
+                },
+                VaeConfig {
+                    delta: bad,
+                    ..base.clone()
+                },
+            ];
+            for cfg in vae_fields {
+                assert!(
+                    matches!(cfg.validate(100, 20), Err(CoreError::InvalidConfig { .. })),
+                    "{cfg:?}"
+                );
+            }
+        }
     }
 
     #[test]

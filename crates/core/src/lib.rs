@@ -37,6 +37,7 @@
 pub mod averaging;
 pub mod config;
 pub mod history;
+mod lot;
 pub mod pgm;
 pub mod report;
 pub mod snapshot;

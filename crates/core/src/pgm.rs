@@ -19,6 +19,7 @@
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, PgmConfig, VarianceMode};
 use crate::history::{EpochStats, TrainingHistory};
+use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum};
 use crate::report::TrainReport;
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
@@ -26,9 +27,9 @@ use p3gm_mixture::dpem::{self, DpEmConfig};
 use p3gm_mixture::em::{self, EmConfig};
 use p3gm_mixture::Gmm;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
+use p3gm_nn::dpsgd::{clip_and_sum_batch, sample_batch_indices, DpSgdConfig};
 use p3gm_nn::loss::{bce_with_logits, sse};
-use p3gm_nn::mlp::Mlp;
+use p3gm_nn::mlp::{BatchGradients, Mlp};
 use p3gm_nn::optimizer::{Adam, Optimizer};
 use p3gm_obs::TimeSource;
 use p3gm_preprocess::pca::{DpPca, Pca};
@@ -98,19 +99,22 @@ impl PhasedGenerativeModel {
         data: &Matrix,
         config: PgmConfig,
     ) -> Result<Self> {
-        Self::encode_phase_observed(rng, data, config, &mut TrainReport::new())
+        Self::encode_phase_observed(rng, data, config, &mut TrainReport::new(), None)
     }
 
     /// [`encode_phase`](Self::encode_phase) plus telemetry: the (DP-)EM
     /// iteration count and log-likelihood trajectory are accumulated into
-    /// `report`. The fitted model is identical — the trace is a diagnostic
-    /// the mixture fit computes anyway (post-processing of its own private
-    /// release, no extra budget), previously discarded here.
+    /// `report`, and with an injected `timer` the projection fit
+    /// (`"dp_pca"`, or `"pca"` for PGM) and the mixture fit (`"dp_em"`, or
+    /// `"em"`) are recorded as phases. The fitted model is identical — the
+    /// trace is a diagnostic the mixture fit computes anyway
+    /// (post-processing of its own private release, no extra budget).
     pub fn encode_phase_observed<R: Rng + ?Sized>(
         rng: &mut R,
         data: &Matrix,
         config: PgmConfig,
         report: &mut TrainReport,
+        timer: Option<&dyn TimeSource>,
     ) -> Result<Self> {
         config.validate(data.rows(), data.cols())?;
         let d = data.cols();
@@ -136,6 +140,7 @@ impl PhasedGenerativeModel {
         // of the projected data's per-coordinate variance, which the prior
         // sanitization below uses (post-processing, no extra budget).
         let mut latent_scale: Option<Vec<f64>> = None;
+        let projection_start = timer.map(TimeSource::now_nanos);
         let projection = if config.private {
             let dp_pca = DpPca::fit(rng, &scaled, config.latent_dim, config.eps_p)
                 .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
@@ -155,8 +160,15 @@ impl PhasedGenerativeModel {
                     .map_err(|e| CoreError::Substrate { msg: e.to_string() })?,
             )
         };
+        let (projection_phase, mixture_phase) = if config.private {
+            ("dp_pca", "dp_em")
+        } else {
+            ("pca", "em")
+        };
+        report.record_phase(timer, projection_phase, projection_start);
 
         // Project the whole batch and fit the MoG prior.
+        let mixture_start = timer.map(TimeSource::now_nanos);
         let projected = projection.transform(&scaled)?;
 
         let prior = if config.private {
@@ -198,6 +210,7 @@ impl PhasedGenerativeModel {
                 .extend_from_slice(&fitted.log_likelihood_trace);
             fitted.model
         };
+        report.record_phase(timer, mixture_phase, mixture_start);
 
         let mut encoder_var = Mlp::new(
             rng,
@@ -290,7 +303,11 @@ impl PhasedGenerativeModel {
 
     /// [`fit`](Self::fit) plus a [`TrainReport`]: DP-SGD step and
     /// clipped-gradient counts, the EM log-likelihood trajectory, and —
-    /// only when a [`TimeSource`] is injected — per-phase wall times. The
+    /// only when a [`TimeSource`] is injected — per-phase wall times, in
+    /// this order: `"dp_pca"`, `"dp_em"`, `"encode"`, then per-fit totals
+    /// of the DP-SGD steps' parts (`"lot_gradients"`, `"dp_noise"`,
+    /// `"optimizer"`), then `"decode"`. A non-private PGM reports `"pca"`
+    /// and `"em"` instead and has no `"dp_noise"`. The
     /// trained model is bit-identical to [`fit`](Self::fit) with the same
     /// rng: telemetry consumes no randomness and alters no update. Pass
     /// `timer: None` to keep the call fully deterministic (this crate
@@ -304,12 +321,12 @@ impl PhasedGenerativeModel {
         let epochs = config.epochs;
         let mut report = TrainReport::new();
         let encode_start = timer.map(TimeSource::now_nanos);
-        let mut model = Self::encode_phase_observed(rng, data, config, &mut report)?;
+        let mut model = Self::encode_phase_observed(rng, data, config, &mut report, timer)?;
         report.record_phase(timer, "encode", encode_start);
         let decode_start = timer.map(TimeSource::now_nanos);
         let mut history = TrainingHistory::new();
         for _ in 0..epochs {
-            history.push(model.train_epoch_observed(rng, data, &mut report)?);
+            history.push(model.train_epoch_observed(rng, data, &mut report, timer)?);
         }
         report.record_phase(timer, "decode", decode_start);
         Ok((model, history, report))
@@ -404,18 +421,28 @@ impl PhasedGenerativeModel {
         rng: &mut R,
         data: &Matrix,
     ) -> Result<EpochStats> {
-        self.train_epoch_observed(rng, data, &mut TrainReport::new())
+        self.train_epoch_observed(rng, data, &mut TrainReport::new(), None)
     }
 
     /// [`train_epoch`](Self::train_epoch) plus telemetry accumulated into
     /// `report`: one epoch, its DP-SGD steps, and the clipped-gradient
-    /// counts from the fused clip-and-sum pass. The counts are
-    /// deterministic (folded in chunk order) and do not alter the update.
+    /// counts from the clipping pass, and with an injected `timer` the
+    /// running totals of the steps' parts: the lot's gradient dispatch
+    /// (`"lot_gradients"`), the DP noise and averaging (`"dp_noise"`) and
+    /// the optimizer update (`"optimizer"`). The counts are deterministic
+    /// (folded in chunk order) and do not alter the update.
+    ///
+    /// Each step is one parallel dispatch over row chunks of the lot. A
+    /// chunk runs the batched forward passes of both networks, the loss
+    /// and KL glue, and the batched backward passes, then clips and sums
+    /// its examples' gradients without forming them
+    /// (`p3gm_nn::dpsgd::clip_and_sum_batch`).
     pub fn train_epoch_observed<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         data: &Matrix,
         report: &mut TrainReport,
+        timer: Option<&dyn TimeSource>,
     ) -> Result<EpochStats> {
         if data.cols() != self.data_dim {
             return Err(CoreError::InvalidData {
@@ -455,58 +482,49 @@ impl PhasedGenerativeModel {
         let mut kl_sum = 0.0;
         let mut examples = 0usize;
 
-        let n_params = params.len();
         let d = self.config.latent_dim;
+        let clip_norm = dp.map(|cfg| cfg.clip_norm);
         for _ in 0..steps_per_epoch {
             let indices = sample_batch_indices(rng, n, batch);
-            let xb = data
-                .select_rows(&indices)
-                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-            let b = xb.rows();
+            let b = indices.len();
             // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then compute the
-            // per-example gradients on parallel row chunks — bit-identical
-            // for every thread count.
+            // rng order as the per-example loop used), then sum the lot on
+            // parallel row chunks — bit-identical for every thread count.
             let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let mut per_example = Matrix::zeros(b, n_params);
-            let rows_per_chunk = p3gm_parallel::default_chunk_len(b);
-            let losses = p3gm_parallel::par_chunks_mut_map(
-                per_example.as_mut_slice(),
-                rows_per_chunk * n_params,
-                |chunk_index, grad_chunk| {
-                    let base = chunk_index * rows_per_chunk;
-                    grad_chunk
-                        .chunks_mut(n_params)
-                        .enumerate()
-                        .map(|(local, grad_row)| {
-                            let i = base + local;
-                            self.example_gradient_into(xb.row(i), eps.row(i), grad_row)
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            for (recon, kl) in losses.into_iter().flatten() {
+            let start = timer.map(TimeSource::now_nanos);
+            let lot = sum_lot(b, |range| {
+                let eps = &eps.as_slice()[range.start * d..range.end * d];
+                self.lot_chunk(data, &indices[range], eps, clip_norm)
+            });
+            report.record_phase(timer, "lot_gradients", start);
+            for (recon, kl) in lot.losses {
                 recon_sum += recon;
                 kl_sum += kl;
                 examples += 1;
             }
-            match &dp {
+            let gradient = match &dp {
                 Some(cfg) => {
-                    let outcome = cfg
-                        .step_observed(rng, &per_example, &mut params, &mut self.optimizer)
+                    let start = timer.map(TimeSource::now_nanos);
+                    let noisy = cfg
+                        .privatize_sum(rng, lot.gradient)
                         .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
+                    report.record_phase(timer, "dp_noise", start);
                     report.dp_sgd_steps += 1;
-                    report.clipped_examples += outcome.clipped_examples;
-                    report.clip_measured_examples += outcome.examples;
+                    report.clipped_examples += lot.clipped;
+                    report.clip_measured_examples += b as u64;
+                    noisy
                 }
                 None => {
-                    let mut avg = per_example.column_sums();
+                    let mut avg = lot.gradient;
                     p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    self.optimizer.step(&mut params, &avg);
+                    avg
                 }
-            }
+            };
+            let start = timer.map(TimeSource::now_nanos);
+            self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
             self.averager.update(&params);
+            report.record_phase(timer, "optimizer", start);
         }
 
         // Install the averaged weights for inference; keep the raw iterate
@@ -542,57 +560,73 @@ impl PhasedGenerativeModel {
         self.privacy_spec(self.n_train)
     }
 
-    /// Per-example gradient of the Decoding-Phase loss (paper Eq. (10)) with
-    /// respect to the trainable parameters, written into `out`
-    /// (encoder-variance block then decoder block when the variance is
-    /// trained, decoder only otherwise). `eps` is the example's pre-drawn
-    /// standard-normal reparametrization noise, so this function is
-    /// deterministic and safe to run on worker threads. Returns the
-    /// reconstruction and KL losses.
-    fn example_gradient_into(&self, x: &[f64], eps: &[f64], out: &mut [f64]) -> (f64, f64) {
+    /// The contribution of one chunk of a lot — rows `indices` of `data`
+    /// with their pre-drawn standard-normal reparametrization noise `eps`
+    /// (row-major) — to the Decoding-Phase step (paper Eq. (10)): the
+    /// gradient sum over the trainable parameters (encoder-variance block
+    /// then decoder block when the variance is trained, decoder only
+    /// otherwise), each example clipped to `clip_norm` when given, plus
+    /// the clip count and the rows' reconstruction and KL losses.
+    /// Deterministic, so it is safe to run on worker threads.
+    fn lot_chunk(
+        &self,
+        data: &Matrix,
+        indices: &[usize],
+        eps: &[f64],
+        clip_norm: Option<f64>,
+    ) -> LotSum {
+        let x = data
+            .select_rows(indices)
+            .expect("lot indices lie inside the data");
+        let rows = x.rows();
         let d = self.config.latent_dim;
-        let mu = self.encode_mean(x);
-
-        // Encoder variance: learned or frozen.
-        let (logvar, enc_cache) = match self.config.variance_mode {
+        // The frozen encoder mean, bit-identical to `encode_mean` per row.
+        let mu = self
+            .projection
+            .transform(&x.scale(self.input_scale))
+            .expect("dimension fixed at fit time");
+        let (encoder, logvar) = match self.config.variance_mode {
             VarianceMode::Learned => {
-                let cache = self.encoder_var.forward_cached(x);
-                (cache.output().to_vec(), Some(cache))
+                let cache = self.encoder_var.forward_batch_cached(&x);
+                let logvar = cache.output().clone();
+                (Some(cache), logvar)
             }
-            VarianceMode::Fixed(v) => (vec![v; d], None),
+            VarianceMode::Fixed(v) => (None, Matrix::filled(rows, d, v)),
         };
-
-        // Reparametrized sample with the pre-drawn noise.
-        let sigma: Vec<f64> = logvar.iter().map(|&l| (0.5 * l).exp()).collect();
-        let z: Vec<f64> = (0..d).map(|i| mu[i] + sigma[i] * eps[i]).collect();
-
-        let (enc_grads, dec_grads) = if self.trains_variance() {
-            let (enc, dec) = out.split_at_mut(self.encoder_var.num_params());
-            (Some(enc), dec)
-        } else {
-            (None, out)
-        };
+        let (sigma, z) = reparametrize(&mu, &logvar, eps);
 
         // Reconstruction term.
-        let dec_cache = self.decoder.forward_cached(&z);
-        let (recon, grad_logits) = match self.config.decoder_loss {
-            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
-            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
-        };
-        let grad_z = self.decoder.backward(&dec_cache, &grad_logits, dec_grads);
+        let decoder = self.decoder.forward_batch_cached(&z);
+        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
+        let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
+        let grad_z = grad_z.expect("the decoder input gradient was requested");
 
         // KL against the MoG prior (Hershey–Olsen approximation). The mean
         // is frozen so only the log-variance gradient is used.
-        let (kl, _kl_grad_mu, kl_grad_logvar) = self.prior.kl_diag_to_mixture(&mu, &logvar);
-
-        if let (Some(enc_grads), Some(cache)) = (enc_grads, enc_cache) {
-            let mut grad_enc_out = vec![0.0; d];
-            for i in 0..d {
-                grad_enc_out[i] = grad_z[i] * 0.5 * sigma[i] * eps[i] + kl_grad_logvar[i];
+        let mut grad_logvar = Matrix::zeros(rows, d);
+        let mut losses = Vec::with_capacity(rows);
+        for (i, &recon) in recon.iter().enumerate() {
+            let (kl, _kl_grad_mu, kl_grad_logvar) =
+                self.prior.kl_diag_to_mixture(mu.row(i), logvar.row(i));
+            let row = grad_logvar.row_mut(i);
+            for k in 0..d {
+                row[k] =
+                    grad_z.get(i, k) * 0.5 * sigma.get(i, k) * eps[i * d + k] + kl_grad_logvar[k];
             }
-            self.encoder_var.backward(&cache, &grad_enc_out, enc_grads);
+            losses.push((recon, kl));
         }
-        (recon, kl)
+        let encoder_grads = encoder.map(|cache| {
+            self.encoder_var
+                .backward_batch(cache, &grad_logvar, false)
+                .0
+        });
+        let parts: Vec<&BatchGradients> = encoder_grads.iter().chain([&decoder_grads]).collect();
+        let (gradient, clipped) = clip_and_sum_batch(&parts, clip_norm);
+        LotSum {
+            gradient,
+            clipped,
+            losses,
+        }
     }
 
     /// Serializes the trained model into a framed `p3gm-store` buffer:
@@ -916,6 +950,133 @@ mod tests {
             variance_mode: VarianceMode::Learned,
             decoder_loss: DecoderLoss::Bernoulli,
         }
+    }
+
+    /// The per-row path the lot path replaced, kept as its reference:
+    /// example `x`'s full flat gradient (encoder-variance block then
+    /// decoder block when the variance is trained, decoder only otherwise)
+    /// from single-example forward and backward passes, written into `out`.
+    /// Returns the reconstruction and KL losses.
+    fn example_gradient_reference(
+        model: &PhasedGenerativeModel,
+        x: &[f64],
+        eps: &[f64],
+        out: &mut [f64],
+    ) -> (f64, f64) {
+        let d = model.config.latent_dim;
+        let mu = model.encode_mean(x);
+        let (logvar, enc_cache) = match model.config.variance_mode {
+            VarianceMode::Learned => {
+                let cache = model.encoder_var.forward_cached(x);
+                (cache.output().to_vec(), Some(cache))
+            }
+            VarianceMode::Fixed(v) => (vec![v; d], None),
+        };
+        let sigma: Vec<f64> = logvar.iter().map(|&l| (0.5 * l).exp()).collect();
+        let z: Vec<f64> = (0..d).map(|i| mu[i] + sigma[i] * eps[i]).collect();
+        let (enc_grads, dec_grads) = if model.trains_variance() {
+            let (enc, dec) = out.split_at_mut(model.encoder_var.num_params());
+            (Some(enc), dec)
+        } else {
+            (None, out)
+        };
+        let dec_cache = model.decoder.forward_cached(&z);
+        let (recon, grad_logits) = match model.config.decoder_loss {
+            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
+            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
+        };
+        let grad_z = model.decoder.backward(&dec_cache, &grad_logits, dec_grads);
+        let (kl, _kl_grad_mu, kl_grad_logvar) = model.prior.kl_diag_to_mixture(&mu, &logvar);
+        if let (Some(enc_grads), Some(cache)) = (enc_grads, enc_cache) {
+            let grad_enc_out: Vec<f64> = (0..d)
+                .map(|i| grad_z[i] * 0.5 * sigma[i] * eps[i] + kl_grad_logvar[i])
+                .collect();
+            model.encoder_var.backward(&cache, &grad_enc_out, enc_grads);
+        }
+        (recon, kl)
+    }
+
+    /// Every Decoding-Phase variant: PGM and P3GM, learned and fixed
+    /// (P3GM(AE)) variance, Bernoulli and Gaussian decoder losses.
+    fn variants() -> Vec<PgmConfig> {
+        let mut out = Vec::new();
+        for private in [false, true] {
+            for decoder_loss in [DecoderLoss::Bernoulli, DecoderLoss::Gaussian] {
+                let cfg = PgmConfig {
+                    decoder_loss,
+                    ..small_config(private)
+                };
+                out.push(cfg.clone());
+                out.push(cfg.autoencoder_variant());
+            }
+        }
+        out
+    }
+
+    /// A lot's clipped sum through the production path: rows `indices` of
+    /// `data` with reparametrization noise `eps`, one dispatch.
+    fn lot_sum(
+        model: &PhasedGenerativeModel,
+        data: &Matrix,
+        indices: &[usize],
+        eps: &[f64],
+        clip_norm: Option<f64>,
+    ) -> LotSum {
+        let d = model.config.latent_dim;
+        sum_lot(indices.len(), |range| {
+            let eps = &eps[range.start * d..range.end * d];
+            model.lot_chunk(data, &indices[range], eps, clip_norm)
+        })
+    }
+
+    #[test]
+    fn lot_sums_match_the_per_row_reference() {
+        use crate::lot::reference::{assert_matches_rows, clip_between_norms};
+        let mut r = rng();
+        let data = bimodal(&mut r, 48);
+        // 40 distinct rows: three chunks of 16, 16 and 8.
+        let indices: Vec<usize> = (0..40).map(|i| (i * 7) % 48).collect();
+        for cfg in variants() {
+            let mut model = PhasedGenerativeModel::encode_phase(&mut r, &data, cfg).unwrap();
+            model.train_epoch(&mut r, &data).unwrap();
+            let d = model.config.latent_dim;
+            let eps = sampling::normal_vec(&mut r, indices.len() * d, 1.0);
+            let mut rows = Matrix::zeros(indices.len(), model.flat_params().len());
+            let losses: Vec<(f64, f64)> = indices
+                .iter()
+                .enumerate()
+                .map(|(i, &row)| {
+                    let eps = &eps[i * d..(i + 1) * d];
+                    example_gradient_reference(&model, data.row(row), eps, rows.row_mut(i))
+                })
+                .collect();
+            for clip_norm in [None, Some(clip_between_norms(&rows))] {
+                let lot = lot_sum(&model, &data, &indices, &eps, clip_norm);
+                assert_matches_rows(&lot, &rows, &losses, clip_norm);
+            }
+        }
+    }
+
+    #[test]
+    fn one_adversarial_row_moves_the_clipped_sum_by_at_most_the_clip_norm() {
+        use crate::lot::reference::assert_one_row_moves_sum_by_at_most_c;
+        let mut r = rng();
+        let data = bimodal(&mut r, 40);
+        let cfg = small_config(true);
+        let model = PhasedGenerativeModel::encode_phase(&mut r, &data, cfg.clone()).unwrap();
+        let adversarial: Vec<f64> = data.row(0).iter().map(|v| v * 1e2).collect();
+        let data = data
+            .vstack(&Matrix::from_rows(&[adversarial]).unwrap())
+            .unwrap();
+        let eps = sampling::normal_vec(&mut r, 17 * cfg.latent_dim, 1.0);
+        let base: Vec<usize> = (0..16).collect();
+        let with: Vec<usize> = (0..16).chain([40]).collect();
+        assert_one_row_moves_sum_by_at_most_c(
+            |indices, clip| lot_sum(&model, &data, indices, &eps, Some(clip)).gradient,
+            &base,
+            &with,
+            cfg.clip_norm,
+        );
     }
 
     #[test]

@@ -74,7 +74,9 @@ impl TrainReport {
     }
 
     /// Record the wall-time of `phase` as measured by `timer` since
-    /// `start_nanos`. No-op when no timer is injected.
+    /// `start_nanos`, adding it to the phase's total if the phase is
+    /// already recorded (a phase that runs once per DP-SGD step reports
+    /// one per-fit total). No-op when no timer is injected.
     pub(crate) fn record_phase(
         &mut self,
         timer: Option<&dyn TimeSource>,
@@ -82,8 +84,11 @@ impl TrainReport {
         start_nanos: Option<u64>,
     ) {
         if let (Some(t), Some(start)) = (timer, start_nanos) {
-            self.phase_nanos
-                .push((phase, t.now_nanos().saturating_sub(start)));
+            let nanos = t.now_nanos().saturating_sub(start);
+            match self.phase_nanos.iter_mut().find(|(name, _)| *name == phase) {
+                Some((_, total)) => *total += nanos,
+                None => self.phase_nanos.push((phase, nanos)),
+            }
         }
     }
 

@@ -10,10 +10,11 @@
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, VaeConfig};
 use crate::history::{EpochStats, TrainingHistory};
+use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum};
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
+use p3gm_nn::dpsgd::{clip_and_sum_batch, sample_batch_indices, DpSgdConfig};
 use p3gm_nn::loss::{bce_with_logits, kl_diag_gaussian_standard, sse};
 use p3gm_nn::mlp::Mlp;
 use p3gm_nn::optimizer::{Adam, Optimizer};
@@ -39,6 +40,7 @@ pub struct Vae {
 impl Vae {
     /// Builds an untrained VAE for `data_dim`-dimensional data.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, data_dim: usize, config: VaeConfig) -> Result<Self> {
+        config.check_finite()?;
         if data_dim == 0 {
             return Err(CoreError::InvalidConfig {
                 msg: "data_dim must be positive".to_string(),
@@ -159,52 +161,35 @@ impl Vae {
         let mut kl_sum = 0.0;
         let mut examples = 0usize;
 
-        let n_params = params.len();
         let d = self.config.latent_dim;
+        let clip_norm = dp.map(|cfg| cfg.clip_norm);
         for _ in 0..steps_per_epoch {
             let indices = sample_batch_indices(rng, n, batch);
-            let xb = data
-                .select_rows(&indices)
-                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-            let b = xb.rows();
+            let b = indices.len();
             // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then compute the
-            // per-example gradients on parallel row chunks — bit-identical
-            // for every thread count.
+            // rng order as the per-example loop used), then sum the lot on
+            // parallel row chunks — bit-identical for every thread count.
             let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let mut per_example = Matrix::zeros(b, n_params);
-            let rows_per_chunk = p3gm_parallel::default_chunk_len(b);
-            let losses = p3gm_parallel::par_chunks_mut_map(
-                per_example.as_mut_slice(),
-                rows_per_chunk * n_params,
-                |chunk_index, grad_chunk| {
-                    let base = chunk_index * rows_per_chunk;
-                    grad_chunk
-                        .chunks_mut(n_params)
-                        .enumerate()
-                        .map(|(local, grad_row)| {
-                            let i = base + local;
-                            self.example_gradient_into(xb.row(i), eps.row(i), grad_row)
-                        })
-                        .collect::<Vec<_>>()
-                },
-            );
-            for (recon, kl) in losses.into_iter().flatten() {
+            let lot = sum_lot(b, |range| {
+                let eps = &eps.as_slice()[range.start * d..range.end * d];
+                self.lot_chunk(data, &indices[range], eps, clip_norm)
+            });
+            for (recon, kl) in lot.losses {
                 recon_sum += recon;
                 kl_sum += kl;
                 examples += 1;
             }
-            match &dp {
-                Some(cfg) => {
-                    cfg.step(rng, &per_example, &mut params, &mut self.optimizer)
-                        .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-                }
+            let gradient = match &dp {
+                Some(cfg) => cfg
+                    .privatize_sum(rng, lot.gradient)
+                    .map_err(|e| CoreError::Substrate { msg: e.to_string() })?,
                 None => {
-                    let mut avg = per_example.column_sums();
+                    let mut avg = lot.gradient;
                     p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    self.optimizer.step(&mut params, &avg);
+                    avg
                 }
-            }
+            };
+            self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
             self.averager.update(&params);
         }
@@ -292,40 +277,58 @@ impl Vae {
         acc.to_dp(self.config.delta).ok()
     }
 
-    /// Per-example ELBO gradient with respect to all parameters, written
-    /// into `out` (encoder block then decoder block, matching the flat
-    /// parameter layout). `eps` is the example's pre-drawn standard-normal
-    /// reparametrization noise, so this function is deterministic and safe
-    /// to run on worker threads. Returns the reconstruction and KL losses.
-    fn example_gradient_into(&self, x: &[f64], eps: &[f64], out: &mut [f64]) -> (f64, f64) {
+    /// The contribution of one chunk of a lot — rows `indices` of `data`
+    /// with their pre-drawn standard-normal reparametrization noise `eps`
+    /// (row-major) — to the ELBO step: the gradient sum over all parameters
+    /// (encoder block then decoder block, the flat parameter layout), each
+    /// example clipped to `clip_norm` when given, plus the clip count and
+    /// the rows' reconstruction and KL losses. Deterministic, so it is safe
+    /// to run on worker threads.
+    fn lot_chunk(
+        &self,
+        data: &Matrix,
+        indices: &[usize],
+        eps: &[f64],
+        clip_norm: Option<f64>,
+    ) -> LotSum {
+        let x = data
+            .select_rows(indices)
+            .expect("lot indices lie inside the data");
+        let rows = x.rows();
         let d = self.config.latent_dim;
-        let enc_cache = self.encoder.forward_cached(x);
-        let enc_out = enc_cache.output();
-        let mu = &enc_out[..d];
-        let logvar = &enc_out[d..];
+        let encoder = self.encoder.forward_batch_cached(&x);
+        let enc_out = encoder.output();
+        let mu = Matrix::from_fn(rows, d, |i, k| enc_out.get(i, k));
+        let logvar = Matrix::from_fn(rows, d, |i, k| enc_out.get(i, d + k));
 
         // Reparametrization trick with the pre-drawn noise.
-        let sigma: Vec<f64> = logvar.iter().map(|&l| (0.5 * l).exp()).collect();
-        let z: Vec<f64> = (0..d).map(|i| mu[i] + sigma[i] * eps[i]).collect();
-
-        let (enc_grads, dec_grads) = out.split_at_mut(self.encoder.num_params());
-        let dec_cache = self.decoder.forward_cached(&z);
-        let (recon, grad_logits) = match self.config.decoder_loss {
-            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
-            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
-        };
-        let grad_z = self.decoder.backward(&dec_cache, &grad_logits, dec_grads);
-
-        let (kl, kl_grad_mu, kl_grad_logvar) = kl_diag_gaussian_standard(mu, logvar);
+        let (sigma, z) = reparametrize(&mu, &logvar, eps);
+        let decoder = self.decoder.forward_batch_cached(&z);
+        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
+        let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
+        let grad_z = grad_z.expect("the decoder input gradient was requested");
 
         // Chain the reconstruction gradient through the reparametrization.
-        let mut grad_enc_out = vec![0.0; 2 * d];
-        for i in 0..d {
-            grad_enc_out[i] = grad_z[i] + kl_grad_mu[i];
-            grad_enc_out[d + i] = grad_z[i] * 0.5 * sigma[i] * eps[i] + kl_grad_logvar[i];
+        let mut grad_enc_out = Matrix::zeros(rows, 2 * d);
+        let mut losses = Vec::with_capacity(rows);
+        for (i, &recon) in recon.iter().enumerate() {
+            let (kl, kl_grad_mu, kl_grad_logvar) =
+                kl_diag_gaussian_standard(mu.row(i), logvar.row(i));
+            let row = grad_enc_out.row_mut(i);
+            for k in 0..d {
+                let g = grad_z.get(i, k);
+                row[k] = g + kl_grad_mu[k];
+                row[d + k] = g * 0.5 * sigma.get(i, k) * eps[i * d + k] + kl_grad_logvar[k];
+            }
+            losses.push((recon, kl));
         }
-        self.encoder.backward(&enc_cache, &grad_enc_out, enc_grads);
-        (recon, kl)
+        let (encoder_grads, _) = self.encoder.backward_batch(encoder, &grad_enc_out, false);
+        let (gradient, clipped) = clip_and_sum_batch(&[&encoder_grads, &decoder_grads], clip_norm);
+        LotSum {
+            gradient,
+            clipped,
+            losses,
+        }
     }
 
     fn flat_params(&self) -> Vec<f64> {
@@ -388,6 +391,148 @@ mod tests {
             batch_size: 16,
             learning_rate: 5e-3,
             ..Default::default()
+        }
+    }
+
+    /// The per-row path the lot path replaced, kept as its reference:
+    /// example `x`'s full flat ELBO gradient (encoder block then decoder
+    /// block) from single-example forward and backward passes, written
+    /// into `out`. Returns the reconstruction and KL losses.
+    fn example_gradient_reference(
+        vae: &Vae,
+        x: &[f64],
+        eps: &[f64],
+        out: &mut [f64],
+    ) -> (f64, f64) {
+        let d = vae.config.latent_dim;
+        let enc_cache = vae.encoder.forward_cached(x);
+        let enc_out = enc_cache.output();
+        let (mu, logvar) = enc_out.split_at(d);
+        let sigma: Vec<f64> = logvar.iter().map(|&l| (0.5 * l).exp()).collect();
+        let z: Vec<f64> = (0..d).map(|i| mu[i] + sigma[i] * eps[i]).collect();
+        let (enc_grads, dec_grads) = out.split_at_mut(vae.encoder.num_params());
+        let dec_cache = vae.decoder.forward_cached(&z);
+        let (recon, grad_logits) = match vae.config.decoder_loss {
+            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
+            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
+        };
+        let grad_z = vae.decoder.backward(&dec_cache, &grad_logits, dec_grads);
+        let (kl, kl_grad_mu, kl_grad_logvar) = kl_diag_gaussian_standard(mu, logvar);
+        let mut grad_enc_out = vec![0.0; 2 * d];
+        for i in 0..d {
+            grad_enc_out[i] = grad_z[i] + kl_grad_mu[i];
+            grad_enc_out[d + i] = grad_z[i] * 0.5 * sigma[i] * eps[i] + kl_grad_logvar[i];
+        }
+        vae.encoder.backward(&enc_cache, &grad_enc_out, enc_grads);
+        (recon, kl)
+    }
+
+    /// A lot's clipped sum through the production path: rows `indices` of
+    /// `data` with reparametrization noise `eps`, one dispatch.
+    fn lot_sum(
+        vae: &Vae,
+        data: &Matrix,
+        indices: &[usize],
+        eps: &[f64],
+        clip_norm: Option<f64>,
+    ) -> LotSum {
+        let d = vae.config.latent_dim;
+        sum_lot(indices.len(), |range| {
+            let eps = &eps[range.start * d..range.end * d];
+            vae.lot_chunk(data, &indices[range], eps, clip_norm)
+        })
+    }
+
+    #[test]
+    fn lot_sums_match_the_per_row_reference() {
+        use crate::lot::reference::{assert_matches_rows, clip_between_norms};
+        let mut r = rng();
+        let data = bimodal(&mut r, 48);
+        // 40 distinct rows: three chunks of 16, 16 and 8.
+        let indices: Vec<usize> = (0..40).map(|i| (i * 7) % 48).collect();
+        for sigma_s in [0.0, 1.0] {
+            for decoder_loss in [DecoderLoss::Bernoulli, DecoderLoss::Gaussian] {
+                let cfg = VaeConfig {
+                    sigma_s,
+                    decoder_loss,
+                    ..small_config()
+                };
+                let mut vae = Vae::new(&mut r, 6, cfg).unwrap();
+                vae.train_epoch(&mut r, &data).unwrap();
+                let d = vae.config.latent_dim;
+                let eps = sampling::normal_vec(&mut r, indices.len() * d, 1.0);
+                let mut rows = Matrix::zeros(indices.len(), vae.num_params());
+                let losses: Vec<(f64, f64)> = indices
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &row)| {
+                        let eps = &eps[i * d..(i + 1) * d];
+                        example_gradient_reference(&vae, data.row(row), eps, rows.row_mut(i))
+                    })
+                    .collect();
+                for clip_norm in [None, Some(clip_between_norms(&rows))] {
+                    let lot = lot_sum(&vae, &data, &indices, &eps, clip_norm);
+                    assert_matches_rows(&lot, &rows, &losses, clip_norm);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_adversarial_row_moves_the_clipped_sum_by_at_most_the_clip_norm() {
+        use crate::lot::reference::assert_one_row_moves_sum_by_at_most_c;
+        let mut r = rng();
+        let data = bimodal(&mut r, 40);
+        let cfg = VaeConfig {
+            sigma_s: 1.0,
+            ..small_config()
+        };
+        let vae = Vae::new(&mut r, 6, cfg.clone()).unwrap();
+        let adversarial: Vec<f64> = data.row(0).iter().map(|v| v * 1e2).collect();
+        let data = data
+            .vstack(&Matrix::from_rows(&[adversarial]).unwrap())
+            .unwrap();
+        let eps = sampling::normal_vec(&mut r, 17 * cfg.latent_dim, 1.0);
+        let base: Vec<usize> = (0..16).collect();
+        let with: Vec<usize> = (0..16).chain([40]).collect();
+        assert_one_row_moves_sum_by_at_most_c(
+            |indices, clip| lot_sum(&vae, &data, indices, &eps, Some(clip)).gradient,
+            &base,
+            &with,
+            cfg.clip_norm,
+        );
+    }
+
+    #[test]
+    fn non_finite_config_floats_are_rejected_at_construction() {
+        let mut r = rng();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for cfg in [
+                VaeConfig {
+                    learning_rate: bad,
+                    ..small_config()
+                },
+                VaeConfig {
+                    clip_norm: bad,
+                    ..small_config()
+                },
+                VaeConfig {
+                    sigma_s: bad,
+                    ..small_config()
+                },
+                VaeConfig {
+                    delta: bad,
+                    ..small_config()
+                },
+            ] {
+                assert!(
+                    matches!(
+                        Vae::new(&mut r, 6, cfg),
+                        Err(CoreError::InvalidConfig { .. })
+                    ),
+                    "{bad}"
+                );
+            }
         }
     }
 

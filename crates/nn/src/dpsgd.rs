@@ -1,14 +1,24 @@
 //! DP-SGD: differentially private stochastic gradient descent (paper §II-D).
 //!
 //! This module glues the per-example gradients produced by [`crate::mlp`]
-//! to the gradient-privatization primitive in `p3gm-privacy` and an
-//! [`crate::optimizer`] step.  The privacy *accounting* for the resulting
-//! training run lives in `p3gm-privacy::rdp` — the trainer here only reports
-//! the (steps, sampling-rate, noise) triple the accountant needs.
+//! to the gradient-privatization primitives in `p3gm-privacy` and an
+//! [`crate::optimizer`] step. The trainers clip without ever forming a
+//! per-example gradient: [`clip_and_sum_batch`] takes each example's norm
+//! from the factored [`BatchGradients`] of one or more networks, clips with
+//! `p3gm-privacy`'s single rule [`clip_factor`], and sums with one weighted
+//! product per layer. [`DpSgdConfig::privatize_sum`] then adds the noise and
+//! averages. [`DpSgdConfig::step`] runs the same mechanism on a
+//! materialized `B x P` batch (the reference). The privacy *accounting* for
+//! the resulting training run lives in `p3gm-privacy::rdp` — the trainer
+//! here only reports the (steps, sampling-rate, noise) triple the
+//! accountant needs.
 
+use crate::mlp::BatchGradients;
 use crate::optimizer::Optimizer;
 use p3gm_linalg::Matrix;
-use p3gm_privacy::mechanisms::privatize_gradient_sum_counted;
+use p3gm_privacy::mechanisms::{
+    clip_factor, noise_and_average, privatize_gradient_sum, validate_dp_sgd,
+};
 use p3gm_privacy::PrivacyError;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -35,14 +45,10 @@ impl Default for DpSgdConfig {
 }
 
 impl DpSgdConfig {
-    /// Validates the configuration.
+    /// Validates the configuration: `C` positive and finite, σ
+    /// non-negative and finite, `B` positive.
     pub fn validate(&self) -> Result<(), PrivacyError> {
-        if self.clip_norm <= 0.0 || self.noise_multiplier < 0.0 || self.batch_size == 0 {
-            return Err(PrivacyError::InvalidParameter {
-                msg: format!("invalid DP-SGD configuration: {self:?}"),
-            });
-        }
-        Ok(())
+        validate_dp_sgd(self.clip_norm, self.noise_multiplier, self.batch_size)
     }
 
     /// The sampling probability `q = B / N` used by the privacy accountant
@@ -66,23 +72,7 @@ impl DpSgdConfig {
         params: &mut [f64],
         optimizer: &mut O,
     ) -> Result<Vec<f64>, PrivacyError> {
-        self.step_observed(rng, per_example_grads, params, optimizer)
-            .map(|outcome| outcome.gradient)
-    }
-
-    /// Like [`step`](DpSgdConfig::step) but also reports what happened:
-    /// how many per-example gradients the clip actually touched. The extra
-    /// fields are telemetry derived from the same fused pass — no extra
-    /// randomness, no change to the update — for `TrainReport` / metrics.
-    pub fn step_observed<R: Rng + ?Sized, O: Optimizer + ?Sized>(
-        &self,
-        rng: &mut R,
-        per_example_grads: &Matrix,
-        params: &mut [f64],
-        optimizer: &mut O,
-    ) -> Result<DpSgdStepOutcome, PrivacyError> {
-        self.validate()?;
-        let (noisy, clipped) = privatize_gradient_sum_counted(
+        let noisy = privatize_gradient_sum(
             rng,
             per_example_grads,
             self.clip_norm,
@@ -90,23 +80,62 @@ impl DpSgdConfig {
             self.batch_size,
         )?;
         optimizer.step(params, &noisy);
-        Ok(DpSgdStepOutcome {
-            gradient: noisy,
-            clipped_examples: clipped,
-            examples: per_example_grads.rows() as u64,
-        })
+        Ok(noisy)
+    }
+
+    /// Adds the DP noise to a lot's clipped gradient sum (from
+    /// [`clip_and_sum_batch`] with this config's `clip_norm`) and divides by
+    /// the lot size, returning the privatized average gradient.
+    pub fn privatize_sum<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        clipped_sum: Vec<f64>,
+    ) -> Result<Vec<f64>, PrivacyError> {
+        noise_and_average(
+            rng,
+            clipped_sum,
+            self.clip_norm,
+            self.noise_multiplier,
+            self.batch_size,
+        )
     }
 }
 
-/// What one observed DP-SGD step did (see [`DpSgdConfig::step_observed`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DpSgdStepOutcome {
-    /// The privatized average gradient that was applied.
-    pub gradient: Vec<f64>,
-    /// Rows of the lot whose L2 norm exceeded the clip norm.
-    pub clipped_examples: u64,
-    /// Rows in the lot (the realized, not configured, lot size).
-    pub examples: u64,
+/// Clips and sums the per-example gradients of a chunk of examples held in
+/// factored form, without forming any of them. Each example's gradient is
+/// the concatenation, in `parts` order, of its gradients in every network
+/// of `parts` (all over the same examples); the returned sum uses that
+/// flat layout.
+///
+/// With `clip_norm = Some(C)` each example's norm is taken across all parts
+/// ([`BatchGradients::add_squared_norms`]) and its factor comes from
+/// [`clip_factor`]; the second value counts the clipped examples. With
+/// `None` (non-private training) every factor is 1, no norm is computed
+/// and the count is 0.
+pub fn clip_and_sum_batch(parts: &[&BatchGradients], clip_norm: Option<f64>) -> (Vec<f64>, u64) {
+    let rows = parts.first().map_or(0, |part| part.rows());
+    let mut factors = vec![1.0; rows];
+    let mut clipped = 0;
+    if let Some(clip_norm) = clip_norm {
+        let mut squared_norms = vec![0.0; rows];
+        for part in parts {
+            part.add_squared_norms(&mut squared_norms);
+        }
+        for (factor, squared) in factors.iter_mut().zip(&squared_norms) {
+            if let Some(f) = clip_factor(squared.sqrt(), clip_norm) {
+                *factor = f;
+                clipped += 1;
+            }
+        }
+    }
+    let mut sum = vec![0.0; parts.iter().map(|part| part.num_params()).sum()];
+    let mut offset = 0;
+    for part in parts {
+        let len = part.num_params();
+        part.add_weighted_sum(&factors, &mut sum[offset..offset + len]);
+        offset += len;
+    }
+    (sum, clipped)
 }
 
 /// Samples a lot of `batch_size` example indices uniformly without
@@ -155,6 +184,27 @@ mod tests {
         }
         .validate()
         .is_err());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for cfg in [
+                DpSgdConfig {
+                    clip_norm: bad,
+                    ..Default::default()
+                },
+                DpSgdConfig {
+                    noise_multiplier: bad,
+                    ..Default::default()
+                },
+            ] {
+                assert!(cfg.validate().is_err(), "{cfg:?}");
+                let mut params = vec![0.0; 2];
+                let grads = Matrix::from_rows(&[vec![30.0, 40.0], vec![3.0, 4.0]]).unwrap();
+                assert!(cfg
+                    .step(&mut rng(), &grads, &mut params, &mut Sgd::new(1.0))
+                    .is_err());
+                assert!(cfg.privatize_sum(&mut rng(), vec![1.0, 2.0]).is_err());
+                assert_eq!(params, vec![0.0; 2], "a rejected step must not move");
+            }
+        }
     }
 
     #[test]

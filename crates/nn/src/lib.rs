@@ -11,9 +11,9 @@
 //! * [`activation`] — ReLU / sigmoid / tanh / softplus / identity with
 //!   derivatives.
 //! * [`linear`] — a fully-connected layer with explicit forward/backward.
-//! * [`mlp`] — multi-layer perceptrons with *per-example* backpropagation
-//!   and flat parameter/gradient vectors (the representation DP-SGD's
-//!   per-example clipping needs).
+//! * [`mlp`] — multi-layer perceptrons with flat parameter/gradient
+//!   vectors and a batched backward pass that keeps per-example gradients
+//!   factored, so DP-SGD can clip each example without materializing it.
 //! * [`loss`] — MSE, Bernoulli cross-entropy with logits, softmax
 //!   cross-entropy, and the Gaussian-VAE KL divergence, all returning both
 //!   value and gradient.
@@ -36,7 +36,7 @@ pub mod mlp;
 pub mod optimizer;
 
 pub use activation::Activation;
-pub use dpsgd::{DpSgdConfig, DpSgdStepOutcome};
+pub use dpsgd::DpSgdConfig;
 pub use linear::Linear;
-pub use mlp::{Mlp, MlpCache};
+pub use mlp::{BatchCache, BatchGradients, Mlp, MlpCache};
 pub use optimizer::{Adam, Optimizer, Sgd};

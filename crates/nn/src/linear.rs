@@ -157,6 +157,28 @@ impl Linear {
         grad_x
     }
 
+    /// Batched input gradient `Δ W` for a `batch x out_dim` matrix of
+    /// pre-activation gradients, one example per row.
+    ///
+    /// Row `i` is bit-identical to the input gradient [`Linear::backward`]
+    /// returns for `delta.row(i)`: the same zero skip and the same
+    /// accumulation order over outputs.
+    pub(crate) fn backward_input_batch(&self, delta: &Matrix) -> Matrix {
+        debug_assert_eq!(delta.cols(), self.out_dim);
+        let mut out = Matrix::zeros(delta.rows(), self.in_dim);
+        let mut terms = Vec::with_capacity(self.out_dim);
+        for i in 0..delta.rows() {
+            terms.clear();
+            for (o, &g) in delta.row(i).iter().enumerate() {
+                if g != 0.0 {
+                    terms.push((g, &self.weights[o * self.in_dim..(o + 1) * self.in_dim]));
+                }
+            }
+            accumulate(&terms, out.row_mut(i));
+        }
+        out
+    }
+
     /// Copies the layer's parameters (weights then bias) into `out`,
     /// returning the number of values written.
     pub fn write_params(&self, out: &mut [f64]) -> usize {
@@ -174,6 +196,28 @@ impl Linear {
         self.weights.copy_from_slice(&input[..w_len]);
         self.bias.copy_from_slice(&input[w_len..n]);
         n
+    }
+}
+
+/// `y += Σₜ sₜ xₜ` over `terms = [(sₜ, xₜ)]`, adding the terms to each
+/// element in order — bit-identical to one [`vector::axpy`] per term — but
+/// four terms per pass over `y`, so `y` is loaded and stored a quarter as
+/// often.
+pub(crate) fn accumulate(terms: &[(f64, &[f64])], y: &mut [f64]) {
+    let mut quads = terms.chunks_exact(4);
+    for quad in &mut quads {
+        let [(s0, x0), (s1, x1), (s2, x2), (s3, x3)] = [quad[0], quad[1], quad[2], quad[3]];
+        for ((((y, &a), &b), &c), &d) in y.iter_mut().zip(x0).zip(x1).zip(x2).zip(x3) {
+            let mut acc = *y;
+            acc += s0 * a;
+            acc += s1 * b;
+            acc += s2 * c;
+            acc += s3 * d;
+            *y = acc;
+        }
+    }
+    for &(s, x) in quads.remainder() {
+        vector::axpy(s, x, y);
     }
 }
 

@@ -1,7 +1,6 @@
 //! Loss functions returning both the value and the gradient with respect to
 //! the model output (logits where applicable).
 
-use crate::activation::sigmoid;
 use p3gm_linalg::vector;
 
 /// Mean-squared error `1/n Σ (y - t)²` and its gradient with respect to `y`.
@@ -46,9 +45,9 @@ pub fn bce_with_logits(logits: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
     let mut grad = vec![0.0; logits.len()];
     let mut total = 0.0;
     for ((g, &z), &t) in grad.iter_mut().zip(logits.iter()).zip(target.iter()) {
-        // Stable softplus(z) - t*z = max(z,0) - t*z + ln(1 + exp(-|z|)).
-        total += z.max(0.0) - t * z + (-z.abs()).exp().ln_1p();
-        *g = sigmoid(z) - t;
+        let (loss, grad) = logistic_loss(z, t);
+        total += loss;
+        *g = grad;
     }
     (total, grad)
 }
@@ -64,11 +63,23 @@ pub fn softmax_cross_entropy(logits: &[f64], label: usize) -> (f64, Vec<f64>) {
     (loss, grad)
 }
 
-/// Binary logistic loss for a single logit and a 0/1 label, with gradient.
+/// Binary logistic loss for a single logit and a 0/1 (or soft) label, with
+/// its gradient `σ(z) − t` with respect to the logit.
+///
+/// Stable form: `softplus(z) − t z = max(z, 0) − t z + ln(1 + e)` with
+/// `e = exp(−|z|)`, and the sigmoid comes from the same `e` — `1/(1+e)` for
+/// `z ≥ 0`, `e/(1+e)` otherwise — which is bit-identical to
+/// [`crate::activation::sigmoid`] with one `exp` instead of two.
+#[inline]
 pub fn logistic_loss(logit: f64, label: f64) -> (f64, f64) {
-    let loss = logit.max(0.0) - label * logit + (-logit.abs()).exp().ln_1p();
-    let grad = sigmoid(logit) - label;
-    (loss, grad)
+    let e = (-logit.abs()).exp();
+    let loss = logit.max(0.0) - label * logit + e.ln_1p();
+    let sigmoid = if logit >= 0.0 {
+        1.0 / (1.0 + e)
+    } else {
+        e / (1.0 + e)
+    };
+    (loss, sigmoid - label)
 }
 
 /// KL divergence from a diagonal Gaussian `N(µ, diag(exp(logvar)))` to the

@@ -1,19 +1,30 @@
 //! Multi-layer perceptron with per-example backpropagation and flat
 //! parameter/gradient vectors.
 //!
-//! DP-SGD needs the gradient of the loss with respect to **all** parameters
-//! of a model for **each individual example** (so it can clip per-example
-//! norms before aggregation).  The [`Mlp`] therefore exposes its parameters
-//! as one flat `Vec<f64>`, and its batch APIs ([`Mlp::forward_batch`],
-//! [`Mlp::per_example_gradients`]) operate on contiguous `Matrix` batches —
-//! one example per row — parallelized over row chunks with deterministic
-//! (thread-count-independent) results. The per-example gradient batch is a
-//! `B x P` matrix that `p3gm-privacy::privatize_gradient_sum` consumes
-//! directly.
+//! DP-SGD needs, for **each individual example**, the norm of its gradient
+//! with respect to **all** parameters of a model (to clip it) and the sum
+//! of the clipped gradients. The [`Mlp`] exposes its parameters as one flat
+//! `Vec<f64>`, and its batch APIs operate on contiguous `Matrix` batches,
+//! one example per row, with deterministic (thread-count-independent)
+//! results.
+//!
+//! The training path never forms a per-example gradient:
+//! [`Mlp::forward_batch_cached`] and [`Mlp::backward_batch`] keep, for each
+//! layer, its input rows `A` and its pre-activation gradient rows `Δ`
+//! ([`BatchGradients`]). Example `i`'s gradient for a layer is the outer
+//! product `δᵢ aᵢᵀ` (bias: `δᵢ`), so its squared norm is
+//! `‖δᵢ‖² (‖aᵢ‖² + 1)` and a weighted sum over the batch is one product
+//! `Δᵀ diag(w) A` per layer. The identity is exact for an MLP because every
+//! weight is used once per example; it does not hold for weight-shared
+//! layers such as [`crate::conv::Conv2d`].
+//!
+//! [`Mlp::per_example_gradients`] still materializes the `B x P` batch, one
+//! row per example. It is the reference the factored path is tested
+//! against, and the input of `p3gm-privacy::clip_and_sum_gradients`.
 
 use crate::activation::Activation;
-use crate::linear::Linear;
-use p3gm_linalg::Matrix;
+use crate::linear::{accumulate, Linear};
+use p3gm_linalg::{vector, Matrix};
 use rand::Rng;
 
 /// A fully-connected feed-forward network.
@@ -43,6 +54,99 @@ impl MlpCache {
     /// The network output recorded in this cache.
     pub fn output(&self) -> &[f64] {
         &self.output
+    }
+}
+
+/// Intermediate values of a batched forward pass, one example per row,
+/// needed by [`Mlp::backward_batch`].
+#[derive(Debug, Clone)]
+pub struct BatchCache {
+    /// Input rows of each layer (`inputs[0]` is the network input).
+    inputs: Vec<Matrix>,
+    /// Pre-activation rows of each layer.
+    pre_activations: Vec<Matrix>,
+    /// Post-activation output rows of the final layer.
+    output: Matrix,
+}
+
+impl BatchCache {
+    /// The network output, one row per example.
+    pub fn output(&self) -> &Matrix {
+        &self.output
+    }
+}
+
+/// The per-example parameter gradients of a batch in factored form: each
+/// layer's input rows `A` and pre-activation gradient rows `Δ` (see the
+/// module docs for why this is exact for an MLP).
+#[derive(Debug, Clone)]
+pub struct BatchGradients {
+    inputs: Vec<Matrix>,
+    deltas: Vec<Matrix>,
+}
+
+impl BatchGradients {
+    /// Number of examples.
+    pub(crate) fn rows(&self) -> usize {
+        self.deltas.first().map_or(0, Matrix::rows)
+    }
+
+    /// Number of parameters each example's gradient covers.
+    pub fn num_params(&self) -> usize {
+        self.inputs
+            .iter()
+            .zip(&self.deltas)
+            .map(|(a, delta)| delta.cols() * (a.cols() + 1))
+            .sum()
+    }
+
+    /// Adds example `i`'s squared gradient norm to `out[i]`: the sum over
+    /// layers of `‖δᵢ‖² (‖aᵢ‖² + 1)`, which equals the squared norm of the
+    /// row [`Mlp::per_example_gradients`] would produce up to rounding.
+    ///
+    /// # Panics
+    /// Panics if `out` does not have one entry per example.
+    pub fn add_squared_norms(&self, out: &mut [f64]) {
+        for (a, delta) in self.inputs.iter().zip(&self.deltas) {
+            assert_eq!(out.len(), delta.rows(), "one norm per example");
+            for (i, norm) in out.iter_mut().enumerate() {
+                *norm += vector::norm2_squared_lanes(delta.row(i))
+                    * (vector::norm2_squared_lanes(a.row(i)) + 1.0);
+            }
+        }
+    }
+
+    /// Adds `Σᵢ wᵢ gᵢ` to `out`, where `gᵢ` is example `i`'s flat gradient
+    /// in the [`Mlp::params`] layout: per layer `Δᵀ diag(w) A` for the
+    /// weights and `Δᵀ w` for the biases. Each entry accumulates its
+    /// examples in row order, so with unit weights the sum is bit-identical
+    /// to adding the rows of [`Mlp::per_example_gradients`] in order.
+    ///
+    /// # Panics
+    /// Panics if `weights` does not have one entry per example or `out` is
+    /// not [`BatchGradients::num_params`] long.
+    pub fn add_weighted_sum(&self, weights: &[f64], out: &mut [f64]) {
+        assert_eq!(out.len(), self.num_params(), "flat gradient length");
+        let mut offset = 0;
+        for (a, delta) in self.inputs.iter().zip(&self.deltas) {
+            assert_eq!(weights.len(), delta.rows(), "one weight per example");
+            let (in_dim, out_dim) = (a.cols(), delta.cols());
+            let w_len = in_dim * out_dim;
+            let (grad_w, grad_b) = out[offset..offset + w_len + out_dim].split_at_mut(w_len);
+            let mut terms = Vec::with_capacity(weights.len());
+            for (o, grad_b_o) in grad_b.iter_mut().enumerate() {
+                terms.clear();
+                for (i, &w) in weights.iter().enumerate() {
+                    let scaled = w * delta.get(i, o);
+                    if scaled != 0.0 {
+                        terms.push((scaled, a.row(i)));
+                        *grad_b_o += scaled;
+                    }
+                }
+                accumulate(&terms, &mut grad_w[o * in_dim..(o + 1) * in_dim]);
+            }
+            offset += w_len + out_dim;
+        }
     }
 }
 
@@ -121,18 +225,20 @@ impl Mlp {
         }
     }
 
+    /// The activation applied after layer `layer`.
+    fn activation(&self, layer: usize) -> Activation {
+        if layer + 1 == self.layers.len() {
+            self.output_activation
+        } else {
+            self.hidden_activation
+        }
+    }
+
     /// Plain forward pass.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
         let mut h = x.to_vec();
-        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward(&h);
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            h = act.apply_vec(&z);
+            h = self.activation(i).apply_vec(&layer.forward(&h));
         }
         h
     }
@@ -143,16 +249,10 @@ impl Mlp {
         let mut inputs = Vec::with_capacity(self.layers.len());
         let mut pre_activations = Vec::with_capacity(self.layers.len());
         let mut h = x.to_vec();
-        let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
             inputs.push(h.clone());
             let z = layer.forward(&h);
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            h = act.apply_vec(&z);
+            h = self.activation(i).apply_vec(&z);
             pre_activations.push(z);
         }
         MlpCache {
@@ -186,15 +286,10 @@ impl Mlp {
             acc += layer.num_params();
         }
 
-        let last = self.layers.len() - 1;
         let mut grad = grad_output.to_vec();
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            act.backprop_inplace(&cache.pre_activations[i], &mut grad);
+            self.activation(i)
+                .backprop_inplace(&cache.pre_activations[i], &mut grad);
             let start = offsets[i];
             let w_len = layer.in_dim() * layer.out_dim();
             let (gw, gb) = grad_params[start..start + layer.num_params()].split_at_mut(w_len);
@@ -225,59 +320,101 @@ impl Mlp {
     /// so the result is also bit-identical for every thread count.
     pub fn forward_batch(&self, x: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "forward_batch input width");
-        let last = self.layers.len() - 1;
         let mut h = x.clone();
         for (i, layer) in self.layers.iter().enumerate() {
             let mut z = layer.forward_batch(&h);
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
+            let act = self.activation(i);
             z.map_inplace(|v| act.apply(v));
             h = z;
         }
         h
     }
 
+    /// [`Mlp::forward_batch`] that also keeps each layer's input and
+    /// pre-activation rows for [`Mlp::backward_batch`]. Every cached row is
+    /// bit-identical to the single-example [`Mlp::forward_cached`].
+    pub fn forward_batch_cached(&self, x: &Matrix) -> BatchCache {
+        assert_eq!(x.cols(), self.in_dim(), "forward_batch_cached input width");
+        let mut inputs = Vec::with_capacity(self.layers.len());
+        let mut pre_activations = Vec::with_capacity(self.layers.len());
+        let mut h = x.clone();
+        for (i, layer) in self.layers.iter().enumerate() {
+            let z = layer.forward_batch(&h);
+            inputs.push(std::mem::replace(&mut h, z.clone()));
+            let act = self.activation(i);
+            h.map_inplace(|v| act.apply(v));
+            pre_activations.push(z);
+        }
+        BatchCache {
+            inputs,
+            pre_activations,
+            output: h,
+        }
+    }
+
+    /// Batched backward pass: given the loss gradient with respect to the
+    /// network output (one row per example of `cache`), returns every
+    /// example's parameter gradient in factored form and, when
+    /// `input_gradient` is set, the gradient with respect to the network
+    /// input. Without it the first layer's input gradient is never
+    /// computed.
+    ///
+    /// Row `i` of every `Δ`, and of the input gradient, is bit-identical to
+    /// what [`Mlp::backward`] computes for example `i`. The pass is serial:
+    /// callers parallelize over chunks of examples.
+    pub fn backward_batch(
+        &self,
+        cache: BatchCache,
+        grad_outputs: &Matrix,
+        input_gradient: bool,
+    ) -> (BatchGradients, Option<Matrix>) {
+        assert_eq!(
+            grad_outputs.shape(),
+            cache.output.shape(),
+            "grad_outputs shape"
+        );
+        let BatchCache {
+            inputs,
+            pre_activations,
+            ..
+        } = cache;
+        let mut deltas = Vec::with_capacity(self.layers.len());
+        let mut upstream = Some(grad_outputs.clone());
+        for (i, layer) in self.layers.iter().enumerate().rev() {
+            let mut delta = upstream
+                .take()
+                .expect("every layer above the first passes one on");
+            self.activation(i)
+                .backprop_inplace(pre_activations[i].as_slice(), delta.as_mut_slice());
+            if i > 0 || input_gradient {
+                upstream = Some(layer.backward_input_batch(&delta));
+            }
+            deltas.push(delta);
+        }
+        deltas.reverse();
+        (BatchGradients { inputs, deltas }, upstream)
+    }
+
     /// Per-example parameter gradients for a batch: row `i` of the returned
     /// `B x P` matrix is the flat gradient of example `i` given the loss
     /// gradient `grad_outputs.row(i)` with respect to the network output.
     ///
-    /// This is the DP-SGD hot kernel; the resulting batch feeds straight
-    /// into `p3gm-privacy`'s clipped-sum aggregation.
+    /// This materializes what [`Mlp::backward_batch`] keeps factored; it is
+    /// the reference for that path and the input of `p3gm-privacy`'s
+    /// `clip_and_sum_gradients`.
     ///
-    /// The forward passes run **batched** (the same register-tiled layer
-    /// kernels as [`Mlp::forward_batch`], with per-layer input and
-    /// pre-activation matrices as the shared cache), then each example's
-    /// backward pass runs independently on parallel row chunks over the
-    /// cached rows. Cached rows are bit-identical to a single-example
-    /// [`Mlp::forward_cached`], and the backward op sequence is unchanged,
-    /// so each gradient row equals [`Mlp::example_gradient`] exactly — and
-    /// the batch is bit-identical for every thread count.
+    /// The forward passes run batched ([`Mlp::forward_batch_cached`]), then
+    /// each example's backward pass runs independently on parallel row
+    /// chunks over the cached rows. Cached rows are bit-identical to a
+    /// single-example [`Mlp::forward_cached`], and the backward op sequence
+    /// is unchanged, so each gradient row equals [`Mlp::example_gradient`]
+    /// exactly — and the batch is bit-identical for every thread count.
     pub fn per_example_gradients(&self, x: &Matrix, grad_outputs: &Matrix) -> Matrix {
         assert_eq!(x.cols(), self.in_dim(), "per_example_gradients input");
         assert_eq!(grad_outputs.cols(), self.out_dim());
         assert_eq!(x.rows(), grad_outputs.rows(), "batch size mismatch");
         let n_params = self.num_params();
-        let last = self.layers.len() - 1;
-
-        // Batched forward, caching each layer's input batch and
-        // pre-activation batch.
-        let mut inputs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut pre_activations: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        let mut h = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let z = layer.forward_batch(&h);
-            inputs.push(std::mem::replace(&mut h, z.clone()));
-            let act = if i == last {
-                self.output_activation
-            } else {
-                self.hidden_activation
-            };
-            h.map_inplace(|v| act.apply(v));
-            pre_activations.push(z);
-        }
+        let cache = self.forward_batch_cached(x);
 
         let mut offsets = Vec::with_capacity(self.layers.len());
         let mut acc = 0;
@@ -297,17 +434,13 @@ impl Mlp {
                     let i = base + local;
                     let mut grad = grad_outputs.row(i).to_vec();
                     for (l, layer) in self.layers.iter().enumerate().rev() {
-                        let act = if l == last {
-                            self.output_activation
-                        } else {
-                            self.hidden_activation
-                        };
-                        act.backprop_inplace(pre_activations[l].row(i), &mut grad);
+                        self.activation(l)
+                            .backprop_inplace(cache.pre_activations[l].row(i), &mut grad);
                         let start = offsets[l];
                         let w_len = layer.in_dim() * layer.out_dim();
                         let (gw, gb) =
                             grad_row[start..start + layer.num_params()].split_at_mut(w_len);
-                        grad = layer.backward(inputs[l].row(i), &grad, gw, gb);
+                        grad = layer.backward(cache.inputs[l].row(i), &grad, gw, gb);
                     }
                 }
             },

@@ -36,9 +36,9 @@ pub mod zcdp;
 
 pub use calibrate::{calibrate_dpsgd_sigma, calibrate_gaussian_sigma, BudgetSplit};
 pub use mechanisms::{
-    clip_and_sum_gradients, clip_and_sum_gradients_counted, exponential_mechanism,
-    gaussian_mechanism_vec, laplace_mechanism_vec, privatize_gradient_sum,
-    privatize_gradient_sum_counted, wishart_noise, GaussianMechanism, LaplaceMechanism,
+    clip_and_sum_gradients, clip_and_sum_gradients_counted, clip_factor, exponential_mechanism,
+    gaussian_mechanism_vec, laplace_mechanism_vec, noise_and_average, privatize_gradient_sum,
+    validate_dp_sgd, wishart_noise, GaussianMechanism, LaplaceMechanism,
 };
 pub use rdp::{PrivacySpec, RdpAccountant, DEFAULT_ORDERS};
 pub use zcdp::ZcdpAccountant;

@@ -6,9 +6,13 @@
 //!   (Jiang et al., used by the paper's Encoding Phase).
 //! * [`exponential_mechanism`] — utility-based selection, used by the
 //!   PrivBayes baseline to pick Bayesian-network edges.
-//! * [`privatize_gradient_sum`] — the per-batch DP-SGD primitive: clip each
-//!   per-example gradient to norm `C`, sum, add `N(0, σ²C²I)` noise and
-//!   average (paper §II-D).
+//! * DP-SGD (paper §II-D): [`clip_factor`] is the clipping rule `ψ_C` every
+//!   trainer applies per example; [`noise_and_average`] adds `N(0, σ²C²I)`
+//!   noise to a clipped sum and averages. The trainers form that sum
+//!   without materializing per-example gradients (`p3gm-nn`'s
+//!   `clip_and_sum_batch`); [`privatize_gradient_sum`] runs the whole
+//!   mechanism on a materialized `B x P` batch and is the reference for
+//!   tests and benchmarks.
 
 use crate::sampling;
 use crate::{PrivacyError, Result};
@@ -209,14 +213,24 @@ pub fn exponential_mechanism<R: Rng + ?Sized>(
     Ok(sampling::categorical(rng, &weights))
 }
 
+/// The clipping rule `ψ_C` of DP-SGD for one example whose gradient has
+/// L2 norm `norm`: `Some(C / norm)` when the norm exceeds `clip_norm` (the
+/// example is clipped), `None` when the gradient already lies in the ball
+/// and is kept as is. Every DP-SGD path in the workspace clips through
+/// this one rule.
+#[inline]
+pub fn clip_factor(norm: f64, clip_norm: f64) -> Option<f64> {
+    (norm > clip_norm && norm > 0.0).then(|| clip_norm / norm)
+}
+
 /// Clips every row of a per-example gradient batch (`B x P`, one gradient
 /// per row) to L2 norm at most `clip_norm` and sums the clipped rows.
 ///
 /// Row chunks are clipped and summed in parallel; the per-chunk partial
 /// sums are folded in chunk order, so the result is bit-identical for every
-/// thread count. This is the noise-free core of DP-SGD's `ψ_C` aggregation,
-/// exposed separately so benchmarks and determinism tests can exercise it
-/// without consuming randomness.
+/// thread count. This is the materialized reference for the factored
+/// clipping the trainers use (`p3gm-nn`'s `clip_and_sum_batch`), kept for
+/// tests and benchmarks; it consumes no randomness.
 pub fn clip_and_sum_gradients(per_example: &Matrix, clip_norm: f64) -> Vec<f64> {
     clip_and_sum_gradients_counted(per_example, clip_norm).0
 }
@@ -226,9 +240,8 @@ pub fn clip_and_sum_gradients(per_example: &Matrix, clip_norm: f64) -> Vec<f64> 
 ///
 /// The count is a deterministic function of the batch (clipping is decided
 /// per row, counts fold in chunk order with the partial sums), so it is
-/// identical for every thread count. It exists purely as telemetry — the
-/// clipped-gradient fraction surfaced in `TrainReport` — and is computed in
-/// the same fused pass, never fed back into the mechanism.
+/// identical for every thread count. It is telemetry only, computed in the
+/// same fused pass and never fed back into the mechanism.
 pub fn clip_and_sum_gradients_counted(per_example: &Matrix, clip_norm: f64) -> (Vec<f64>, u64) {
     let dim = per_example.cols();
     let chunk_len = p3gm_parallel::default_chunk_len(per_example.rows());
@@ -244,12 +257,12 @@ pub fn clip_and_sum_gradients_counted(per_example: &Matrix, clip_norm: f64) -> (
             let mut clipped = 0u64;
             for i in range {
                 let row = per_example.row(i);
-                let norm = vector::norm2_squared_lanes(row).sqrt();
-                let factor = if norm > clip_norm && norm > 0.0 {
-                    clipped += 1;
-                    clip_norm / norm
-                } else {
-                    1.0
+                let factor = match clip_factor(vector::norm2_squared_lanes(row).sqrt(), clip_norm) {
+                    Some(factor) => {
+                        clipped += 1;
+                        factor
+                    }
+                    None => 1.0,
                 };
                 vector::axpy(factor, row, &mut partial);
             }
@@ -263,14 +276,35 @@ pub fn clip_and_sum_gradients_counted(per_example: &Matrix, clip_norm: f64) -> (
     .unwrap_or_else(|| (vec![0.0; dim], 0))
 }
 
+/// Checks the DP-SGD parameters: a positive, finite clip norm `C`, a
+/// non-negative, finite noise multiplier σ and a positive lot size.
+/// Non-finite values must be rejected explicitly: every comparison with
+/// NaN is false, so a NaN `C` would silently disable clipping and a NaN σ
+/// the noise.
+pub fn validate_dp_sgd(clip_norm: f64, noise_multiplier: f64, batch_size: usize) -> Result<()> {
+    let valid = clip_norm.is_finite()
+        && clip_norm > 0.0
+        && noise_multiplier.is_finite()
+        && noise_multiplier >= 0.0
+        && batch_size > 0;
+    if !valid {
+        return Err(PrivacyError::InvalidParameter {
+            msg: format!(
+                "invalid DP-SGD parameters: clip_norm={clip_norm}, noise_multiplier={noise_multiplier}, batch_size={batch_size}"
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Privatizes a batch of per-example gradients as in DP-SGD (paper §II-D):
 ///
 /// 1. clip each gradient (row of the `B x P` batch) to L2 norm at most
 ///    `clip_norm` (ψ_C),
 /// 2. sum the clipped gradients ([`clip_and_sum_gradients`], parallel and
 ///    deterministic),
-/// 3. add `N(0, (σ C)² I)` noise to the sum,
-/// 4. divide by the *lot size* `batch_size`.
+/// 3. add `N(0, (σ C)² I)` noise to the sum and divide by the *lot size*
+///    `batch_size` ([`noise_and_average`]).
 ///
 /// Returns the privatized average gradient. `batch_size` may exceed
 /// `per_example.rows()` (Poisson-style sampling can produce small lots); it
@@ -282,44 +316,36 @@ pub fn privatize_gradient_sum<R: Rng + ?Sized>(
     noise_multiplier: f64,
     batch_size: usize,
 ) -> Result<Vec<f64>> {
-    privatize_gradient_sum_counted(rng, per_example, clip_norm, noise_multiplier, batch_size)
-        .map(|(gradient, _)| gradient)
-}
-
-/// Like [`privatize_gradient_sum`], additionally returning the number of
-/// clipped rows (see [`clip_and_sum_gradients_counted`]). The count is
-/// telemetry only: it is derived from the same pass, consumes no extra
-/// randomness, and never alters the privatized gradient.
-pub fn privatize_gradient_sum_counted<R: Rng + ?Sized>(
-    rng: &mut R,
-    per_example: &Matrix,
-    clip_norm: f64,
-    noise_multiplier: f64,
-    batch_size: usize,
-) -> Result<(Vec<f64>, u64)> {
     if per_example.rows() == 0 || per_example.cols() == 0 {
         return Err(PrivacyError::InvalidParameter {
             msg: "privatize_gradient_sum needs at least one non-empty gradient".to_string(),
         });
     }
-    if clip_norm <= 0.0 || noise_multiplier < 0.0 || batch_size == 0 {
-        return Err(PrivacyError::InvalidParameter {
-            msg: format!(
-                "invalid DP-SGD parameters: clip_norm={clip_norm}, noise_multiplier={noise_multiplier}, batch_size={batch_size}"
-            ),
-        });
-    }
+    validate_dp_sgd(clip_norm, noise_multiplier, batch_size)?;
+    let sum = clip_and_sum_gradients(per_example, clip_norm);
+    noise_and_average(rng, sum, clip_norm, noise_multiplier, batch_size)
+}
 
-    let (mut sum, clipped) = clip_and_sum_gradients_counted(per_example, clip_norm);
+/// The noise half of DP-SGD on a sum of gradients each already clipped to
+/// L2 norm at most `clip_norm`: adds `N(0, (σ C)² I)` noise, drawn
+/// serially in coordinate order, then divides by the lot size
+/// `batch_size`. With σ = 0 no randomness is consumed.
+pub fn noise_and_average<R: Rng + ?Sized>(
+    rng: &mut R,
+    mut clipped_sum: Vec<f64>,
+    clip_norm: f64,
+    noise_multiplier: f64,
+    batch_size: usize,
+) -> Result<Vec<f64>> {
+    validate_dp_sgd(clip_norm, noise_multiplier, batch_size)?;
     let noise_std = noise_multiplier * clip_norm;
     if noise_std > 0.0 {
-        for s in &mut sum {
+        for s in &mut clipped_sum {
             *s += sampling::normal(rng, 0.0, noise_std);
         }
     }
-    let inv_b = 1.0 / batch_size as f64;
-    vector::scale(inv_b, &mut sum);
-    Ok((sum, clipped))
+    vector::scale(1.0 / batch_size as f64, &mut clipped_sum);
+    Ok(clipped_sum)
 }
 
 #[cfg(test)]
@@ -475,6 +501,15 @@ mod tests {
         assert!(privatize_gradient_sum(&mut r, &one, 0.0, 1.0, 1).is_err());
         assert!(privatize_gradient_sum(&mut r, &one, 1.0, -1.0, 1).is_err());
         assert!(privatize_gradient_sum(&mut r, &one, 1.0, 1.0, 0).is_err());
+        // NaN fails every comparison: without explicit checks a NaN clip
+        // norm returned the plain average and a NaN σ skipped the noise.
+        let grads = Matrix::from_rows(&[vec![30.0, 40.0], vec![3.0, 4.0]]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(privatize_gradient_sum(&mut r, &grads, bad, 1.42, 2).is_err());
+            assert!(privatize_gradient_sum(&mut r, &grads, 1.0, bad, 2).is_err());
+            assert!(noise_and_average(&mut r, vec![1.0], bad, 1.42, 2).is_err());
+            assert!(noise_and_average(&mut r, vec![1.0], 1.0, bad, 2).is_err());
+        }
     }
 
     #[test]

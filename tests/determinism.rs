@@ -7,11 +7,13 @@
 //! E-step, the batched MLP forward, and the DP-SGD clipped gradient sum
 //! and per-example gradient batch — plus
 //! the snapshot sampling pipeline, whose canonical stream must be
-//! invariant to delivery chunking, request size and thread count alike.
+//! invariant to delivery chunking, request size and thread count alike,
+//! and whole training runs of every PGM and VAE variant.
 
-use p3gm::core::config::PgmConfig;
+use p3gm::core::config::{DecoderLoss, PgmConfig, VaeConfig};
 use p3gm::core::pgm::PhasedGenerativeModel;
 use p3gm::core::snapshot::SynthesisSnapshot;
+use p3gm::core::{GenerativeModel, TrainingHistory, Vae};
 use p3gm::linalg::Matrix;
 use p3gm::mixture::Gmm;
 use p3gm::nn::activation::Activation;
@@ -42,6 +44,74 @@ fn snapshot_fixture() -> &'static SynthesisSnapshot {
         let (model, _) = PhasedGenerativeModel::fit(&mut rng, &data, config).unwrap();
         SynthesisSnapshot::capture(model)
     })
+}
+
+/// Training variants: PGM and P3GM with learned or fixed variance
+/// (`0..8`), then VAE and DP-VAE (`8..12`), each with the Bernoulli or the
+/// Gaussian decoder loss.
+const TRAINING_VARIANTS: usize = 12;
+
+/// The bytes a fit of `variant` from `seed` produces: the PGM snapshot,
+/// or for the VAE (which has no snapshot) its encoder outputs on every
+/// training row and a seeded sample, followed by the epoch losses. Lots of
+/// 40 rows split into three chunks, so 2–4 threads really share a lot.
+fn trained_bytes(variant: usize, seed: u64) -> Vec<u8> {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let data = Matrix::from_fn(48, 5, |i, j| {
+        0.5 + 0.4 * (((i * 5 + j) as f64) * 0.37).sin()
+    });
+    let decoder_loss = if variant & 1 == 0 {
+        DecoderLoss::Bernoulli
+    } else {
+        DecoderLoss::Gaussian
+    };
+    let bits = |values: &[f64]| -> Vec<u8> {
+        values
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect()
+    };
+    let losses = |history: &TrainingHistory| -> Vec<f64> {
+        [history.reconstruction_curve(), history.kl_curve()].concat()
+    };
+    if variant < 8 {
+        let mut config = PgmConfig {
+            latent_dim: 2,
+            hidden_dim: 8,
+            mog_components: 2,
+            epochs: 2,
+            batch_size: 40,
+            em_iterations: 2,
+            private: variant & 2 != 0,
+            decoder_loss,
+            ..PgmConfig::default()
+        };
+        if variant & 4 != 0 {
+            config = config.autoencoder_variant();
+        }
+        let (model, history) = PhasedGenerativeModel::fit(&mut rng, &data, config).unwrap();
+        [model.to_bytes(), bits(&losses(&history))].concat()
+    } else {
+        let config = VaeConfig {
+            latent_dim: 2,
+            hidden_dim: 8,
+            epochs: 2,
+            batch_size: 40,
+            sigma_s: if variant & 2 != 0 { 1.0 } else { 0.0 },
+            decoder_loss,
+            ..VaeConfig::default()
+        };
+        let (vae, history) = Vae::fit(&mut rng, &data, config).unwrap();
+        let mut out = bits(&losses(&history));
+        for row in data.row_iter() {
+            let (mu, logvar) = vae.encode(row);
+            out.extend(bits(&mu));
+            out.extend(bits(&logvar));
+        }
+        out.extend(bits(vae.sample(&mut rng, 8).as_slice()));
+        out
+    }
 }
 
 /// Strategy: a data matrix with values in a bounded range.
@@ -215,6 +285,29 @@ proptest! {
             .zip(&reference.as_slice()[..(n / 2) * d])
         {
             prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+    }
+}
+
+/// Whole fits are slow in debug builds, so they run fewer cases (the
+/// `proptest!` macro allows one configuration per module).
+mod fits {
+    use super::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Whole fits of every training variant: the trained bytes are
+        /// identical at 1, 2, 3 and 4 threads.
+        #[test]
+        fn trained_models_are_bit_identical_across_thread_counts(seed in 0u64..1_000_000) {
+            for variant in 0..TRAINING_VARIANTS {
+                let reference = with_threads(1, || trained_bytes(variant, seed));
+                for threads in [2, 3, 4] {
+                    let bytes = with_threads(threads, || trained_bytes(variant, seed));
+                    prop_assert!(bytes == reference, "variant {} diverged at {} threads", variant, threads);
+                }
+            }
         }
     }
 }

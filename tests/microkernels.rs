@@ -22,12 +22,19 @@
 //! against the cyclic Jacobi method it replaced, kept here as
 //! [`jacobi_reference`]: the two share no code, so agreement on
 //! eigenvalues and on well-separated eigenspaces pins both.
+//!
+//! DP-SGD's factored clipping (`Mlp::backward_batch` +
+//! `clip_and_sum_batch`) is checked against the materialized reference
+//! `clip_and_sum_gradients(per_example_gradients(..))`, and the one-`exp`
+//! logistic loss bitwise against the two-`exp` formula it replaced.
 
 use p3gm::linalg::{stats, vector, Matrix, SymmetricEigen};
 use p3gm::mixture::Gmm;
-use p3gm::nn::activation::Activation;
+use p3gm::nn::activation::{sigmoid, Activation};
+use p3gm::nn::dpsgd::clip_and_sum_batch;
+use p3gm::nn::loss::{bce_with_logits, logistic_loss};
 use p3gm::nn::mlp::Mlp;
-use p3gm::privacy::mechanisms::clip_and_sum_gradients;
+use p3gm::privacy::mechanisms::{clip_and_sum_gradients, clip_and_sum_gradients_counted};
 use proptest::prelude::*;
 
 /// Strategy: a matrix with the given shape and bounded values.
@@ -211,8 +218,205 @@ fn reorder_tol(n_terms: usize, abs_sum: f64) -> f64 {
     2.0 * n_terms as f64 * f64::EPSILON * abs_sum + 1e-300
 }
 
+/// An MLP with the given layer sizes whose hidden and output activations
+/// are drawn from ReLU, tanh and identity, and a batch of `rows` inputs and
+/// output gradients for it.
+fn mlp_and_batch(sizes: &[usize], rows: usize, seed: u64) -> (Mlp, Matrix, Matrix) {
+    use rand::{Rng, SeedableRng};
+    const ACTIVATIONS: [Activation; 3] = [Activation::Relu, Activation::Tanh, Activation::Identity];
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let hidden = ACTIVATIONS[rng.gen_range(0..3usize)];
+    let output = ACTIVATIONS[rng.gen_range(0..3usize)];
+    let mlp = Mlp::new(&mut rng, sizes, hidden, output);
+    let x = Matrix::from_fn(rows, mlp.in_dim(), |_, _| rng.gen_range(-2.0..2.0));
+    let grad_outputs = Matrix::from_fn(rows, mlp.out_dim(), |_, _| rng.gen_range(-1.0..1.0));
+    (mlp, x, grad_outputs)
+}
+
+/// Checks the factored per-example gradients of `mlp` against the
+/// materialized `B x P` batch:
+/// * input-gradient rows are bit-identical to the single-example backward;
+/// * per-example squared norms agree within `1e-12` relative;
+/// * the unclipped sum is bit-identical while the reference folds rows
+///   sequentially (at most 64 rows), and within the reordering bound
+///   otherwise;
+/// * clipped sums at every `clip_norms` entry are within the reordering
+///   bound over the clipped column mass, and clipped counts are equal
+///   whenever no norm lies within `1e-9` relative of the clip norm.
+fn check_factored_clipping(mlp: &Mlp, x: &Matrix, grad_outputs: &Matrix, clip_norms: &[f64]) {
+    let rows = x.rows();
+    let materialized = mlp.per_example_gradients(x, grad_outputs);
+    let n_params = materialized.cols();
+    let (factored, input_grad) =
+        mlp.backward_batch(mlp.forward_batch_cached(x), grad_outputs, true);
+    let input_grad = input_grad.expect("requested");
+    let mut param_grads = vec![0.0; n_params];
+    for i in 0..rows {
+        let single = mlp.backward(
+            &mlp.forward_cached(x.row(i)),
+            grad_outputs.row(i),
+            &mut param_grads,
+        );
+        for (a, b) in input_grad.row(i).iter().zip(&single) {
+            assert_eq!(a.to_bits(), b.to_bits(), "input gradient row {i}");
+        }
+    }
+
+    let mut squared = vec![0.0; rows];
+    factored.add_squared_norms(&mut squared);
+    let norms: Vec<f64> = (0..rows)
+        .map(|i| {
+            let want = vector::norm2_squared_lanes(materialized.row(i));
+            assert!(
+                (squared[i] - want).abs() <= 1e-12 * want + 1e-300,
+                "row {i}: ghost norm² {} vs materialized {want}",
+                squared[i]
+            );
+            want.sqrt()
+        })
+        .collect();
+
+    let (unclipped, count) = clip_and_sum_batch(&[&factored], None);
+    assert_eq!(count, 0);
+    let column_sums = materialized.column_sums();
+    for (j, (&got, &want)) in unclipped.iter().zip(&column_sums).enumerate() {
+        if rows <= 64 {
+            assert_eq!(got.to_bits(), want.to_bits(), "unclipped entry {j}");
+        } else {
+            let abs_mass: f64 = materialized.row_iter().map(|r| r[j].abs()).sum();
+            assert!(
+                (got - want).abs() <= reorder_tol(rows, abs_mass),
+                "unclipped entry {j}"
+            );
+        }
+    }
+
+    for &clip in clip_norms {
+        let (sum, count) = clip_and_sum_batch(&[&factored], Some(clip));
+        let (reference, reference_count) = clip_and_sum_gradients_counted(&materialized, clip);
+        let mut abs_mass = vec![0.0; n_params];
+        for (row, &norm) in materialized.row_iter().zip(&norms) {
+            let factor = if norm > clip { clip / norm } else { 1.0 };
+            for (m, v) in abs_mass.iter_mut().zip(row) {
+                *m += (factor * v).abs();
+            }
+        }
+        for j in 0..n_params {
+            let tol = reorder_tol(rows + n_params, abs_mass[j]);
+            assert!(
+                (sum[j] - reference[j]).abs() <= tol,
+                "C = {clip}, entry {j}: factored {} vs materialized {} (tol {tol})",
+                sum[j],
+                reference[j]
+            );
+        }
+        if norms.iter().all(|&n| (n - clip).abs() > 1e-9 * clip) {
+            assert_eq!(count, reference_count, "clipped count at C = {clip}");
+        }
+    }
+}
+
+/// The two-`exp` logistic loss `bce_with_logits` and `logistic_loss` used
+/// before deriving the sigmoid from the softplus term's `exp(−|z|)`.
+fn logistic_reference(z: f64, t: f64) -> (f64, f64) {
+    (
+        z.max(0.0) - t * z + (-z.abs()).exp().ln_1p(),
+        sigmoid(z) - t,
+    )
+}
+
+/// Bitwise equality, with every NaN equal to every NaN.
+fn same_bits(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+fn assert_logistic_matches_reference(z: f64, t: f64) {
+    let (loss, grad) = logistic_loss(z, t);
+    let (want_loss, want_grad) = logistic_reference(z, t);
+    assert!(same_bits(loss, want_loss), "loss at z = {z:e}, t = {t}");
+    assert!(same_bits(grad, want_grad), "gradient at z = {z:e}, t = {t}");
+    let (total, grads) = bce_with_logits(&[z], &[t]);
+    assert!(same_bits(total, 0.0 + want_loss) && same_bits(grads[0], want_grad));
+}
+
+#[test]
+fn logistic_loss_matches_the_two_exp_formula_at_special_values() {
+    let specials = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE,
+        f64::MIN_POSITIVE / 2.0,
+        5e-324,
+        1.0,
+        36.0,
+        708.0,
+        709.8,
+        745.0,
+        746.0,
+        f64::MAX,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    for z in specials {
+        for z in [z, -z] {
+            for t in [0.0, 0.3, 1.0] {
+                assert_logistic_matches_reference(z, t);
+            }
+        }
+    }
+}
+
+/// Factored clipping at the high-dimensional workload's shapes: the
+/// encoder-variance network (206→48→10) and the decoder (10→48→206) on a
+/// 64-row lot, from tight to vacuous clip norms.
+#[test]
+fn factored_clipping_matches_materialized_at_workload_shapes() {
+    for (seed, sizes) in [(3, [206, 48, 10]), (4, [10, 48, 206])] {
+        let (mlp, x, grad_outputs) = mlp_and_batch(&sizes, 64, seed);
+        check_factored_clipping(&mlp, &x, &grad_outputs, &[1e-3, 0.05, 1.0, 1e6]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Factored clipping matches the materialized reference on random MLPs
+    /// of 1–3 layers with widths 1–48 and lots of 1–70 rows, at a clip norm
+    /// between the two middle row norms and at one scaled from the median.
+    #[test]
+    fn factored_clipping_matches_materialized(
+        seed in 0u64..1_000_000,
+        layers in 1usize..4,
+        rows in 1usize..71,
+        clip_exponent in -3.0..3.0f64,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sizes: Vec<usize> = (0..=layers).map(|_| rng.gen_range(1..49usize)).collect();
+        let (mlp, x, grad_outputs) = mlp_and_batch(&sizes, rows, seed);
+        let mut norms: Vec<f64> = mlp
+            .per_example_gradients(&x, &grad_outputs)
+            .row_iter()
+            .map(vector::norm2)
+            .collect();
+        norms.sort_by(f64::total_cmp);
+        let mid = norms.len() / 2;
+        let between = (norms[mid.saturating_sub(1)] * norms[mid]).sqrt().max(1e-12);
+        let scaled = norms[mid].max(1e-12) * 10f64.powf(clip_exponent);
+        check_factored_clipping(&mlp, &x, &grad_outputs, &[between, scaled]);
+    }
+
+    /// The one-`exp` logistic loss is bitwise the two-`exp` formula on
+    /// arbitrary bit patterns and across the finite range of `exp`.
+    #[test]
+    fn logistic_loss_matches_the_two_exp_formula(
+        bits in any::<u64>(),
+        z in -800.0..800.0f64,
+        t in 0.0..1.0f64,
+    ) {
+        assert_logistic_matches_reference(f64::from_bits(bits), t);
+        assert_logistic_matches_reference(z, t);
+    }
 
     /// The register-tiled matmul is bit-identical to the naive scalar
     /// triple loop on arbitrary shapes (tiling never splits the k

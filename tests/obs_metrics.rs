@@ -6,16 +6,18 @@
 //!   monotone and the `+Inf` bucket equals `_count`,
 //! * training telemetry is deterministic: the same fit under
 //!   `P3GM_THREADS=1` and `P3GM_THREADS=4` produces identical
-//!   [`TrainReport`]s and byte-identical metric renders.
+//!   [`TrainReport`]s and byte-identical metric renders, and an injected
+//!   timer adds phase timings without changing the model or the counts.
 
 use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
 use p3gm::core::TrainReport;
 use p3gm::linalg::Matrix;
-use p3gm::obs::{escape_label_value, format_value, Histogram, MetricsRegistry};
+use p3gm::obs::{escape_label_value, format_value, Histogram, MetricsRegistry, TimeSource};
 use p3gm::parallel::with_threads;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One parsed sample: `(metric_name, sorted label pairs) -> value`.
 type Samples = BTreeMap<(String, Vec<(String, String)>), f64>;
@@ -301,5 +303,83 @@ fn train_report_is_identical_across_thread_counts() {
             render, reference_render,
             "render diverged at {threads} threads"
         );
+    }
+}
+
+/// A test clock that advances one microsecond on every read, so every
+/// timed phase lasts a whole number of reads.
+#[derive(Default)]
+struct SteppingClock(AtomicU64);
+
+impl TimeSource for SteppingClock {
+    fn now_nanos(&self) -> u64 {
+        self.0.fetch_add(1_000, Ordering::Relaxed)
+    }
+}
+
+#[test]
+fn injected_timer_records_the_training_phases_without_changing_the_fit() {
+    use rand::SeedableRng;
+    let data = Matrix::from_fn(48, 5, |i, j| {
+        0.5 + 0.4 * (((i * 5 + j) as f64) * 0.37).sin()
+    });
+    for private in [true, false] {
+        let config = PgmConfig {
+            latent_dim: 2,
+            hidden_dim: 8,
+            mog_components: 2,
+            epochs: 2,
+            batch_size: 16,
+            em_iterations: 3,
+            private,
+            ..PgmConfig::default()
+        };
+        let fit = |timer: Option<&dyn TimeSource>| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            let (model, _, report) =
+                PhasedGenerativeModel::fit_with_report(&mut rng, &data, config.clone(), timer)
+                    .unwrap();
+            (model.to_bytes(), report)
+        };
+        let (untimed_bytes, untimed) = fit(None);
+        let clock = SteppingClock::default();
+        let (timed_bytes, mut timed) = fit(Some(&clock));
+        assert_eq!(
+            timed_bytes, untimed_bytes,
+            "a timer changed the trained model"
+        );
+
+        let names: Vec<&str> = timed.phase_nanos.iter().map(|(name, _)| *name).collect();
+        let expected: &[&str] = if private {
+            &[
+                "dp_pca",
+                "dp_em",
+                "encode",
+                "lot_gradients",
+                "dp_noise",
+                "optimizer",
+                "decode",
+            ]
+        } else {
+            &[
+                "pca",
+                "em",
+                "encode",
+                "lot_gradients",
+                "optimizer",
+                "decode",
+            ]
+        };
+        assert_eq!(names, expected);
+        // Per-step phases are per-fit totals: one tick per DP-SGD step.
+        let steps = (48 / 16) * 2;
+        for (name, nanos) in &timed.phase_nanos {
+            if ["lot_gradients", "dp_noise", "optimizer"].contains(name) {
+                assert_eq!(*nanos, steps * 1_000, "{name}");
+            }
+        }
+        assert!(untimed.phase_nanos.is_empty());
+        timed.phase_nanos.clear();
+        assert_eq!(timed, untimed, "a timer changed the counts");
     }
 }
