@@ -6,7 +6,9 @@
 //! backward passes, then clips and sums its examples' gradients without
 //! forming them (`p3gm_nn::dpsgd::clip_and_sum_batch`). The chunk
 //! partials fold in chunk order, so a lot's sum is bit-identical for every
-//! thread count.
+//! thread count. While the helpers map the first chunks, the calling
+//! thread draws the step's DP noise from the trainer's rng (the dispatch's
+//! prologue), in the same rng order as drawing it after the lot.
 
 use crate::config::DecoderLoss;
 use p3gm_linalg::Matrix;
@@ -16,13 +18,16 @@ use std::ops::Range;
 /// Rows per chunk are the default chunk length rounded up to this many.
 const LOT_TILE: usize = 16;
 
+/// Each row's (reconstruction, KL) loss, in row order.
+pub(crate) type RowLosses = Vec<(f64, f64)>;
+
 /// What a chunk of a lot contributes: the clipped gradient sum of its
 /// rows, how many of them were clipped, and each row's (reconstruction,
 /// KL) loss in row order.
 pub(crate) struct LotSum {
     pub(crate) gradient: Vec<f64>,
     pub(crate) clipped: u64,
-    pub(crate) losses: Vec<(f64, f64)>,
+    pub(crate) losses: RowLosses,
 }
 
 impl LotSum {
@@ -38,18 +43,25 @@ impl LotSum {
 }
 
 /// Sums a lot of `rows` examples: `chunk` computes the contribution of one
-/// range of rows, and one `par_map_reduce` dispatch covers the lot.
+/// range of rows, and one dispatch covers the lot. The calling thread runs
+/// `prologue` first, while the helpers already map chunks, and its result
+/// is returned beside the sum.
 ///
 /// # Panics
 /// Panics if `rows` is zero.
-pub(crate) fn sum_lot(rows: usize, chunk: impl Fn(Range<usize>) -> LotSum + Sync) -> LotSum {
-    p3gm_parallel::par_map_reduce(
+pub(crate) fn sum_lot<P>(
+    rows: usize,
+    prologue: impl FnOnce() -> P,
+    chunk: impl Fn(Range<usize>) -> LotSum + Sync,
+) -> (P, LotSum) {
+    let (head, lot) = p3gm_parallel::par_map_reduce_with_prologue(
         rows,
         p3gm_parallel::default_tile(rows, LOT_TILE),
+        prologue,
         chunk,
         LotSum::fold,
-    )
-    .expect("a lot has at least one row")
+    );
+    (head, lot.expect("a lot has at least one row"))
 }
 
 /// The reparametrized latent sample `z = µ + σ ⊙ ε` with `σ = exp(½ logvar)`,
@@ -169,6 +181,48 @@ pub(crate) mod reference {
         assert!(
             unclipped > clip_norm + tol,
             "the adversarial example is too weak to test clipping: {unclipped}"
+        );
+    }
+
+    /// Asserts that a DP-SGD step adds its noise exactly once and at the
+    /// calibrated scale. `step(σ)` returns the step's gradient for noise
+    /// multiplier σ from one fixed rng state, and `clipped_average` is the
+    /// same lot's clipped gradient sum divided by the lot size `b`. At
+    /// σ = 0 the step must return `clipped_average` exactly. At `sigma`,
+    /// the rescaled difference `(noisy − clipped_average) · b / (σ C)` over
+    /// all `P` coordinates must look standard normal: mean within `5/√P`
+    /// of 0 and variance within `1 ± 5·√(2/P)`. Noise left out gives
+    /// variance 0; noise added twice gives 2 or 4.
+    pub(crate) fn assert_step_noise_is_calibrated(
+        step: impl Fn(f64) -> Vec<f64>,
+        clipped_average: &[f64],
+        b: usize,
+        clip_norm: f64,
+        sigma: f64,
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&step(0.0)),
+            bits(clipped_average),
+            "at σ = 0 a step must be exactly the clipped average"
+        );
+        let noisy = step(sigma);
+        let p = noisy.len() as f64;
+        assert_eq!(noisy.len(), clipped_average.len());
+        let z: Vec<f64> = noisy
+            .iter()
+            .zip(clipped_average)
+            .map(|(&n, &a)| (n - a) * b as f64 / (sigma * clip_norm))
+            .collect();
+        let mean = z.iter().sum::<f64>() / p;
+        let variance = z.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / p;
+        assert!(
+            mean.abs() <= 5.0 / p.sqrt(),
+            "noise mean {mean} over {p} coordinates"
+        );
+        assert!(
+            (variance - 1.0).abs() <= 5.0 * (2.0 / p).sqrt(),
+            "noise variance {variance} over {p} coordinates, expected 1"
         );
     }
 }

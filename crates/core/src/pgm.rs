@@ -19,8 +19,8 @@
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, PgmConfig, VarianceMode};
 use crate::history::{EpochStats, TrainingHistory};
-use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum};
-use crate::report::TrainReport;
+use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum, RowLosses};
+use crate::report::{elapsed_nanos, TrainReport};
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_mixture::dpem::{self, DpEmConfig};
@@ -428,15 +428,19 @@ impl PhasedGenerativeModel {
     /// `report`: one epoch, its DP-SGD steps, and the clipped-gradient
     /// counts from the clipping pass, and with an injected `timer` the
     /// running totals of the steps' parts: the lot's gradient dispatch
-    /// (`"lot_gradients"`), the DP noise and averaging (`"dp_noise"`) and
-    /// the optimizer update (`"optimizer"`). The counts are deterministic
-    /// (folded in chunk order) and do not alter the update.
+    /// (`"lot_gradients"`), the DP noise draw (`"dp_noise"`) and the
+    /// optimizer update (`"optimizer"`). The noise is drawn inside the
+    /// lot's dispatch, so `"dp_noise"` overlaps `"lot_gradients"` rather
+    /// than following it. The counts are deterministic (folded in chunk
+    /// order) and do not alter the update.
     ///
     /// Each step is one parallel dispatch over row chunks of the lot. A
     /// chunk runs the batched forward passes of both networks, the loss
     /// and KL glue, and the batched backward passes, then clips and sums
     /// its examples' gradients without forming them
-    /// (`p3gm_nn::dpsgd::clip_and_sum_batch`).
+    /// (`p3gm_nn::dpsgd::clip_and_sum_batch`). Meanwhile the calling
+    /// thread first draws the step's DP noise, in the rng order of a draw
+    /// after the lot, and adds it once the sum is folded.
     pub fn train_epoch_observed<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -482,44 +486,14 @@ impl PhasedGenerativeModel {
         let mut kl_sum = 0.0;
         let mut examples = 0usize;
 
-        let d = self.config.latent_dim;
-        let clip_norm = dp.map(|cfg| cfg.clip_norm);
         for _ in 0..steps_per_epoch {
             let indices = sample_batch_indices(rng, n, batch);
-            let b = indices.len();
-            // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then sum the lot on
-            // parallel row chunks — bit-identical for every thread count.
-            let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let start = timer.map(TimeSource::now_nanos);
-            let lot = sum_lot(b, |range| {
-                let eps = &eps.as_slice()[range.start * d..range.end * d];
-                self.lot_chunk(data, &indices[range], eps, clip_norm)
-            });
-            report.record_phase(timer, "lot_gradients", start);
-            for (recon, kl) in lot.losses {
+            let (gradient, losses) = self.step_gradient(rng, data, &indices, dp, report, timer)?;
+            for (recon, kl) in losses {
                 recon_sum += recon;
                 kl_sum += kl;
                 examples += 1;
             }
-            let gradient = match &dp {
-                Some(cfg) => {
-                    let start = timer.map(TimeSource::now_nanos);
-                    let noisy = cfg
-                        .privatize_sum(rng, lot.gradient)
-                        .map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-                    report.record_phase(timer, "dp_noise", start);
-                    report.dp_sgd_steps += 1;
-                    report.clipped_examples += lot.clipped;
-                    report.clip_measured_examples += b as u64;
-                    noisy
-                }
-                None => {
-                    let mut avg = lot.gradient;
-                    p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    avg
-                }
-            };
             let start = timer.map(TimeSource::now_nanos);
             self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
@@ -543,6 +517,61 @@ impl PhasedGenerativeModel {
         self.trained_epochs += 1;
         report.epochs += 1;
         Ok(stats)
+    }
+
+    /// One Decoding-Phase step's gradient over the lot `indices` of
+    /// `data`: the privatized average gradient when `dp` is set (DP-SGD),
+    /// else the plain average, with each row's (reconstruction, KL) loss.
+    ///
+    /// The lot's reparametrization noise is drawn serially (row-major, the
+    /// rng order of the per-example loop it replaced). Then one dispatch
+    /// sums the lot on parallel row chunks, bit-identical for every thread
+    /// count, while this thread draws the step's DP noise: the rng order
+    /// is the same as drawing it after the lot. Records the step's
+    /// `"lot_gradients"` and `"dp_noise"` phases and counts into `report`.
+    fn step_gradient<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        data: &Matrix,
+        indices: &[usize],
+        dp: Option<DpSgdConfig>,
+        report: &mut TrainReport,
+        timer: Option<&dyn TimeSource>,
+    ) -> Result<(Vec<f64>, RowLosses)> {
+        let b = indices.len();
+        let d = self.config.latent_dim;
+        let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
+        let dim = self.trainable_param_count();
+        let draw_noise = || {
+            dp.map(|cfg| {
+                let start = timer.map(TimeSource::now_nanos);
+                let noise = cfg.draw_noise(rng, dim);
+                (noise, elapsed_nanos(timer, start))
+            })
+        };
+        let clip_norm = dp.map(|cfg| cfg.clip_norm);
+        let start = timer.map(TimeSource::now_nanos);
+        let (noise, lot) = sum_lot(b, draw_noise, |range| {
+            let eps = &eps.as_slice()[range.start * d..range.end * d];
+            self.lot_chunk(data, &indices[range], eps, clip_norm)
+        });
+        report.record_phase(timer, "lot_gradients", start);
+        let gradient = match noise {
+            Some((noise, draw_nanos)) => {
+                let noise = noise.map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
+                report.record_nanos("dp_noise", draw_nanos);
+                report.dp_sgd_steps += 1;
+                report.clipped_examples += lot.clipped;
+                report.clip_measured_examples += b as u64;
+                noise.apply(lot.gradient)
+            }
+            None => {
+                let mut avg = lot.gradient;
+                p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
+                avg
+            }
+        };
+        Ok((gradient, lot.losses))
     }
 
     /// The (ε, δ)-DP guarantee of the *configured* training run on `n` rows
@@ -745,6 +774,16 @@ impl PhasedGenerativeModel {
 
     /// Flat trainable-parameter vector: encoder-variance network (when
     /// trained) followed by the decoder.
+    /// The length of [`flat_params`](Self::flat_params).
+    fn trainable_param_count(&self) -> usize {
+        let encoder = if self.trains_variance() {
+            self.encoder_var.num_params()
+        } else {
+            0
+        };
+        encoder + self.decoder.num_params()
+    }
+
     fn flat_params(&self) -> Vec<f64> {
         if self.trains_variance() {
             let mut p = self.encoder_var.params();
@@ -1023,10 +1062,15 @@ mod tests {
         clip_norm: Option<f64>,
     ) -> LotSum {
         let d = model.config.latent_dim;
-        sum_lot(indices.len(), |range| {
-            let eps = &eps[range.start * d..range.end * d];
-            model.lot_chunk(data, &indices[range], eps, clip_norm)
-        })
+        let ((), lot) = sum_lot(
+            indices.len(),
+            || (),
+            |range| {
+                let eps = &eps[range.start * d..range.end * d];
+                model.lot_chunk(data, &indices[range], eps, clip_norm)
+            },
+        );
+        lot
     }
 
     #[test]
@@ -1077,6 +1121,46 @@ mod tests {
             &with,
             cfg.clip_norm,
         );
+    }
+
+    #[test]
+    fn a_dp_sgd_step_adds_calibrated_noise_exactly_once() {
+        use crate::lot::reference::assert_step_noise_is_calibrated;
+        let mut r = rng();
+        let data = bimodal(&mut r, 48);
+        let indices: Vec<usize> = (0..40).map(|i| (i * 7) % 48).collect();
+        let b = indices.len();
+        // Wide hidden layers give P ≈ 1.5k (learned variance) and ≈ 0.8k
+        // (P3GM(AE)) noise coordinates, so the moment bounds are tight.
+        let wide = PgmConfig {
+            hidden_dim: 64,
+            clip_norm: 0.7,
+            ..small_config(true)
+        };
+        for cfg in [wide.clone(), wide.autoencoder_variant()] {
+            let model = PhasedGenerativeModel::encode_phase(&mut r, &data, cfg.clone()).unwrap();
+            let step = |sigma: f64| {
+                let dp = DpSgdConfig {
+                    clip_norm: cfg.clip_norm,
+                    noise_multiplier: sigma,
+                    batch_size: b,
+                };
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut report = TrainReport::new();
+                let (gradient, _) = model
+                    .step_gradient(&mut rng, &data, &indices, Some(dp), &mut report, None)
+                    .unwrap();
+                gradient
+            };
+            // The step draws the lot's reparametrization noise first.
+            let mut rng = StdRng::seed_from_u64(5);
+            let eps: Vec<f64> = (0..b * cfg.latent_dim)
+                .map(|_| sampling::normal(&mut rng, 0.0, 1.0))
+                .collect();
+            let mut average = lot_sum(&model, &data, &indices, &eps, Some(cfg.clip_norm)).gradient;
+            p3gm_linalg::vector::scale(1.0 / b as f64, &mut average);
+            assert_step_noise_is_calibrated(step, &average, b, cfg.clip_norm, 1.3);
+        }
     }
 
     #[test]

@@ -83,8 +83,14 @@ impl TrainReport {
         phase: &'static str,
         start_nanos: Option<u64>,
     ) {
-        if let (Some(t), Some(start)) = (timer, start_nanos) {
-            let nanos = t.now_nanos().saturating_sub(start);
+        self.record_nanos(phase, elapsed_nanos(timer, start_nanos));
+    }
+
+    /// Adds `nanos`, measured elsewhere (see [`elapsed_nanos`]), to the
+    /// phase's total as [`record_phase`](Self::record_phase) does. No-op
+    /// for `None`.
+    pub(crate) fn record_nanos(&mut self, phase: &'static str, nanos: Option<u64>) {
+        if let Some(nanos) = nanos {
             match self.phase_nanos.iter_mut().find(|(name, _)| *name == phase) {
                 Some((_, total)) => *total += nanos,
                 None => self.phase_nanos.push((phase, nanos)),
@@ -179,6 +185,18 @@ impl TrainReport {
             out.push_str(&format!("  phase {phase}: {:.3} s\n", *nanos as f64 * 1e-9));
         }
         out
+    }
+}
+
+/// Nanoseconds `timer` has advanced since `start_nanos`, or `None` when no
+/// timer is injected.
+pub(crate) fn elapsed_nanos(
+    timer: Option<&dyn TimeSource>,
+    start_nanos: Option<u64>,
+) -> Option<u64> {
+    match (timer, start_nanos) {
+        (Some(t), Some(start)) => Some(t.now_nanos().saturating_sub(start)),
+        _ => None,
     }
 }
 

@@ -10,7 +10,7 @@
 use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, VaeConfig};
 use crate::history::{EpochStats, TrainingHistory};
-use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum};
+use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum, RowLosses};
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::activation::{sigmoid, Activation};
@@ -161,34 +161,14 @@ impl Vae {
         let mut kl_sum = 0.0;
         let mut examples = 0usize;
 
-        let d = self.config.latent_dim;
-        let clip_norm = dp.map(|cfg| cfg.clip_norm);
         for _ in 0..steps_per_epoch {
             let indices = sample_batch_indices(rng, n, batch);
-            let b = indices.len();
-            // Draw the reparametrization noise serially (row-major, the same
-            // rng order as the per-example loop used), then sum the lot on
-            // parallel row chunks — bit-identical for every thread count.
-            let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-            let lot = sum_lot(b, |range| {
-                let eps = &eps.as_slice()[range.start * d..range.end * d];
-                self.lot_chunk(data, &indices[range], eps, clip_norm)
-            });
-            for (recon, kl) in lot.losses {
+            let (gradient, losses) = self.step_gradient(rng, data, &indices, dp)?;
+            for (recon, kl) in losses {
                 recon_sum += recon;
                 kl_sum += kl;
                 examples += 1;
             }
-            let gradient = match &dp {
-                Some(cfg) => cfg
-                    .privatize_sum(rng, lot.gradient)
-                    .map_err(|e| CoreError::Substrate { msg: e.to_string() })?,
-                None => {
-                    let mut avg = lot.gradient;
-                    p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                    avg
-                }
-            };
             self.optimizer.step(&mut params, &gradient);
             self.set_flat_params(&params);
             self.averager.update(&params);
@@ -209,6 +189,45 @@ impl Vae {
         };
         self.trained_epochs += 1;
         Ok(stats)
+    }
+
+    /// One step's gradient over the lot `indices` of `data`: the
+    /// privatized average gradient when `dp` is set (DP-SGD), else the
+    /// plain average, with each row's (reconstruction, KL) loss.
+    ///
+    /// The lot's reparametrization noise is drawn serially (row-major, the
+    /// rng order of the per-example loop it replaced). Then one dispatch
+    /// sums the lot on parallel row chunks, bit-identical for every thread
+    /// count, while this thread draws the step's DP noise: the rng order
+    /// is the same as drawing it after the lot.
+    fn step_gradient<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        data: &Matrix,
+        indices: &[usize],
+        dp: Option<DpSgdConfig>,
+    ) -> Result<(Vec<f64>, RowLosses)> {
+        let b = indices.len();
+        let d = self.config.latent_dim;
+        let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
+        let dim = self.num_params();
+        let draw_noise = || dp.map(|cfg| cfg.draw_noise(rng, dim));
+        let clip_norm = dp.map(|cfg| cfg.clip_norm);
+        let (noise, lot) = sum_lot(b, draw_noise, |range| {
+            let eps = &eps.as_slice()[range.start * d..range.end * d];
+            self.lot_chunk(data, &indices[range], eps, clip_norm)
+        });
+        let gradient = match noise {
+            Some(noise) => noise
+                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?
+                .apply(lot.gradient),
+            None => {
+                let mut avg = lot.gradient;
+                p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
+                avg
+            }
+        };
+        Ok((gradient, lot.losses))
     }
 
     /// Encodes one row to the mean and log-variance of `q_φ(z|x)`.
@@ -437,10 +456,50 @@ mod tests {
         clip_norm: Option<f64>,
     ) -> LotSum {
         let d = vae.config.latent_dim;
-        sum_lot(indices.len(), |range| {
-            let eps = &eps[range.start * d..range.end * d];
-            vae.lot_chunk(data, &indices[range], eps, clip_norm)
-        })
+        let ((), lot) = sum_lot(
+            indices.len(),
+            || (),
+            |range| {
+                let eps = &eps[range.start * d..range.end * d];
+                vae.lot_chunk(data, &indices[range], eps, clip_norm)
+            },
+        );
+        lot
+    }
+
+    #[test]
+    fn a_dp_sgd_step_adds_calibrated_noise_exactly_once() {
+        use crate::lot::reference::assert_step_noise_is_calibrated;
+        let mut r = rng();
+        let data = bimodal(&mut r, 48);
+        let indices: Vec<usize> = (0..40).map(|i| (i * 7) % 48).collect();
+        let b = indices.len();
+        // A wide hidden layer gives P ≈ 1.2k noise coordinates.
+        let cfg = VaeConfig {
+            hidden_dim: 64,
+            ..small_config()
+        };
+        let vae = Vae::new(&mut r, data.cols(), cfg.clone()).unwrap();
+        let clip_norm = 0.7;
+        let step = |sigma: f64| {
+            let dp = DpSgdConfig {
+                clip_norm,
+                noise_multiplier: sigma,
+                batch_size: b,
+            };
+            let mut rng = StdRng::seed_from_u64(5);
+            vae.step_gradient(&mut rng, &data, &indices, Some(dp))
+                .unwrap()
+                .0
+        };
+        // The step draws the lot's reparametrization noise first.
+        let mut rng = StdRng::seed_from_u64(5);
+        let eps: Vec<f64> = (0..b * cfg.latent_dim)
+            .map(|_| sampling::normal(&mut rng, 0.0, 1.0))
+            .collect();
+        let mut average = lot_sum(&vae, &data, &indices, &eps, Some(clip_norm)).gradient;
+        p3gm_linalg::vector::scale(1.0 / b as f64, &mut average);
+        assert_step_noise_is_calibrated(step, &average, b, clip_norm, 1.3);
     }
 
     #[test]

@@ -11,10 +11,18 @@
 //!
 //! The privacy cost of a run with `T_e` iterations is accounted by
 //! `p3gm_privacy::RdpAccountant::add_dp_em(T_e, σ_e, K)`.
+//!
+//! An iteration is the two parallel passes of [`crate::em`]: pass A
+//! yields the responsibilities with the weight and mean statistics, then
+//! the weights and means are released; pass B sums the scatter around the
+//! released means, then the covariances are released. The noise is drawn
+//! serially from the caller's rng between the passes, in the order weights,
+//! means, covariances, so the rng stream is independent of the thread
+//! count. Each released model's pass A gives its log-likelihood for the
+//! trace and the next iteration's statistics, so `T_e` iterations make
+//! `2T_e + 1` passes, counting the one on the initial model.
 
-use crate::em::{
-    initial_parameters, validate, weighted_mean_sums, weighted_scatter_sums, EmConfig,
-};
+use crate::em::{e_step, initial_parameters, validate, weighted_scatter_sums, EmConfig};
 use crate::gmm::Gmm;
 use crate::kmeans::{kmeans, KMeansConfig};
 use crate::{MixtureError, Result};
@@ -81,10 +89,13 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
         covariance_regularization: config.covariance_regularization,
     };
     validate(data, &em_cfg)?;
-    if config.sigma_e <= 0.0 || config.clip_norm <= 0.0 {
+    // A NaN passes `x <= 0.0`, and ±∞ would poison every statistic, so
+    // finiteness is checked explicitly.
+    let positive = |x: f64| x > 0.0 && x.is_finite();
+    if !positive(config.sigma_e) || !positive(config.clip_norm) {
         return Err(MixtureError::InvalidParameter {
             msg: format!(
-                "sigma_e and clip_norm must be positive, got {} and {}",
+                "sigma_e and clip_norm must be positive and finite, got {} and {}",
                 config.sigma_e, config.clip_norm
             ),
         });
@@ -129,17 +140,17 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
 
     let mut model = Gmm::new(weights.clone(), means.clone(), covariances.clone()).map_err(keep)?;
     let mut trace = Vec::with_capacity(config.iterations);
+    let mut resp = Matrix::zeros(n, k);
+    // Pass A on the initial model: the first M-step's statistics. The
+    // E-step has no privacy cost: responsibilities are internal.
+    let mut stats = e_step(&model, &clipped, &mut resp);
 
     for _ in 0..config.iterations {
-        // E-step (no privacy cost: responsibilities are internal). Batched
-        // and parallel; bit-identical for every thread count.
-        let resp = model.responsibilities_batch(&clipped);
-
         // M-step with Gaussian-mechanism noise on each released statistic.
-        // The clean statistics are accumulated with the deterministic
-        // chunked reduction; noise is drawn serially from the caller's rng
-        // afterwards, so the rng consumption order is thread-independent.
-        let nk: Vec<f64> = resp.column_sums().iter().map(|&s| s.max(1e-10)).collect();
+        // The clean statistics come from the deterministic chunked passes;
+        // noise is drawn serially from the caller's rng between them, so
+        // the rng consumption order is thread-independent.
+        let nk: Vec<f64> = stats.resp_sums.iter().map(|&s| s.max(1e-10)).collect();
 
         // Weights (one release).
         for c in 0..k {
@@ -147,10 +158,9 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
         }
 
         // Means (one release per component).
-        let mean_sums = weighted_mean_sums(&clipped, &resp);
         for (c, &nkc) in nk.iter().enumerate() {
             let mean = means.row_mut(c);
-            mean.copy_from_slice(mean_sums.row(c));
+            mean.copy_from_slice(stats.mean_sums.row(c));
             vector::scale(1.0 / nkc, mean);
             for m in mean.iter_mut() {
                 *m += sampling::normal(rng, 0.0, noise_std);
@@ -158,7 +168,7 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
         }
 
         // Covariances (one release per component), around the *noisy* means
-        // just released.
+        // just released: pass B.
         let scatter = weighted_scatter_sums(&clipped, &resp, &means);
         for (c, sum) in scatter.into_iter().enumerate() {
             let mut cov = sum.scale(1.0 / nk[c]);
@@ -175,7 +185,10 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
         }
 
         model = Gmm::new(weights.clone(), means.clone(), covariances.clone()).map_err(keep)?;
-        trace.push(model.mean_log_likelihood(&clipped));
+        // The released model's pass A: its log-likelihood for the trace
+        // and the next iteration's statistics.
+        stats = e_step(&model, &clipped, &mut resp);
+        trace.push(stats.log_likelihood);
     }
 
     Ok(DpEmResult {
@@ -201,8 +214,76 @@ fn keep(e: MixtureError) -> MixtureError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::em::reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// [`fit`] as the nine kernels per iteration it ran before the
+    /// two-pass fusion, with the same noise draws in the same order.
+    fn fit_reference<R: Rng + ?Sized>(
+        rng: &mut R,
+        data: &Matrix,
+        config: &DpEmConfig,
+    ) -> Result<DpEmResult> {
+        let k = config.n_components;
+        let d = data.cols();
+        let n = data.rows();
+        let clipped = clip_rows(data, config.clip_norm);
+        let noise_std = config.sigma_e * (2.0 * config.clip_norm / n as f64);
+        let km = kmeans(
+            rng,
+            &clipped,
+            &KMeansConfig {
+                k,
+                max_iters: 20,
+                tolerance: 1e-4,
+            },
+        )?;
+        let (mut weights, mut means, mut covariances) = initial_parameters(
+            &clipped,
+            &km.assignments,
+            k,
+            config.covariance_regularization,
+        );
+        let mut model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
+        let mut trace = Vec::new();
+        for _ in 0..config.iterations {
+            let resp = reference::responsibilities(&model, &clipped);
+            let nk: Vec<f64> = resp.column_sums().iter().map(|&s| s.max(1e-10)).collect();
+            for c in 0..k {
+                weights[c] = (nk[c] / n as f64 + sampling::normal(rng, 0.0, noise_std)).max(1e-4);
+            }
+            let mean_sums = reference::weighted_mean_sums(&clipped, &resp);
+            for (c, &nkc) in nk.iter().enumerate() {
+                let mean = means.row_mut(c);
+                mean.copy_from_slice(mean_sums.row(c));
+                vector::scale(1.0 / nkc, mean);
+                for m in mean.iter_mut() {
+                    *m += sampling::normal(rng, 0.0, noise_std);
+                }
+            }
+            let scatter = weighted_scatter_sums(&clipped, &resp, &means);
+            for (c, sum) in scatter.into_iter().enumerate() {
+                let mut cov = sum.scale(1.0 / nk[c]);
+                for i in 0..d {
+                    for j in i..d {
+                        let v = cov.get(i, j) + sampling::normal(rng, 0.0, noise_std);
+                        cov.set(i, j, v);
+                        cov.set(j, i, v);
+                    }
+                }
+                cov.add_diagonal(config.covariance_regularization);
+                covariances[c] = cov;
+            }
+            model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
+            trace.push(reference::mean_log_likelihood(&model, &clipped));
+        }
+        Ok(DpEmResult {
+            model,
+            log_likelihood_trace: trace,
+            iterations: config.iterations,
+        })
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(31)
@@ -377,5 +458,92 @@ mod tests {
         )
         .is_err());
         assert!(fit(&mut r, &Matrix::zeros(0, 2), &DpEmConfig::default()).is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_are_rejected() {
+        // Every comparison with NaN is false: a NaN σ_e or clip norm once
+        // passed the `<= 0.0` check and returned `Ok` with NaN means.
+        let mut r = rng();
+        let data = unit_ball_blobs(&mut r, 50);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for config in [
+                DpEmConfig {
+                    sigma_e: bad,
+                    ..Default::default()
+                },
+                DpEmConfig {
+                    clip_norm: bad,
+                    ..Default::default()
+                },
+                DpEmConfig {
+                    covariance_regularization: bad,
+                    ..Default::default()
+                },
+            ] {
+                assert!(
+                    matches!(
+                        fit(&mut r, &data, &config),
+                        Err(MixtureError::InvalidParameter { .. })
+                    ),
+                    "{config:?}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The two-pass DP-EM equals the nine-kernel reference bit for
+        /// bit — model bytes, trace, iteration count and the rng state
+        /// after (so the noise draws match in number and order) — at 1, 2
+        /// and 3 threads, down to one-row chunks (n ≤ 64).
+        #[test]
+        fn fused_fit_matches_the_nine_kernel_reference(
+            n in 1usize..301,
+            d in 1usize..13,
+            k in 1usize..5,
+            iterations in 1usize..6,
+            sigma_pick in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            use rand::RngCore;
+            let k = k.min(n);
+            let data = reference::clustered_data(seed, n, d, k);
+            let config = DpEmConfig {
+                n_components: k,
+                iterations,
+                sigma_e: [1e-3, 1.0, 100.0][sigma_pick],
+                covariance_regularization: 1e-4,
+                clip_norm: 1.0,
+            };
+            let run = |threads: usize, fused: bool| {
+                p3gm_parallel::with_threads(threads, || {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let result = if fused {
+                        fit(&mut rng, &data, &config)
+                    } else {
+                        fit_reference(&mut rng, &data, &config)
+                    };
+                    let summary = result.map(|r| {
+                        (
+                            r.model.to_bytes(),
+                            reference::trace_bits(&r.log_likelihood_trace),
+                            r.iterations,
+                        )
+                    });
+                    (summary, rng.next_u64())
+                })
+            };
+            let want = run(1, false);
+            for threads in [1, 2, 3] {
+                proptest::prop_assert_eq!(
+                    run(threads, true),
+                    want.clone(),
+                    "n={} d={} k={} iterations={} at {} threads", n, d, k, iterations, threads
+                );
+            }
+        }
     }
 }

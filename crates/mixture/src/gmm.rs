@@ -45,6 +45,8 @@ impl Gmm {
     ///
     /// Weights are re-normalized to sum to one; covariances that are not
     /// positive definite are repaired with increasing diagonal jitter.
+    /// Non-finite weights, means or covariance entries are rejected, as
+    /// [`Gmm::from_bytes`] rejects them.
     pub fn new(weights: Vec<f64>, means: Matrix, covariances: Vec<Matrix>) -> Result<Self> {
         let k = weights.len();
         if k == 0 || means.rows() != k || covariances.len() != k {
@@ -66,6 +68,22 @@ impl Gmm {
         if covariances.iter().any(|c| c.shape() != (d, d)) {
             return Err(MixtureError::InvalidParameter {
                 msg: "inconsistent component dimensions".to_string(),
+            });
+        }
+        // Every comparison with NaN is false, so a non-finite parameter
+        // would otherwise pass the checks below and poison the caches.
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(MixtureError::InvalidParameter {
+                msg: "weights must be finite".to_string(),
+            });
+        }
+        if means.as_slice().iter().any(|v| !v.is_finite())
+            || covariances
+                .iter()
+                .any(|c| c.as_slice().iter().any(|v| !v.is_finite()))
+        {
+            return Err(MixtureError::InvalidParameter {
+                msg: "means and covariances must be finite".to_string(),
             });
         }
         let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
@@ -166,19 +184,27 @@ impl Gmm {
         vector::log_sum_exp(&logs)
     }
 
-    /// Average log-likelihood of a set of rows, computed over
-    /// [`Gmm::log_densities_batch`] and accumulated with the deterministic
-    /// chunked reduction (bit-identical for every thread count).
+    /// Average log-likelihood of a set of rows: the per-row log-sum-exp of
+    /// the weighted log densities ([`Gmm::log_densities_batch`]), summed
+    /// over parallel row chunks with the deterministic chunked reduction
+    /// (bit-identical for every thread count). One dispatch.
+    ///
+    /// # Panics
+    /// Panics if `data` has rows but not [`Gmm::dim`] columns.
     pub fn mean_log_likelihood(&self, data: &Matrix) -> f64 {
         if data.rows() == 0 {
             return 0.0;
         }
-        let logs = self.log_densities_batch(data);
-        let chunk_len = p3gm_parallel::default_chunk_len(data.rows());
+        self.check_columns(data);
+        let k = self.n_components();
         let total = p3gm_parallel::par_map_reduce(
             data.rows(),
-            chunk_len,
-            |range| range.map(|i| vector::log_sum_exp(logs.row(i))).sum::<f64>(),
+            p3gm_parallel::default_chunk_len(data.rows()),
+            |range| {
+                let mut logs = vec![0.0; range.len() * k];
+                self.log_densities_into(rows_of(data, range), &mut logs);
+                logs.chunks_exact(k).map(vector::log_sum_exp).sum::<f64>()
+            },
             |a, b| a + b,
         )
         .unwrap_or(0.0);
@@ -190,18 +216,77 @@ impl Gmm {
     /// `ln(w_k · N(data.row(i); μ_k, Σ_k))`.
     ///
     /// This is the batched E-step kernel. Instead of one triangular solve
-    /// per (row, component), the Mahalanobis terms come from a single
-    /// `data · stacked_whitenᵀ` product against the cached stacked `L_k⁻¹`
-    /// factors — `‖L_k⁻¹ x − L_k⁻¹ μ_k‖²` with the whitened means also
-    /// cached — followed by one branch-free lane-folded pass per row. Both
-    /// stages parallelize over row chunks with fixed reduction order, so
-    /// the result is bit-identical for every thread count.
+    /// per (row, component), each row is whitened against the cached
+    /// stacked `L_k⁻¹` factors with lane-folded dot products, and the
+    /// Mahalanobis term is `‖L_k⁻¹ x − L_k⁻¹ μ_k‖²` with the whitened means
+    /// also cached. Row chunks run in parallel in one dispatch; every row
+    /// is independent, so the result is bit-identical for every thread
+    /// count.
+    ///
+    /// # Panics
+    /// Panics if `data` does not have [`Gmm::dim`] columns.
     pub fn log_densities_batch(&self, data: &Matrix) -> Matrix {
+        self.check_columns(data);
+        let k = self.n_components();
+        let mut out = Matrix::zeros(data.rows(), k);
+        let rows_per_chunk = p3gm_parallel::default_chunk_len(data.rows());
+        p3gm_parallel::par_chunks_mut(
+            out.as_mut_slice(),
+            rows_per_chunk * k,
+            |chunk_index, out_chunk| {
+                let start = chunk_index * rows_per_chunk;
+                let rows = start..start + out_chunk.len() / k;
+                self.log_densities_into(rows_of(data, rows), out_chunk);
+            },
+        );
+        out
+    }
+
+    /// The kernel of [`Gmm::log_densities_batch`] on a block of rows:
+    /// `rows` holds whole rows of [`Gmm::dim`] values, and `out` receives
+    /// `ln(w_k · N(x; μ_k, Σ_k))` for each row `x` and component `k`, one
+    /// row of `k` values per input row. Each value depends only on its own
+    /// row, so any split of a batch into blocks gives the same bits.
+    pub(crate) fn log_densities_into(&self, rows: &[f64], out: &mut [f64]) {
         let k = self.n_components();
         let d = self.dim();
-        let whitened = data
-            .matmul_transposed(&self.stacked_whiten)
-            .expect("dimension checked at construction");
+        let mut whitened = vec![0.0; k * d];
+        for (x, out_row) in rows.chunks_exact(d).zip(out.chunks_exact_mut(k)) {
+            for (w, whiten_row) in whitened
+                .iter_mut()
+                .zip(self.stacked_whiten.as_slice().chunks_exact(d))
+            {
+                *w = vector::dot_lanes(x, whiten_row);
+            }
+            for (c, o) in out_row.iter_mut().enumerate() {
+                let maha = vector::squared_distance_lanes(
+                    &whitened[c * d..(c + 1) * d],
+                    self.whitened_means.row(c),
+                );
+                *o = self.log_weights[c] + self.log_norm_consts[c] - 0.5 * maha;
+            }
+        }
+    }
+
+    /// Panics unless `data` has one column per dimension of the mixture.
+    fn check_columns(&self, data: &Matrix) {
+        assert_eq!(
+            data.cols(),
+            self.dim(),
+            "data has {} columns for a {}-dimensional mixture",
+            data.cols(),
+            self.dim()
+        );
+    }
+
+    /// The pre-fusion E-step kernel, kept as the test reference for
+    /// [`Gmm::log_densities_into`]: one `data · stacked_whitenᵀ` product,
+    /// then the log densities on parallel row chunks.
+    #[cfg(test)]
+    pub(crate) fn log_densities_reference(&self, data: &Matrix) -> Matrix {
+        let k = self.n_components();
+        let d = self.dim();
+        let whitened = data.matmul_transposed(&self.stacked_whiten).unwrap();
         let mut out = Matrix::zeros(data.rows(), k);
         let rows_per_chunk = p3gm_parallel::default_chunk_len(data.rows());
         p3gm_parallel::par_chunks_mut(
@@ -235,24 +320,31 @@ impl Gmm {
     /// Posterior responsibilities for a whole batch: row `i` of the
     /// returned `n x k` matrix is `p(component | data.row(i))`.
     ///
-    /// This is the (DP-)EM E-step kernel: the `n x k` weighted log
-    /// densities come from the batched [`Gmm::log_densities_batch`] matrix
-    /// kernel, then each row is exp-normalized in place (the same
+    /// Each row's weighted log densities (as in
+    /// [`Gmm::log_densities_batch`]) are exp-normalized in place (the same
     /// `log_sum_exp` fold as [`vector::softmax`], with no per-row
-    /// allocations). Rows are processed independently on parallel row
-    /// chunks, so the result is bit-identical for every thread count.
+    /// allocations), on parallel row chunks in one dispatch, so the result
+    /// is bit-identical for every thread count.
+    ///
+    /// # Panics
+    /// Panics if `data` does not have [`Gmm::dim`] columns.
     pub fn responsibilities_batch(&self, data: &Matrix) -> Matrix {
+        self.check_columns(data);
         let k = self.n_components();
-        let mut resp = self.log_densities_batch(data);
+        let mut resp = Matrix::zeros(data.rows(), k);
         let rows_per_chunk = p3gm_parallel::default_chunk_len(data.rows());
-        p3gm_parallel::par_chunks_mut(resp.as_mut_slice(), rows_per_chunk * k, |_, resp_chunk| {
-            for resp_row in resp_chunk.chunks_mut(k) {
-                let lse = vector::log_sum_exp(resp_row);
-                for v in resp_row.iter_mut() {
-                    *v = (*v - lse).exp();
+        p3gm_parallel::par_chunks_mut(
+            resp.as_mut_slice(),
+            rows_per_chunk * k,
+            |chunk_index, resp_chunk| {
+                let start = chunk_index * rows_per_chunk;
+                let rows = start..start + resp_chunk.len() / k;
+                self.log_densities_into(rows_of(data, rows), resp_chunk);
+                for resp_row in resp_chunk.chunks_mut(k) {
+                    normalize_log_row(resp_row);
                 }
-            }
-        });
+            },
+        );
         resp
     }
 
@@ -441,6 +533,22 @@ impl Gmm {
     }
 }
 
+/// Rows `range` of `data` as one contiguous row-major slice.
+pub(crate) fn rows_of(data: &Matrix, range: std::ops::Range<usize>) -> &[f64] {
+    let d = data.cols();
+    &data.as_slice()[range.start * d..range.end * d]
+}
+
+/// Exp-normalizes one row of weighted log densities into responsibilities
+/// in place, returning the row's log-sum-exp (its log-likelihood).
+pub(crate) fn normalize_log_row(row: &mut [f64]) -> f64 {
+    let lse = vector::log_sum_exp(row);
+    for v in row.iter_mut() {
+        *v = (*v - lse).exp();
+    }
+    lse
+}
+
 /// Everything a [`Gmm`] caches besides its defining parameters.
 struct GmmCaches {
     factors: Vec<Cholesky>,
@@ -544,6 +652,30 @@ mod tests {
         .is_err());
         assert!(Gmm::new(vec![0.0], means_of(&[vec![0.0]]), vec![Matrix::identity(1)]).is_err());
         assert!(Gmm::isotropic(vec![1.0], means_of(&[vec![0.0]]), 0.0).is_err());
+    }
+
+    #[test]
+    fn construction_rejects_non_finite_parameters() {
+        let good = || {
+            (
+                vec![0.5, 0.5],
+                means_of(&[vec![0.0], vec![1.0]]),
+                vec![Matrix::identity(1); 2],
+            )
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (mut weights, means, covs) = good();
+            weights[1] = bad;
+            assert!(Gmm::new(weights, means, covs).is_err(), "weight {bad}");
+            let (weights, mut means, covs) = good();
+            means.set(1, 0, bad);
+            assert!(Gmm::new(weights, means, covs).is_err(), "mean {bad}");
+            let (weights, means, mut covs) = good();
+            covs[0].set(0, 0, bad);
+            assert!(Gmm::new(weights, means, covs).is_err(), "covariance {bad}");
+        }
+        let (weights, means, covs) = good();
+        assert!(Gmm::new(weights, means, covs).is_ok());
     }
 
     #[test]

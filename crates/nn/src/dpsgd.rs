@@ -6,18 +6,20 @@
 //! per-example gradient: [`clip_and_sum_batch`] takes each example's norm
 //! from the factored [`BatchGradients`] of one or more networks, clips with
 //! `p3gm-privacy`'s single rule [`clip_factor`], and sums with one weighted
-//! product per layer. [`DpSgdConfig::privatize_sum`] then adds the noise and
-//! averages. [`DpSgdConfig::step`] runs the same mechanism on a
-//! materialized `B x P` batch (the reference). The privacy *accounting* for
-//! the resulting training run lives in `p3gm-privacy::rdp` — the trainer
-//! here only reports the (steps, sampling-rate, noise) triple the
-//! accountant needs.
+//! product per layer. [`DpSgdConfig::draw_noise`] draws a step's noise,
+//! which does not depend on the data, so the trainers draw it on the
+//! calling thread while the lot is summed in parallel, then add it and
+//! average ([`GradientNoise::apply`]). [`DpSgdConfig::step`] runs the
+//! same mechanism on a materialized `B x P` batch (the reference). The
+//! privacy *accounting* for the resulting training run lives in
+//! `p3gm-privacy::rdp` — the trainer here only reports the (steps,
+//! sampling-rate, noise) triple the accountant needs.
 
 use crate::mlp::BatchGradients;
 use crate::optimizer::Optimizer;
 use p3gm_linalg::Matrix;
 use p3gm_privacy::mechanisms::{
-    clip_factor, noise_and_average, privatize_gradient_sum, validate_dp_sgd,
+    clip_factor, draw_gradient_noise, privatize_gradient_sum, validate_dp_sgd, GradientNoise,
 };
 use p3gm_privacy::PrivacyError;
 use rand::seq::SliceRandom;
@@ -83,17 +85,18 @@ impl DpSgdConfig {
         Ok(noisy)
     }
 
-    /// Adds the DP noise to a lot's clipped gradient sum (from
-    /// [`clip_and_sum_batch`] with this config's `clip_norm`) and divides by
-    /// the lot size, returning the privatized average gradient.
-    pub fn privatize_sum<R: Rng + ?Sized>(
+    /// Draws the DP noise for a lot's clipped gradient sum of `dim`
+    /// coordinates (from [`clip_and_sum_batch`] with this config's
+    /// `clip_norm`). [`GradientNoise::apply`] then adds it to the sum and
+    /// divides by the lot size, giving the privatized average gradient.
+    pub fn draw_noise<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        clipped_sum: Vec<f64>,
-    ) -> Result<Vec<f64>, PrivacyError> {
-        noise_and_average(
+        dim: usize,
+    ) -> Result<GradientNoise, PrivacyError> {
+        draw_gradient_noise(
             rng,
-            clipped_sum,
+            dim,
             self.clip_norm,
             self.noise_multiplier,
             self.batch_size,
@@ -201,7 +204,7 @@ mod tests {
                 assert!(cfg
                     .step(&mut rng(), &grads, &mut params, &mut Sgd::new(1.0))
                     .is_err());
-                assert!(cfg.privatize_sum(&mut rng(), vec![1.0, 2.0]).is_err());
+                assert!(cfg.draw_noise(&mut rng(), 2).is_err());
                 assert_eq!(params, vec![0.0; 2], "a rejected step must not move");
             }
         }

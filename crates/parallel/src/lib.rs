@@ -27,6 +27,14 @@
 //! bounded window ahead of the fold. A panic in any chunk, on any thread,
 //! reaches the caller once every thread has stopped.
 //!
+//! [`par_map_reduce_with_prologue`] is the same single dispatch with one
+//! addition: before the calling thread joins the map, it runs a serial
+//! prologue of the caller's own while the helpers already map chunks.
+//! Serial work that does not depend on the chunks' results, such as
+//! drawing a DP-SGD step's noise vector from the caller's rng, then
+//! overlaps the parallel map instead of idling the helpers after it.
+//! [`par_map_reduce`] is that call with an empty prologue.
+//!
 //! The thread count is resolved per call site by [`max_threads`]:
 //! a scoped [`with_threads`] override (used by benchmarks and the
 //! determinism test-suite) takes precedence, then the `P3GM_THREADS`
@@ -332,8 +340,32 @@ pub fn par_map_reduce<R: Send>(
     n_items: usize,
     chunk_len: usize,
     map: impl Fn(Range<usize>) -> R + Sync,
-    mut reduce: impl FnMut(R, R) -> R,
+    reduce: impl FnMut(R, R) -> R,
 ) -> Option<R> {
+    par_map_reduce_with_prologue(n_items, chunk_len, || (), map, reduce).1
+}
+
+/// [`par_map_reduce`] whose calling thread first runs `prologue`, serial
+/// work of its own, while the helpers already map chunks; it then maps
+/// and folds as [`par_map_reduce`] does. Still one dispatch. Returns the
+/// prologue's result beside the fold's.
+///
+/// This lets data-independent serial work, such as drawing a DP-SGD
+/// step's noise from the caller's rng, overlap the parallel map instead of
+/// leaving the helpers idle after the dispatch. The prologue runs exactly
+/// once, on the calling thread, before any chunk that thread maps, and
+/// with nested kernels pinned serial; on the serial path (one thread or
+/// one chunk) it simply runs first. While it runs, helpers map at most
+/// the window's `4 × threads` chunks. A panic in the prologue, or in a
+/// helper while it runs, reaches the caller like any other panic of the
+/// dispatch, once the prologue has returned or unwound.
+pub fn par_map_reduce_with_prologue<P, R: Send>(
+    n_items: usize,
+    chunk_len: usize,
+    prologue: impl FnOnce() -> P,
+    map: impl Fn(Range<usize>) -> R + Sync,
+    mut reduce: impl FnMut(R, R) -> R,
+) -> (P, Option<R>) {
     let chunk_len = chunk_len.max(1);
     let n_chunks = chunk_count(n_items, chunk_len);
     let map_chunk = |index: usize| {
@@ -342,7 +374,8 @@ pub fn par_map_reduce<R: Send>(
     };
     let threads = max_threads().min(n_chunks);
     if threads <= 1 {
-        return (0..n_chunks).map(map_chunk).reduce(reduce);
+        let head = prologue();
+        return (head, (0..n_chunks).map(map_chunk).reduce(reduce));
     }
 
     let window = FoldWindow::new(n_chunks, 4 * threads);
@@ -354,6 +387,7 @@ pub fn par_map_reduce<R: Send>(
     };
     let caller = || {
         let _abort = AbortOnPanic(&window);
+        let head = prologue();
         let mut acc: Option<R> = None;
         for frontier in 0..n_chunks {
             let partial = loop {
@@ -369,11 +403,13 @@ pub fn par_map_reduce<R: Send>(
             });
             window.advance(frontier + 1);
         }
-        acc
+        Some((head, acc))
     };
     // A `None` from the caller means a helper panicked; `dispatch` then
     // re-raises that panic instead of returning.
-    dispatch(threads, helper, caller).0
+    dispatch(threads, helper, caller)
+        .0
+        .expect("a helper's panic is re-raised before the dispatch returns")
 }
 
 /// No user code runs while the window's lock is held, so it cannot be

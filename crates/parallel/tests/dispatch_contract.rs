@@ -3,17 +3,24 @@
 //! * a panic inside a chunk reaches the caller with its own payload,
 //!   whether it happens on the calling thread or on a spawned helper, and
 //!   no thread is left waiting;
-//! * `par_map_reduce` keeps at most `4 × threads` unfolded partials alive.
+//! * `par_map_reduce` keeps at most `4 × threads` unfolded partials alive;
+//! * `par_map_reduce_with_prologue` returns its prologue's result, runs
+//!   the prologue first on the serial path and beside mapping helpers
+//!   otherwise, and passes on a panic from the prologue or from a helper
+//!   while the prologue runs.
 //!
 //! Interleavings are forced with condition variables, never with sleeps:
 //! a chunk that must wait for another thread blocks on a [`Gate`] or on a
 //! count until that thread has provably reached the point in question.
 
-use p3gm_parallel::{par_chunks_mut_map, par_map_chunks, par_map_reduce, with_threads};
+use p3gm_parallel::{
+    par_chunks_mut_map, par_map_chunks, par_map_reduce, par_map_reduce_with_prologue, with_threads,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::thread;
+use std::time::Duration;
 
 /// Chunks per kernel call in the panic tests: more than any thread count
 /// here, so the side that is held back cannot take every chunk.
@@ -259,6 +266,183 @@ fn map_reduce_keeps_at_most_the_window_of_unfolded_partials_alive() {
             counts.peak >= window,
             "{threads} threads: the window never filled (peak {})",
             counts.peak
+        );
+    }
+}
+
+/// How long a test waits for another thread before it gives up and
+/// fails, so a broken overlap fails the test instead of hanging it.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+/// A count that threads bump and others wait on.
+#[derive(Default)]
+struct Count {
+    value: Mutex<usize>,
+    changed: Condvar,
+}
+
+impl Count {
+    fn bump(&self) {
+        *self.value.lock().unwrap() += 1;
+        self.changed.notify_all();
+    }
+
+    /// Waits until the count reaches `at_least`; `false` if it did not
+    /// within [`PATIENCE`].
+    fn wait_for(&self, at_least: usize) -> bool {
+        let value = self.value.lock().unwrap();
+        let (value, _) = self
+            .changed
+            .wait_timeout_while(value, PATIENCE, |value| *value < at_least)
+            .unwrap();
+        *value >= at_least
+    }
+}
+
+#[test]
+fn the_prologue_result_is_returned() {
+    for threads in [1, 2, 4] {
+        let (head, sum) = with_threads(threads, || {
+            par_map_reduce_with_prologue(64, 1, || "head", |range| range.start, |a, b| a + b)
+        });
+        assert_eq!(
+            (head, sum),
+            ("head", Some((0..64).sum())),
+            "{threads} threads"
+        );
+        let (head, empty) = with_threads(threads, || {
+            par_map_reduce_with_prologue(0, 1, || 7, |range| range.start, |a, b| a + b)
+        });
+        assert_eq!((head, empty), (7, None), "{threads} threads, no items");
+    }
+}
+
+#[test]
+fn helpers_map_chunks_while_the_prologue_runs() {
+    for threads in [2, 4] {
+        let caller = thread::current().id();
+        let by_helpers = Count::default();
+        let (seen, total) = with_threads(threads, || {
+            par_map_reduce_with_prologue(
+                64,
+                1,
+                // The prologue returns only once a helper has mapped a
+                // chunk, so the overlap is forced, not hoped for.
+                || by_helpers.wait_for(1),
+                |range| {
+                    if thread::current().id() != caller {
+                        by_helpers.bump();
+                    }
+                    range.start
+                },
+                |a, b| a + b,
+            )
+        });
+        assert!(
+            seen,
+            "{threads} threads: no helper mapped a chunk during the prologue"
+        );
+        assert_eq!(total, Some((0..64).sum()), "{threads} threads");
+    }
+}
+
+#[test]
+fn a_panic_in_the_prologue_reaches_the_caller() {
+    for threads in [1, 2, 4] {
+        let window = 4 * threads;
+        let mapped = Count::default();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(threads, || {
+                par_map_reduce_with_prologue(
+                    64,
+                    1,
+                    || {
+                        // With helpers, wait until they have filled the
+                        // window and are waiting for the fold to open it.
+                        if threads > 1 {
+                            assert!(
+                                mapped.wait_for(window),
+                                "the helpers never filled the window"
+                            );
+                        }
+                        panic!("the prologue panicked")
+                    },
+                    |range| {
+                        mapped.bump();
+                        range.start
+                    },
+                    |a: usize, b| a + b,
+                )
+            })
+        }));
+        let text = message(result.expect_err("the prologue's panic must reach the caller"));
+        assert_eq!(text, "the prologue panicked", "{threads} threads");
+    }
+}
+
+#[test]
+fn a_helper_panic_during_the_prologue_reaches_the_caller() {
+    /// Bumps a count when its thread unwinds through it.
+    struct OnUnwind<'a>(&'a Count);
+    impl Drop for OnUnwind<'_> {
+        fn drop(&mut self) {
+            if thread::panicking() {
+                self.0.bump();
+            }
+        }
+    }
+    for threads in [2, 4] {
+        let caller = thread::current().id();
+        let unwound = Count::default();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            with_threads(threads, || {
+                par_map_reduce_with_prologue(
+                    64,
+                    1,
+                    // The prologue outlasts a helper's panic.
+                    || assert!(unwound.wait_for(1), "no helper panicked"),
+                    |range| {
+                        if thread::current().id() != caller {
+                            let _signal = OnUnwind(&unwound);
+                            panic!("chunk {} panicked on a helper", range.start);
+                        }
+                        range.start
+                    },
+                    |a, b| a + b,
+                )
+            })
+        }));
+        let text = message(result.expect_err("the helper's panic must reach the caller"));
+        assert!(
+            text.ends_with("panicked on a helper"),
+            "{threads} threads: {text}"
+        );
+    }
+}
+
+#[test]
+fn the_serial_path_runs_the_prologue_first() {
+    // One thread, and one chunk at four threads, both take the serial path.
+    for (threads, items) in [(1, 16), (4, 1)] {
+        let events = Mutex::new(Vec::new());
+        let (_, sum) = with_threads(threads, || {
+            par_map_reduce_with_prologue(
+                items,
+                1,
+                || events.lock().unwrap().push(None),
+                |range| {
+                    events.lock().unwrap().push(Some(range.start));
+                    range.start
+                },
+                |a, b| a + b,
+            )
+        });
+        assert_eq!(sum, Some((0..items).sum()));
+        let expected: Vec<_> = std::iter::once(None).chain((0..items).map(Some)).collect();
+        assert_eq!(
+            *events.lock().unwrap(),
+            expected,
+            "{threads} threads, {items} items"
         );
     }
 }

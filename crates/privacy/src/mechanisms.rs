@@ -8,15 +8,19 @@
 //!   PrivBayes baseline to pick Bayesian-network edges.
 //! * DP-SGD (paper §II-D): [`clip_factor`] is the clipping rule `ψ_C` every
 //!   trainer applies per example; [`noise_and_average`] adds `N(0, σ²C²I)`
-//!   noise to a clipped sum and averages. The trainers form that sum
-//!   without materializing per-example gradients (`p3gm-nn`'s
+//!   noise to a clipped sum and averages. It is two halves that the
+//!   trainers call apart: [`draw_gradient_noise`] draws the noise, which
+//!   does not depend on the data, on the calling thread while the lot's
+//!   clipped sum is computed in parallel, and [`GradientNoise::apply`]
+//!   adds it once the sum is known. The trainers form that sum without
+//!   materializing per-example gradients (`p3gm-nn`'s
 //!   `clip_and_sum_batch`); [`privatize_gradient_sum`] runs the whole
 //!   mechanism on a materialized `B x P` batch and is the reference for
 //!   tests and benchmarks.
 
 use crate::sampling;
 use crate::{PrivacyError, Result};
-use p3gm_linalg::{vector, Cholesky, Matrix};
+use p3gm_linalg::{vector, Matrix};
 use rand::Rng;
 
 /// The Laplace mechanism for releasing vector-valued queries with a known
@@ -151,11 +155,17 @@ pub fn laplace_mechanism_vec<R: Rng + ?Sized>(rng: &mut R, values: &[f64], scale
 
 /// Samples the Wishart noise matrix of the DP-PCA mechanism (Jiang et al.,
 /// paper §II-D): `W ~ W_d(d + 1, C)` where `C` has `d` equal eigenvalues
-/// `3/(2 n ε)`.
+/// `λ = 3/(2 n ε)`.
 ///
 /// `dim` is the data dimensionality `d`, `n` the number of records and
 /// `epsilon` the DP-PCA budget ε_p. The returned matrix is added to the
 /// (sensitivity-1-normalized) covariance to give an (ε_p, 0)-DP release.
+///
+/// `W` is the sum of `d + 1` outer products `x xᵀ` with `x ~ N(0, λ I)`.
+/// Since `C` is a multiple of the identity, each sample is `√λ · z` for
+/// `d` standard normals `z`, drawn in coordinate order. The upper triangle
+/// accumulates the products in sample order and is then mirrored, which
+/// is exact because `xᵢ xⱼ = xⱼ xᵢ`.
 pub fn wishart_noise<R: Rng + ?Sized>(
     rng: &mut R,
     dim: usize,
@@ -172,12 +182,26 @@ pub fn wishart_noise<R: Rng + ?Sized>(
             msg: format!("epsilon must be positive, got {epsilon}"),
         });
     }
-    let eigenvalue = 3.0 / (2.0 * n as f64 * epsilon);
-    let scale = Matrix::identity(dim).scale(eigenvalue);
-    let chol = Cholesky::new(&scale).map_err(|e| PrivacyError::InvalidParameter {
-        msg: format!("failed to factor Wishart scale matrix: {e}"),
-    })?;
-    Ok(sampling::wishart(rng, dim + 1, &chol))
+    let std_dev = (3.0 / (2.0 * n as f64 * epsilon)).sqrt();
+    let mut w = Matrix::zeros(dim, dim);
+    let mut x = vec![0.0; dim];
+    for _ in 0..=dim {
+        for xi in &mut x {
+            *xi = std_dev * sampling::standard_normal(rng);
+        }
+        for (i, &xi) in x.iter().enumerate() {
+            for (wij, &xj) in w.row_mut(i)[i..].iter_mut().zip(&x[i..]) {
+                *wij += xi * xj;
+            }
+        }
+    }
+    for i in 1..dim {
+        for j in 0..i {
+            let upper = w.get(j, i);
+            w.set(i, j, upper);
+        }
+    }
+    Ok(w)
 }
 
 /// The exponential mechanism: selects an index in `0..utilities.len()` with
@@ -330,22 +354,82 @@ pub fn privatize_gradient_sum<R: Rng + ?Sized>(
 /// L2 norm at most `clip_norm`: adds `N(0, (σ C)² I)` noise, drawn
 /// serially in coordinate order, then divides by the lot size
 /// `batch_size`. With σ = 0 no randomness is consumed.
+///
+/// This is [`draw_gradient_noise`] followed by [`GradientNoise::apply`];
+/// the trainers call the two halves apart, drawing the noise while the
+/// lot's sum is still being computed.
 pub fn noise_and_average<R: Rng + ?Sized>(
     rng: &mut R,
-    mut clipped_sum: Vec<f64>,
+    clipped_sum: Vec<f64>,
     clip_norm: f64,
     noise_multiplier: f64,
     batch_size: usize,
 ) -> Result<Vec<f64>> {
+    let noise = draw_gradient_noise(
+        rng,
+        clipped_sum.len(),
+        clip_norm,
+        noise_multiplier,
+        batch_size,
+    )?;
+    Ok(noise.apply(clipped_sum))
+}
+
+/// Draws the DP-SGD noise for a clipped gradient sum of `dim`
+/// coordinates: `N(0, (σ C)² I)`, serially in coordinate order, after
+/// checking the parameters with [`validate_dp_sgd`]. With σ = 0 no
+/// randomness is consumed.
+///
+/// The noise does not depend on the data, so a trainer may draw it before
+/// or while it computes the sum it will be added to; the draws are the
+/// same as long as they come from the same rng state.
+pub fn draw_gradient_noise<R: Rng + ?Sized>(
+    rng: &mut R,
+    dim: usize,
+    clip_norm: f64,
+    noise_multiplier: f64,
+    batch_size: usize,
+) -> Result<GradientNoise> {
     validate_dp_sgd(clip_norm, noise_multiplier, batch_size)?;
     let noise_std = noise_multiplier * clip_norm;
-    if noise_std > 0.0 {
-        for s in &mut clipped_sum {
-            *s += sampling::normal(rng, 0.0, noise_std);
+    let noise = (noise_std > 0.0).then(|| {
+        (0..dim)
+            .map(|_| sampling::normal(rng, 0.0, noise_std))
+            .collect()
+    });
+    Ok(GradientNoise { noise, batch_size })
+}
+
+/// One lot's DP-SGD noise, drawn by [`draw_gradient_noise`] and not yet
+/// applied.
+#[derive(Debug, Clone)]
+pub struct GradientNoise {
+    /// The noise vector; `None` when σ = 0.
+    noise: Option<Vec<f64>>,
+    batch_size: usize,
+}
+
+impl GradientNoise {
+    /// Adds the noise to a clipped gradient sum and divides by the lot
+    /// size, returning the privatized average gradient.
+    ///
+    /// # Panics
+    /// Panics if the noise was drawn for a different number of
+    /// coordinates than `clipped_sum` has.
+    pub fn apply(self, mut clipped_sum: Vec<f64>) -> Vec<f64> {
+        if let Some(noise) = self.noise {
+            assert_eq!(
+                noise.len(),
+                clipped_sum.len(),
+                "DP-SGD noise drawn for a different gradient length"
+            );
+            for (s, z) in clipped_sum.iter_mut().zip(&noise) {
+                *s += z;
+            }
         }
+        vector::scale(1.0 / self.batch_size as f64, &mut clipped_sum);
+        clipped_sum
     }
-    vector::scale(1.0 / batch_size as f64, &mut clipped_sum);
-    Ok(clipped_sum)
 }
 
 #[cfg(test)]
@@ -430,6 +514,36 @@ mod tests {
         assert!(wishart_noise(&mut r, 0, 10, 1.0).is_err());
         assert!(wishart_noise(&mut r, 3, 0, 1.0).is_err());
         assert!(wishart_noise(&mut r, 3, 10, 0.0).is_err());
+    }
+
+    #[test]
+    fn wishart_noise_is_bit_identical_to_the_general_sampler() {
+        use rand::RngCore;
+        for (dim, n, eps) in [
+            (206, 800, 0.1),
+            (3, 10, 1.0),
+            (17, 400, 0.1),
+            (50, 1000, 0.5),
+            (1, 1, 2.0),
+            (2, 7, 0.3),
+        ] {
+            for seed in [1, 2] {
+                let mut fast_rng = StdRng::seed_from_u64(seed);
+                let mut reference_rng = StdRng::seed_from_u64(seed);
+                let fast = wishart_noise(&mut fast_rng, dim, n, eps).unwrap();
+                let scale = Matrix::identity(dim).scale(3.0 / (2.0 * n as f64 * eps));
+                let chol = p3gm_linalg::Cholesky::new(&scale).unwrap();
+                let reference = sampling::wishart(&mut reference_rng, dim + 1, &chol);
+                let bits =
+                    |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&fast), bits(&reference), "d={dim} n={n} ε={eps}");
+                assert_eq!(
+                    fast_rng.next_u64(),
+                    reference_rng.next_u64(),
+                    "rng state after d={dim} n={n} ε={eps}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //!
 //! * standard normal via the Marsaglia polar method,
 //! * Laplace via inverse-CDF,
-//! * multivariate normal via a Cholesky factor,
-//! * Wishart with integer degrees of freedom via sums of Gaussian outer
-//!   products (exactly what DP-PCA's `W_d(d+1, C)` needs).
+//! * multivariate normal via a Cholesky factor.
+//!
+//! DP-PCA's Wishart noise is drawn by
+//! [`crate::mechanisms::wishart_noise`]; the general Wishart sampler it
+//! specializes is kept in the tests as its reference.
 
-use p3gm_linalg::{Cholesky, Matrix};
+use p3gm_linalg::Cholesky;
+#[cfg(test)]
+use p3gm_linalg::Matrix;
 use rand::Rng;
 
 /// Draws one sample from the standard normal distribution `N(0, 1)` using
@@ -84,9 +88,11 @@ pub fn multivariate_normal<R: Rng + ?Sized>(
 /// with **integer** degrees of freedom `df >= d`, where `scale = L Lᵀ`.
 ///
 /// For integer degrees of freedom the Wishart is the distribution of
-/// `Σ_{i=1}^{df} x_i x_iᵀ` with `x_i ~ N(0, scale)`, which is how DP-PCA's
-/// Wishart mechanism (`df = d + 1`) is sampled here.
-pub fn wishart<R: Rng + ?Sized>(rng: &mut R, df: usize, scale_chol: &Cholesky) -> Matrix {
+/// `Σ_{i=1}^{df} x_i x_iᵀ` with `x_i ~ N(0, scale)`. Test-only: it is the
+/// reference that [`crate::mechanisms::wishart_noise`], DP-PCA's
+/// `W_d(d + 1, λ I)` in one pass, must match bit for bit.
+#[cfg(test)]
+pub(crate) fn wishart<R: Rng + ?Sized>(rng: &mut R, df: usize, scale_chol: &Cholesky) -> Matrix {
     let d = scale_chol.dim();
     assert!(df >= d, "Wishart requires df >= dimension");
     let zeros = vec![0.0; d];
