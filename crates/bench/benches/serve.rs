@@ -18,11 +18,9 @@
 //!
 //! The **concurrent-connections** pass holds N idle keep-alive
 //! connections open (64/512/4096, and a stretch tier sized to the fd
-//! limit, ~10k) while an active subset of 8 connections keeps sampling —
-//! reactor core versus thread-per-connection core. The thread core needs
-//! one OS thread per held connection (its ceiling, and why it stops at
-//! 512 here); the reactor holds every tier on a fixed thread count,
-//! asserted in-bench.
+//! limit, ~10k) while an active subset of 8 connections keeps sampling;
+//! the reactor holds every tier on a fixed thread count, asserted
+//! in-bench.
 //!
 //! Setup trains one small P3GM model, writes its snapshot into a
 //! temporary model directory, and starts a fresh server per thread
@@ -49,7 +47,7 @@ use p3gm_core::synthesis::LabelledSynthesizer;
 use p3gm_datasets::tabular::adult_like;
 use p3gm_obs::ObsConfig;
 use p3gm_server::http::{ClientResponse, ResponseReader};
-use p3gm_server::{start, ServerConfig, ServerCore, ServerHandle};
+use p3gm_server::{start, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -261,18 +259,16 @@ fn scrape_connections_open(addr: SocketAddr) -> f64 {
         .expect("connection gauge value")
 }
 
-/// Holds N idle keep-alive connections while an active subset samples:
-/// the reactor core on a fixed thread budget versus the thread core
-/// spending one OS thread per connection. The stretch tier (reactor
-/// only) is sized to the fd limit — two fds per in-process connection —
-/// and asserts the headline claim: >= 1k connections held open with a
-/// bounded thread count.
+/// Holds N idle keep-alive connections while an active subset samples,
+/// on a fixed thread budget. The stretch tier is sized to the fd limit —
+/// two fds per in-process connection — and asserts the headline claim:
+/// >= 1k connections held open with a bounded thread count.
 fn bench_concurrent_conns(c: &mut Criterion, dir: &PathBuf, reference: &[u8]) {
-    let start_held_server = |core: ServerCore, threads: usize| -> ServerHandle {
+    const EXECUTORS: usize = 2;
+    let start_held_server = || -> ServerHandle {
         start(
             ServerConfig::builder(dir)
-                .core(core)
-                .threads(threads)
+                .threads(EXECUTORS)
                 .ledger_path(None)
                 .max_requests_per_connection(usize::MAX)
                 .keep_alive_timeout(Duration::from_secs(600))
@@ -281,59 +277,45 @@ fn bench_concurrent_conns(c: &mut Criterion, dir: &PathBuf, reference: &[u8]) {
         .expect("start server")
     };
 
-    let tiers: [(ServerCore, &str, &[usize]); 2] = [
-        (ServerCore::Reactor, "reactor", &[64, 512, 4096]),
-        // The thread core's ceiling is the bench variable itself: N held
-        // connections pin N worker threads, so its sweep stops at 512.
-        (ServerCore::ThreadPerConnection, "thread", &[64, 512]),
-    ];
-    for (core, label, sizes) in tiers {
-        for &n in sizes {
-            let threads = match core {
-                ServerCore::Reactor => 2,
-                ServerCore::ThreadPerConnection => n + ACTIVE_SUBSET,
-            };
-            let threads_baseline = os_thread_count();
-            let server = start_held_server(core, threads);
-            let addr = server.addr();
-            let idle = hold_idle_connections(addr, n);
-            let threads_held = os_thread_count();
-            println!(
-                "serve/concurrent_conns_idle{n}/core={label}: {n} connections \
-                 held by {} OS threads",
-                threads_held - threads_baseline
-            );
-            if core == ServerCore::Reactor {
-                assert!(
-                    threads_held - threads_baseline <= threads + 2,
-                    "reactor must hold {n} connections without per-connection \
-                     threads: {threads_baseline} -> {threads_held}"
-                );
-            }
+    for n in [64, 512, 4096] {
+        let threads_baseline = os_thread_count();
+        let server = start_held_server();
+        let addr = server.addr();
+        let idle = hold_idle_connections(addr, n);
+        let threads_held = os_thread_count();
+        println!(
+            "serve/concurrent_conns_idle{n}/core=reactor: {n} connections \
+             held by {} OS threads",
+            threads_held - threads_baseline
+        );
+        assert!(
+            threads_held - threads_baseline <= EXECUTORS + 2,
+            "reactor must hold {n} connections without per-connection \
+             threads: {threads_baseline} -> {threads_held}"
+        );
 
-            let mut active: Vec<KeepAliveClient> = (0..ACTIVE_SUBSET)
-                .map(|_| KeepAliveClient::connect(addr))
-                .collect();
-            assert_eq!(
-                active[0].request(SAMPLE_BODY).body,
-                reference,
-                "core={label} must serve byte-identical bodies under load"
-            );
-            let mut turn = 0usize;
-            c.bench_function(
-                &format!("serve/concurrent_conns_idle{n}/core={label}"),
-                |b| {
-                    b.iter(|| {
-                        turn = turn.wrapping_add(1);
-                        black_box(active[turn % ACTIVE_SUBSET].request(SAMPLE_BODY).body.len())
-                    })
-                },
-            );
+        let mut active: Vec<KeepAliveClient> = (0..ACTIVE_SUBSET)
+            .map(|_| KeepAliveClient::connect(addr))
+            .collect();
+        assert_eq!(
+            active[0].request(SAMPLE_BODY).body,
+            reference,
+            "the reactor must serve byte-identical bodies under load"
+        );
+        let mut turn = 0usize;
+        c.bench_function(
+            &format!("serve/concurrent_conns_idle{n}/core=reactor"),
+            |b| {
+                b.iter(|| {
+                    turn = turn.wrapping_add(1);
+                    black_box(active[turn % ACTIVE_SUBSET].request(SAMPLE_BODY).body.len())
+                })
+            },
+        );
 
-            drop(active);
-            drop(idle);
-            server.shutdown();
-        }
+        drop(active);
+        drop(idle);
+        server.shutdown();
     }
 
     // Stretch tier: as many connections as the fd limit allows, capped
@@ -343,7 +325,7 @@ fn bench_concurrent_conns(c: &mut Criterion, dir: &PathBuf, reference: &[u8]) {
     // `p3gm_connections_open` gauge rather than per-connection probes.
     let stretch = (fd_limit().saturating_sub(500) / 2).min(10_000);
     let threads_baseline = os_thread_count();
-    let server = start_held_server(ServerCore::Reactor, 2);
+    let server = start_held_server();
     let addr = server.addr();
     let idle: Vec<TcpStream> = (0..stretch)
         .map(|_| TcpStream::connect(addr).expect("stretch connect"))

@@ -48,7 +48,7 @@ pub use config::{DecoderLoss, PgmConfig, VaeConfig, VarianceMode};
 pub use history::{EpochStats, TrainingHistory};
 pub use pgm::PhasedGenerativeModel;
 pub use report::TrainReport;
-pub use snapshot::{SampleRequest, SynthesisSnapshot};
+pub use snapshot::SynthesisSnapshot;
 pub use synthesis::{synthesize_labelled, LabelledSynthesizer};
 pub use vae::Vae;
 

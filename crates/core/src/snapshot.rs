@@ -12,28 +12,21 @@
 //! `p3gm-store` for the frame layout). The snapshot file is the unit a
 //! serving fleet shards, caches and replicates.
 //!
-//! Serving is **seedable, deterministic, and streamable**. Every sampling
-//! entry point draws from one canonical stream: row `r` of stream `seed`
-//! belongs to *seed block* `b = r / `[`SEED_BLOCK_ROWS`], and the rows of
-//! block `b` are drawn sequentially from a `StdRng` seeded with a
-//! SplitMix64-style derivation of `(seed, b)`. The stream is therefore a
-//! pure function of `(seed, row index)` — independent of the request size
-//! `n`, of how the rows are chunked for delivery, and of the worker-thread
-//! count:
+//! Serving is **seedable, deterministic, and streamable**. Sampling draws
+//! from one canonical stream: row `r` of stream `seed` belongs to *seed
+//! block* `b = r / `[`SEED_BLOCK_ROWS`], and the rows of block `b` are
+//! drawn sequentially from a `StdRng` seeded with a SplitMix64-style
+//! derivation of `(seed, b)`. The stream is therefore a pure function of
+//! `(seed, row index)` — independent of the request size `n`, of how the
+//! rows are windowed for delivery, and of the worker-thread count:
 //!
-//! * [`SynthesisSnapshot::sample_chunks`] is the chunked iterator API the
-//!   other paths consume: it yields the stream as `Matrix` row blocks of a
-//!   caller-chosen size, generating each block only when the consumer asks
-//!   for it, so peak memory is bounded by the chunk size, not `n`.
-//! * [`SynthesisSnapshot::sample`] concatenates the chunks into one
-//!   `n`-row matrix; `save → load → sample(seed, n)` is bit-identical to
-//!   sampling the in-memory snapshot with the same seed.
-//! * [`SynthesisSnapshot::sample_parallel`] fills the same rows with the
-//!   seed blocks fanned out over the `p3gm-parallel` pool — bit-identical
-//!   to [`SynthesisSnapshot::sample`] for every worker count.
-//! * [`SynthesisSnapshot::serve`] runs a batch of independent seeded
-//!   requests concurrently, each producing exactly what a sequential
-//!   [`SynthesisSnapshot::sample`] call with the same seed would.
+//! * [`SynthesisSnapshot::sample_rows`] is the one sampling primitive: it
+//!   draws any row window `[start, start + rows)` of the stream, so a
+//!   server streams a response window by window with peak memory bounded
+//!   by the window, not `n`.
+//! * [`SynthesisSnapshot::sample`] is the window starting at row 0;
+//!   `save → load → sample(seed, n)` is bit-identical to sampling the
+//!   in-memory snapshot with the same seed.
 //!
 //! Because the stream does not depend on `n`, `sample(seed, n1)` is a
 //! row-prefix of `sample(seed, n2)` whenever `n1 <= n2` — a paginated
@@ -58,18 +51,6 @@ use std::path::Path;
 /// draws for at most `SEED_BLOCK_ROWS - 1` leading rows per chunk. The
 /// value is a constant of the format: changing it changes every stream.
 pub const SEED_BLOCK_ROWS: usize = 64;
-
-/// One seedable synthesis request: draw `n` rows from the stream
-/// identified by `seed`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleRequest {
-    /// Seed of the request's sample stream (requests with distinct seeds
-    /// produce independent streams; the same seed always reproduces the
-    /// same rows).
-    pub seed: u64,
-    /// Number of rows to synthesize.
-    pub n: usize,
-}
 
 /// A loaded model snapshot serving concurrent, seedable synthesis
 /// requests.
@@ -191,21 +172,14 @@ impl SynthesisSnapshot {
     /// same row range in any larger or smaller batch yields the same
     /// bytes. A `start` that is not a multiple of [`SEED_BLOCK_ROWS`]
     /// re-derives the prior draws of the partial leading block (decoding —
-    /// the expensive step — is never repeated).
+    /// the expensive step — is never repeated). Zero rows yield a
+    /// `0 × data_dim` matrix.
     pub fn sample_rows(&self, seed: u64, start: usize, rows: usize) -> Matrix {
         let d = self.model.data_dim();
         let mut out = Matrix::zeros(rows, d);
-        self.fill_rows(seed, start, out.as_mut_slice());
-        out
-    }
-
-    /// Fills `out` (a `rows * data_dim` slice) with stream rows
-    /// `[start, start + rows)`.
-    fn fill_rows(&self, seed: u64, start: usize, out: &mut [f64]) {
-        let d = self.model.data_dim().max(1);
-        let rows = out.len() / d;
-        let mut row = start;
+        let buf = out.as_mut_slice();
         let end = start + rows;
+        let mut row = start;
         while row < end {
             let block = row / SEED_BLOCK_ROWS;
             let block_start = block * SEED_BLOCK_ROWS;
@@ -219,89 +193,20 @@ impl SynthesisSnapshot {
             for r in row..end.min(block_end) {
                 let z = self.model.prior().sample(&mut rng);
                 let offset = (r - start) * d;
-                out[offset..offset + d].copy_from_slice(&self.model.decode(&z));
+                buf[offset..offset + d].copy_from_slice(&self.model.decode(&z));
             }
             row = block_end;
         }
-    }
-
-    /// The chunked iterator over the first `n` rows of stream `seed`:
-    /// yields `Matrix` row blocks of `chunk_rows` rows (the last block may
-    /// be shorter), generating each block lazily when the consumer asks
-    /// for it.
-    ///
-    /// Concatenating the chunks is bit-identical to
-    /// [`SynthesisSnapshot::sample`]`(seed, n)` for **every** chunk size —
-    /// the stream is a pure function of the row index, so the chunking is
-    /// pure delivery framing. Peak memory is one chunk, not `n` rows,
-    /// which is what lets a server stream million-row responses. A
-    /// `chunk_rows` of 0 is clamped to 1; multiples of
-    /// [`SEED_BLOCK_ROWS`] avoid all re-derivation.
-    pub fn sample_chunks(&self, seed: u64, n: usize, chunk_rows: usize) -> SampleChunks<'_> {
-        SampleChunks {
-            snapshot: self,
-            seed,
-            n,
-            chunk_rows: chunk_rows.max(1),
-            next_row: 0,
-        }
-    }
-
-    /// Draws `n` model-space rows from the stream identified by `seed`.
-    ///
-    /// Implemented as the one-chunk consumption of
-    /// [`SynthesisSnapshot::sample_chunks`], so the output is bit-identical
-    /// to any chunked delivery of the same request — and `save → load →
-    /// sample(seed, n)` is bit-identical to sampling the in-memory
-    /// snapshot with the same seed (the round-trip guarantee the
-    /// persistence layer is tested against).
-    pub fn sample(&self, seed: u64, n: usize) -> Matrix {
-        // n = 0 is a well-formed request for zero rows: return an empty
-        // matrix that still carries the model's output geometry.
-        match self.sample_chunks(seed, n, n.max(1)).next() {
-            Some(rows) => rows,
-            None => Matrix::zeros(0, self.model.data_dim()),
-        }
-    }
-
-    /// Draws `n` model-space rows with the generation fanned out over the
-    /// `p3gm-parallel` pool.
-    ///
-    /// Each parallel task fills exactly one [`SEED_BLOCK_ROWS`]-aligned
-    /// block of the canonical stream, so the result is bit-identical to
-    /// [`SynthesisSnapshot::sample`]`(seed, n)` for every worker count.
-    pub fn sample_parallel(&self, seed: u64, n: usize) -> Matrix {
-        let d = self.model.data_dim();
-        if n == 0 {
-            return Matrix::zeros(0, d);
-        }
-        let mut out = Matrix::zeros(n, d);
-        p3gm_parallel::par_chunks_mut(
-            out.as_mut_slice(),
-            SEED_BLOCK_ROWS * d.max(1),
-            |block, out_chunk| {
-                self.fill_rows(seed, block * SEED_BLOCK_ROWS, out_chunk);
-            },
-        );
         out
     }
 
-    /// Serves a batch of independent seeded requests concurrently on the
-    /// `p3gm-parallel` pool, returning the responses in request order.
-    ///
-    /// Each response is exactly what a sequential
-    /// [`SynthesisSnapshot::sample`] call with the request's seed would
-    /// produce, regardless of how many requests run at once or how many
-    /// worker threads the pool has.
-    pub fn serve(&self, requests: &[SampleRequest]) -> Vec<Matrix> {
-        // An empty batch (or any n = 0 request inside one) is served as
-        // well-formed empty output, not an edge case for the pool.
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        p3gm_parallel::par_map_chunks(requests.len(), |i| {
-            self.sample(requests[i].seed, requests[i].n)
-        })
+    /// Draws `n` model-space rows from the stream identified by `seed`:
+    /// the window `sample_rows(seed, 0, n)`, so `save → load → sample(seed,
+    /// n)` is bit-identical to sampling the in-memory snapshot with the
+    /// same seed (the round-trip guarantee the persistence layer is
+    /// tested against).
+    pub fn sample(&self, seed: u64, n: usize) -> Matrix {
+        self.sample_rows(seed, 0, n)
     }
 
     /// Serves one labelled-synthesis request: `target_counts[c]` rows of
@@ -603,46 +508,6 @@ fn peek_synth_classes(bytes: &[u8]) -> p3gm_store::Result<Option<usize>> {
     }
 }
 
-/// The lazy chunk iterator returned by
-/// [`SynthesisSnapshot::sample_chunks`]: each `next()` materializes the
-/// next `chunk_rows`-row block of the canonical stream.
-#[derive(Debug)]
-pub struct SampleChunks<'a> {
-    snapshot: &'a SynthesisSnapshot,
-    seed: u64,
-    n: usize,
-    chunk_rows: usize,
-    next_row: usize,
-}
-
-impl SampleChunks<'_> {
-    /// The stream row index the next yielded chunk starts at.
-    pub fn next_row(&self) -> usize {
-        self.next_row
-    }
-}
-
-impl Iterator for SampleChunks<'_> {
-    type Item = Matrix;
-
-    fn next(&mut self) -> Option<Matrix> {
-        if self.next_row >= self.n {
-            return None;
-        }
-        let rows = self.chunk_rows.min(self.n - self.next_row);
-        let chunk = self.snapshot.sample_rows(self.seed, self.next_row, rows);
-        self.next_row += rows;
-        Some(chunk)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = (self.n - self.next_row).div_ceil(self.chunk_rows);
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for SampleChunks<'_> {}
-
 /// SplitMix64-style mixing of a base seed and a seed-block index into the
 /// per-block RNG seed of the canonical sample stream.
 fn derive_seed(seed: u64, index: u64) -> u64 {
@@ -731,35 +596,30 @@ mod tests {
     fn chunked_sampling_is_invariant_to_chunk_size() {
         let (snapshot, _) = trained_snapshot();
         let d = snapshot.model().data_dim();
-        let n = 150; // spans multiple seed blocks with a partial tail
+        // Spans two 512-row windows (the server's stream chunk) with a
+        // partial tail.
+        let n = 1100;
         let reference = snapshot.sample(33, n);
         assert_eq!(reference.shape(), (n, d));
-        for chunk_rows in [1, 3, 17, SEED_BLOCK_ROWS, 100, n, n + 50] {
+        for window in [1, 3, 17, SEED_BLOCK_ROWS, 100, 512, n, n + 50] {
             let mut rebuilt: Vec<f64> = Vec::with_capacity(n * d);
-            let mut chunks = 0;
-            for chunk in snapshot.sample_chunks(33, n, chunk_rows) {
-                assert!(chunk.rows() <= chunk_rows.max(1));
-                assert_eq!(chunk.cols(), d);
-                rebuilt.extend_from_slice(chunk.as_slice());
-                chunks += 1;
+            for start in (0..n).step_by(window) {
+                let rows = snapshot.sample_rows(33, start, window.min(n - start));
+                assert_eq!(rows.cols(), d);
+                rebuilt.extend_from_slice(rows.as_slice());
             }
-            assert_eq!(chunks, n.div_ceil(chunk_rows.max(1)));
+            assert_eq!(rebuilt.as_slice(), reference.as_slice(), "window {window}");
+        }
+        // Windows at unaligned starts agree with the stream too.
+        for (start, rows) in [(70, 25), (63, 2), (100, SEED_BLOCK_ROWS), (513, 512)] {
+            let window = snapshot.sample_rows(33, start, rows);
             assert_eq!(
-                rebuilt.as_slice(),
-                reference.as_slice(),
-                "chunk_rows {chunk_rows}"
+                window.as_slice(),
+                &reference.as_slice()[start * d..(start + rows) * d],
+                "rows {start}..{}",
+                start + rows
             );
         }
-        // chunk_rows = 0 is clamped, not a panic or an empty stream.
-        let clamped: usize = snapshot.sample_chunks(33, 5, 0).map(|c| c.rows()).sum();
-        assert_eq!(clamped, 5);
-        // Random access matches the stream at unaligned offsets too.
-        let mid = snapshot.sample_rows(33, 70, 25);
-        assert_eq!(
-            mid.as_slice(),
-            &reference.as_slice()[70 * d..95 * d],
-            "sample_rows must agree with the stream at unaligned starts"
-        );
     }
 
     #[test]
@@ -776,43 +636,16 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_sampling_are_bit_identical() {
+    fn sampling_is_thread_count_invariant() {
         let (snapshot, _) = trained_snapshot();
-        for n in [1, 64, 150] {
-            let serial = snapshot.sample(11, n);
-            let parallel = snapshot.sample_parallel(11, n);
-            assert_eq!(serial.as_slice(), parallel.as_slice(), "n {n}");
-        }
-    }
-
-    #[test]
-    fn serve_matches_sequential_sampling() {
-        let (snapshot, _) = trained_snapshot();
-        let requests: Vec<SampleRequest> = (0..7)
-            .map(|i| SampleRequest {
-                seed: 1000 + i,
-                n: 5 + i as usize,
-            })
-            .collect();
-        let concurrent = snapshot.serve(&requests);
-        assert_eq!(concurrent.len(), requests.len());
-        for (req, batch) in requests.iter().zip(concurrent.iter()) {
-            let sequential = snapshot.sample(req.seed, req.n);
-            assert_eq!(batch.as_slice(), sequential.as_slice(), "seed {}", req.seed);
-        }
-    }
-
-    #[test]
-    fn parallel_sampling_is_thread_count_invariant() {
-        let (snapshot, _) = trained_snapshot();
-        let reference = p3gm_parallel::with_threads(1, || snapshot.sample_parallel(9, 70));
+        let reference = p3gm_parallel::with_threads(1, || snapshot.sample(9, 70));
         for threads in [2, 4] {
-            let got = p3gm_parallel::with_threads(threads, || snapshot.sample_parallel(9, 70));
+            let got = p3gm_parallel::with_threads(threads, || snapshot.sample(9, 70));
             assert_eq!(got.as_slice(), reference.as_slice(), "{threads} threads");
         }
         assert_eq!(reference.shape(), (70, snapshot.model().data_dim()));
         // Different seeds give different streams.
-        let other = snapshot.sample_parallel(10, 70);
+        let other = snapshot.sample(10, 70);
         assert_ne!(other.as_slice(), reference.as_slice());
     }
 
@@ -821,22 +654,10 @@ mod tests {
         let (snapshot, _) = trained_snapshot();
         let d = snapshot.model().data_dim();
         assert!(d > 0);
-        // Serial, parallel, and batch paths all return well-formed empty
-        // output carrying the model's output geometry.
+        // Zero rows, at the stream start or at an offset, are well-formed
+        // empty output carrying the model's output geometry.
         assert_eq!(snapshot.sample(5, 0).shape(), (0, d));
-        assert_eq!(snapshot.sample_parallel(5, 0).shape(), (0, d));
-        assert_eq!(snapshot.serve(&[]), Vec::<Matrix>::new());
-        let served = snapshot.serve(&[
-            SampleRequest { seed: 1, n: 0 },
-            SampleRequest { seed: 2, n: 3 },
-            SampleRequest { seed: 3, n: 0 },
-        ]);
-        assert_eq!(served.len(), 3);
-        assert_eq!(served[0].shape(), (0, d));
-        assert_eq!(served[1].shape(), (3, d));
-        assert_eq!(served[2].shape(), (0, d));
-        // A zero-row request does not perturb its neighbors' streams.
-        assert_eq!(served[1].as_slice(), snapshot.sample(2, 3).as_slice());
+        assert_eq!(snapshot.sample_rows(5, 100, 0).shape(), (0, d));
     }
 
     #[test]

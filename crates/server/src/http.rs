@@ -152,14 +152,15 @@ pub enum HttpError {
     TooManyHeaders,
     /// `Content-Length` is unparsable or two copies disagree.
     BadContentLength,
-    /// `Content-Length` exceeds [`Limits::max_body_bytes`].
+    /// `Content-Length` exceeds [`Limits::max_body_bytes`], or the
+    /// request's end offset would overflow `usize`.
     BodyTooLarge,
     /// A `Transfer-Encoding` header was sent (chunked request bodies are
     /// not implemented; rejecting beats mis-framing).
     UnsupportedTransferEncoding,
     /// An I/O failure while reading (timeouts surface here: `TimedOut` /
     /// `WouldBlock` map to 408, so a stalled or slow-trickling client
-    /// gets a typed Request Timeout, not a pinned worker).
+    /// gets a typed Request Timeout).
     Io(std::io::ErrorKind),
 }
 
@@ -238,12 +239,6 @@ impl<R> RequestReader<R> {
     pub fn has_buffered(&self) -> bool {
         !self.carry.is_empty()
     }
-
-    /// The wrapped reader (for e.g. re-arming a read deadline between
-    /// requests).
-    pub fn reader_mut(&mut self) -> &mut R {
-        &mut self.reader
-    }
 }
 
 impl<R: Read> RequestReader<R> {
@@ -269,7 +264,7 @@ impl<R: Read> RequestReader<R> {
                 }
                 break pos;
             }
-            if self.carry.len() > limits.max_head_bytes + 3 {
+            if self.carry.len() > limits.max_head_bytes.saturating_add(3) {
                 return Err(HttpError::HeadTooLarge);
             }
             let n = self
@@ -294,7 +289,11 @@ impl<R: Read> RequestReader<R> {
         // Read exactly Content-Length body bytes past the head; anything
         // after them stays in the carry buffer as the next request.
         let body_start = head_end + 4;
-        let frame_end = body_start + content_length;
+        // An operator may lift `max_body_bytes` to `usize::MAX`, so the
+        // untrusted length can still overflow the frame end.
+        let frame_end = body_start
+            .checked_add(content_length)
+            .ok_or(HttpError::BodyTooLarge)?;
         while self.carry.len() < frame_end {
             let want = (frame_end - self.carry.len()).min(tmp.len());
             let n = self
@@ -637,7 +636,7 @@ pub enum WriteProgress {
 }
 
 /// A resumable serializer for one [`Response`] over a nonblocking
-/// writer: the reactor core's replacement for [`Response::write_to`].
+/// writer: the reactor's nonblocking counterpart of [`Response::write_to`].
 ///
 /// `write_to` assumes a blocking socket — a slow reader parks the
 /// calling thread inside `write`. `ResponseWriter` instead makes
@@ -1194,6 +1193,25 @@ mod tests {
         assert_eq!(
             read_request(&mut Cursor::new(endless), &limits).unwrap_err(),
             HttpError::HeadTooLarge
+        );
+    }
+
+    #[test]
+    fn maximal_operator_limits_do_not_overflow() {
+        let limits = Limits {
+            max_head_bytes: usize::MAX,
+            max_headers: usize::MAX,
+            max_body_bytes: usize::MAX,
+        };
+        // A 2 KB head spans several 1 KB reads before its terminator.
+        let big = format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(2048));
+        let req = read_request(&mut Cursor::new(big.into_bytes()), &limits).unwrap();
+        assert_eq!(req.header("x-pad").map(str::len), Some(2048));
+        // No body cap left to stop it: the frame end itself overflows.
+        let huge = format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
+        assert_eq!(
+            read_request(&mut Cursor::new(huge.into_bytes()), &limits).unwrap_err(),
+            HttpError::BodyTooLarge
         );
     }
 

@@ -21,17 +21,14 @@
 //!   persistent (HTTP/1.1 keep-alive with `Connection` header semantics,
 //!   a bounded number of requests per connection, an idle timeout between
 //!   requests, and an absolute per-request read deadline so a stalled or
-//!   byte-trickling client gets a typed 408 instead of pinning a worker).
-//!   Two interchangeable connection cores serve this layer (selected by
-//!   [`ServerConfig::core`] / `P3GM_SERVER_CORE`, see [`ServerCore`]):
-//!   the default **reactor** — one nonblocking thread multiplexing every
-//!   socket over `poll(2)` readiness, executor workers running synthesis,
-//!   resumable response writes so a slow reader parks its socket rather
-//!   than a thread, scaling concurrent keep-alive connections to the fd
-//!   limit — and the legacy **thread-per-connection** core;
+//!   byte-trickling client gets a typed 408). One **reactor** thread
+//!   multiplexes every socket over `poll(2)` readiness and hands parsed
+//!   requests to executor workers that run synthesis; response writes
+//!   are resumable, so a slow reader parks its socket rather than a
+//!   thread, and concurrent keep-alive connections scale to the fd limit;
 //! * a **streaming synthesis executor**: `POST /models/{name}/sample`
-//!   generates rows through the core chunked sampler
-//!   (`SynthesisSnapshot::sample_chunks`) and streams them as RFC 7230
+//!   generates rows through the core's random-access sampler
+//!   (`SynthesisSnapshot::sample_rows`) and streams them as RFC 7230
 //!   chunked `Transfer-Encoding`, so first-byte latency and peak memory
 //!   are bounded by the chunk size, not `n` — while the de-chunked body
 //!   stays byte-identical per (model, seed, n) to the buffered body an
@@ -82,7 +79,12 @@
 //! same de-framed bytes, from any replica, under any concurrency, chunk
 //! framing or thread count. The varying budget state travels in
 //! `x-p3gm-epsilon-*` response headers, never in the body.
+//!
+//! The crate is Unix-only: the reactor waits on `poll(2)`. On other
+//! targets it compiles to nothing, so the rest of the workspace still
+//! builds there.
 
+#![cfg(unix)]
 // `deny`, not `forbid`: conform rule D5 sanctions exactly one file-level
 // `#![allow(unsafe_code)]` — the `poll(2)` FFI shim in `sys.rs` — and a
 // `forbid` here would reject that override. Every other file in this
@@ -94,80 +96,29 @@ pub mod http;
 pub mod json;
 pub mod ledger;
 mod metrics;
-#[cfg(unix)]
 mod reactor;
 pub mod registry;
-#[cfg(unix)]
 mod sys;
 
-use http::{Limits, Method, Request, RequestReader, Response, ResponseBody};
+use http::{Limits, Method, Request, Response, ResponseBody};
 use json::Json;
 use ledger::{BudgetLedger, LedgerError};
 use metrics::ServerMetrics;
 use p3gm_linalg::Matrix;
-use p3gm_obs::time::unix_millis;
-use p3gm_obs::{AccessLogger, ObsConfig, TimeSource};
+use p3gm_obs::{AccessLogger, ObsConfig};
 use p3gm_privacy::rdp::PrivacySpec;
 use registry::{LoadedModel, Registry, RegistryConfig, RegistryError};
-use std::collections::BTreeMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Rows per streamed response chunk. A multiple of the core stream's
 /// [`p3gm_core::snapshot::SEED_BLOCK_ROWS`], so chunk boundaries align
 /// with seed blocks and streaming regenerates nothing; peak memory per
 /// in-flight response is one chunk of rows, never the full batch.
 const STREAM_CHUNK_ROWS: usize = 512;
-
-/// Which connection-handling core [`start`] runs.
-///
-/// Both cores serve byte-identical responses through the same parser,
-/// router and serializers, enforce the same timeouts
-/// (`request_read_timeout`, `keep_alive_timeout`, a typed 408 for
-/// stalled clients), and honor the same graceful-shutdown and
-/// `max_requests_per_connection` contracts — the integration suite runs
-/// against both. They differ only in how connections map to threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServerCore {
-    /// One nonblocking reactor thread multiplexes **every** accepted
-    /// socket over `poll(2)` readiness and hands parsed requests to
-    /// [`ServerConfig::threads`] executor workers; a response write that
-    /// would block parks the socket instead of the worker. Concurrent
-    /// (mostly idle) keep-alive connections scale to the fd limit —
-    /// thousands — with a thread count fixed at `threads + 1`. The
-    /// default on Unix targets.
-    Reactor,
-    /// The legacy core: each of [`ServerConfig::threads`] workers
-    /// accepts and serves one connection at a time to completion, so at
-    /// most `threads` connections progress concurrently and excess
-    /// keep-alive clients queue in the accept backlog. Selected with
-    /// `P3GM_SERVER_CORE=thread` or [`ServerConfigBuilder::core`]; the
-    /// only core on non-Unix targets.
-    ThreadPerConnection,
-}
-
-impl ServerCore {
-    fn parse(value: Option<&str>) -> ServerCore {
-        match value {
-            Some("thread" | "thread-per-connection" | "threaded") => {
-                ServerCore::ThreadPerConnection
-            }
-            _ => ServerCore::Reactor,
-        }
-    }
-
-    /// The default core: honors the `P3GM_SERVER_CORE` environment
-    /// variable (`thread` / `thread-per-connection` / `threaded` select
-    /// the legacy core — this is how the CI matrix runs the suite under
-    /// both cores); anything else selects the reactor.
-    pub fn from_env() -> ServerCore {
-        ServerCore::parse(std::env::var("P3GM_SERVER_CORE").ok().as_deref())
-    }
-}
 
 /// Configuration of one [`start`]ed server.
 ///
@@ -180,7 +131,8 @@ impl ServerCore {
 pub struct ServerConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker threads accepting and serving connections.
+    /// Executor threads that route requests and write responses; the
+    /// reactor adds one I/O thread of its own.
     pub threads: usize,
     /// Directory of `*.snapshot` model files.
     pub model_dir: PathBuf,
@@ -193,21 +145,22 @@ pub struct ServerConfig {
     pub max_rows: usize,
     /// HTTP input limits.
     pub limits: Limits,
-    /// Socket write timeout (one stalled write may block up to this
-    /// long; a streamed response aborts on the first timed-out chunk).
+    /// How long a blocked response write may wait for the socket to
+    /// become writable; past it the response aborts and the connection
+    /// closes.
     pub io_timeout: Duration,
     /// Total time a client gets to deliver one complete request once its
     /// first byte has arrived. This is an absolute deadline enforced
     /// across reads, so a client trickling one byte per second cannot
-    /// hold a worker — it gets a typed 408 when the deadline passes.
+    /// hold its connection open — it gets a typed 408 when the deadline
+    /// passes.
     pub request_read_timeout: Duration,
     /// How long a keep-alive connection may sit idle between requests
     /// (and a fresh connection before its first byte) before the server
     /// closes it.
     pub keep_alive_timeout: Duration,
     /// Requests served per connection before the server closes it
-    /// (`Connection: close` on the final response). Bounds how long one
-    /// client can pin a worker thread.
+    /// (`Connection: close` on the final response).
     pub max_requests_per_connection: usize,
     /// Soft ceiling on estimated resident model-weight bytes; past it,
     /// least-recently-used models are evicted back to header-only
@@ -221,16 +174,11 @@ pub struct ServerConfig {
     /// default). Telemetry never feeds back into sampling or budget
     /// accounting and is never persisted.
     pub obs: ObsConfig,
-    /// Which connection-handling core to run (see [`ServerCore`]). The
-    /// builder default honors `P3GM_SERVER_CORE` and otherwise selects
-    /// the reactor; non-Unix targets always run the
-    /// thread-per-connection core.
-    pub core: ServerCore,
 }
 
 impl ServerConfig {
     /// Starts building a config serving `model_dir`. The builder's
-    /// defaults: ephemeral localhost port, two workers, a durable ledger
+    /// defaults: ephemeral localhost port, two executors, a durable ledger
     /// at `model_dir/ledger.p3gm`, no budget ceiling, no residency
     /// ceiling.
     pub fn builder(model_dir: impl Into<PathBuf>) -> ServerConfigBuilder {
@@ -251,20 +199,8 @@ impl ServerConfig {
                 max_resident_bytes: None,
                 load_wait: Duration::from_secs(30),
                 obs: ObsConfig::enabled(),
-                core: ServerCore::from_env(),
             },
         }
-    }
-
-    /// A config serving `model_dir` with every builder default.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use ServerConfig::builder(model_dir)...build(); the struct is \
-                non_exhaustive, so struct-literal updates over new() no \
-                longer compile"
-    )]
-    pub fn new(model_dir: impl Into<PathBuf>) -> ServerConfig {
-        ServerConfig::builder(model_dir).build()
     }
 }
 
@@ -292,7 +228,7 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Worker threads accepting and serving connections.
+    /// Executor threads; the reactor adds one I/O thread.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -322,19 +258,22 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Socket write timeout.
+    /// How long a blocked response write may wait for the socket to
+    /// become writable. `Duration::MAX` disables this deadline.
     pub fn io_timeout(mut self, timeout: Duration) -> Self {
         self.config.io_timeout = timeout;
         self
     }
 
     /// Absolute deadline for reading one complete request.
+    /// `Duration::MAX` disables this deadline.
     pub fn request_read_timeout(mut self, timeout: Duration) -> Self {
         self.config.request_read_timeout = timeout;
         self
     }
 
     /// Idle time allowed between keep-alive requests.
+    /// `Duration::MAX` disables this deadline.
     pub fn keep_alive_timeout(mut self, timeout: Duration) -> Self {
         self.config.keep_alive_timeout = timeout;
         self
@@ -366,12 +305,6 @@ impl ServerConfigBuilder {
     /// answers 404.
     pub fn obs(mut self, obs: ObsConfig) -> Self {
         self.config.obs = obs;
-        self
-    }
-
-    /// Which connection-handling core to run (see [`ServerCore`]).
-    pub fn core(mut self, core: ServerCore) -> Self {
-        self.config.core = core;
         self
     }
 
@@ -416,7 +349,7 @@ impl From<LedgerError> for ServerError {
     }
 }
 
-/// Shared state every worker thread serves from.
+/// Shared state the reactor and its executors serve from.
 struct Service {
     registry: Registry,
     ledger: Mutex<BudgetLedger>,
@@ -452,81 +385,15 @@ struct ConnConfig {
     max_requests_per_connection: usize,
 }
 
-/// Where thread-per-connection workers park while waiting for a
-/// keep-alive connection's next request, registered so shutdown can
-/// interrupt the blocked `peek`s directly instead of the old 50 ms
-/// stop-flag polling: each parked worker blocks on the socket itself
-/// (readiness-driven — zero wakeups while idle), and
-/// [`IdleRegistry::interrupt_all`] shuts down the read half of every
-/// parked socket, which returns those `peek`s immediately.
-struct IdleRegistry {
-    next_id: AtomicU64,
-    parked: Mutex<BTreeMap<u64, TcpStream>>,
-}
-
-impl IdleRegistry {
-    fn new() -> IdleRegistry {
-        IdleRegistry {
-            next_id: AtomicU64::new(0),
-            parked: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Registers `stream` as parked-idle; the returned ticket
-    /// unregisters on drop. `None` (clone failure) means the caller
-    /// should close instead of waiting.
-    fn park(&self, stream: &TcpStream) -> Option<IdleTicket<'_>> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.parked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .insert(id, clone);
-        Some(IdleTicket { registry: self, id })
-    }
-
-    /// Unblocks every parked worker by shutting down the read half of
-    /// its socket (the blocked `peek` then returns EOF). Only called on
-    /// shutdown, when those idle connections are being retired anyway.
-    fn interrupt_all(&self) {
-        let parked = self
-            .parked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for stream in parked.values() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-    }
-}
-
-struct IdleTicket<'a> {
-    registry: &'a IdleRegistry,
-    id: u64,
-}
-
-impl Drop for IdleTicket<'_> {
-    fn drop(&mut self) {
-        self.registry
-            .parked
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .remove(&self.id);
-    }
-}
-
 /// A running server. Dropping the handle without calling
-/// [`ServerHandle::shutdown`] detaches the workers (they keep serving
+/// [`ServerHandle::shutdown`] detaches the reactor (it keeps serving
 /// until the process exits).
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    reactor: std::thread::JoinHandle<()>,
     service: Arc<Service>,
-    /// Present under the reactor core: wakes the reactor out of `poll`.
-    wake: Option<Box<dyn Fn() + Send + Sync>>,
-    /// Thread-per-connection core: workers parked on idle keep-alive
-    /// connections, interruptible for prompt shutdown.
-    idle: Arc<IdleRegistry>,
+    wake: sys::WakeHandle,
 }
 
 impl ServerHandle {
@@ -554,37 +421,22 @@ impl ServerHandle {
         self.service.registry_snapshot()
     }
 
-    /// Stops accepting, wakes every worker, and joins them. In-flight
-    /// requests finish before their worker exits; idle keep-alive
-    /// connections are interrupted immediately (reactor: retired from
-    /// the poll set; thread core: their parked `peek`s unblocked), so
-    /// shutdown latency is bounded by in-flight work, never by idle
-    /// timeouts.
-    pub fn shutdown(mut self) {
+    /// Stops accepting, wakes the reactor, and joins it. In-flight
+    /// requests finish first; idle keep-alive connections are retired
+    /// from the poll set immediately, so shutdown latency is bounded by
+    /// in-flight work, never by idle timeouts.
+    pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Keep nudging until every worker has observed the flag and
-        // exited (a real client racing in could consume a wake-up, so
-        // this loops rather than counting).
-        while self.workers.iter().any(|w| !w.is_finished()) {
-            match &self.wake {
-                // Reactor core: a waker byte interrupts the poll wait.
-                Some(wake) => wake(),
-                // Thread core: each connect wakes one blocked accept.
-                None => {
-                    let _ = TcpStream::connect(self.addr);
-                }
-            }
-            self.idle.interrupt_all();
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        // One wake is enough: the byte stays in the pipe until the
+        // reactor has polled, and it re-reads `stop` at the top of every
+        // loop turn.
+        self.wake.wake();
+        let _ = self.reactor.join();
     }
 }
 
 /// Starts a server: opens the registry and ledger, binds the listener,
-/// and spawns the worker threads.
+/// and spawns the reactor (which spawns its executor threads).
 pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     if config.threads == 0 {
         return Err(ServerError::InvalidConfig(
@@ -630,330 +482,25 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         max_requests_per_connection: config.max_requests_per_connection.max(1),
     };
 
-    #[cfg(unix)]
-    if config.core == ServerCore::Reactor {
-        let waker = sys::Waker::new()?;
-        let wake = waker.handle();
-        let opts = reactor::ReactorOptions {
-            executors: config.threads,
-            limits: config.limits,
-            conn: conn_config,
-        };
-        let reactor_service = Arc::clone(&service);
-        let reactor_stop = Arc::clone(&stop);
-        let worker = std::thread::spawn(move || {
-            reactor::run(listener, reactor_service, reactor_stop, waker, opts);
-        });
-        return Ok(ServerHandle {
-            addr,
-            stop,
-            workers: vec![worker],
-            service,
-            wake: Some(Box::new(move || wake.wake())),
-            idle: Arc::new(IdleRegistry::new()),
-        });
-    }
-
-    let idle = Arc::new(IdleRegistry::new());
-    let mut workers = Vec::with_capacity(config.threads);
-    for _ in 0..config.threads {
-        let listener = listener.try_clone()?;
-        let stop = Arc::clone(&stop);
-        let service = Arc::clone(&service);
-        let idle = Arc::clone(&idle);
-        let limits = config.limits;
-        workers.push(std::thread::spawn(move || {
-            worker_loop(&listener, &stop, &service, &limits, conn_config, &idle);
-        }));
-    }
+    let waker = sys::Waker::new()?;
+    let wake = waker.handle();
+    let opts = reactor::ReactorOptions {
+        executors: config.threads,
+        limits: config.limits,
+        conn: conn_config,
+    };
+    let reactor_service = Arc::clone(&service);
+    let reactor_stop = Arc::clone(&stop);
+    let reactor = std::thread::spawn(move || {
+        reactor::run(listener, reactor_service, reactor_stop, waker, opts);
+    });
     Ok(ServerHandle {
         addr,
         stop,
-        workers,
+        reactor,
         service,
-        wake: None,
-        idle,
+        wake,
     })
-}
-
-fn worker_loop(
-    listener: &TcpListener,
-    stop: &AtomicBool,
-    service: &Service,
-    limits: &Limits,
-    conn: ConnConfig,
-    idle: &IdleRegistry,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Persistent accept failures (e.g. fd exhaustion under a
-                // connection flood) must not busy-spin a core.
-                std::thread::sleep(Duration::from_millis(10));
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        serve_connection(stream, service, limits, conn, stop, idle);
-    }
-}
-
-/// Why the idle wait for a connection's next request ended.
-enum IdleOutcome {
-    /// Request bytes are available (buffered or on the socket).
-    Ready,
-    /// The peer closed, the idle timeout passed, the server is shutting
-    /// down, or the socket failed — close without a response.
-    Close,
-}
-
-/// Waits for the first byte of the next request by blocking on the
-/// socket itself — zero wakeups while the connection idles (the old
-/// implementation re-polled every 50 ms to notice shutdown). Prompt
-/// shutdown is preserved by parking the socket in the [`IdleRegistry`]
-/// first: `ServerHandle::shutdown` stores the stop flag and then
-/// interrupts every parked socket, so the blocked `peek` returns
-/// immediately and the stop re-check below closes the connection.
-fn wait_for_request(
-    stream: &TcpStream,
-    buffered: bool,
-    conn: ConnConfig,
-    stop: &AtomicBool,
-    idle: &IdleRegistry,
-) -> IdleOutcome {
-    if buffered {
-        // A pipelined request is already in the parse buffer.
-        return IdleOutcome::Ready;
-    }
-    let Some(_ticket) = idle.park(stream) else {
-        return IdleOutcome::Close;
-    };
-    // Checked AFTER parking: shutdown stores the flag before it
-    // interrupts, so a store racing this park is observed here and a
-    // store after this check finds the socket already parked.
-    if stop.load(Ordering::SeqCst) {
-        return IdleOutcome::Close;
-    }
-    let idle_deadline = Instant::now() + conn.keep_alive_timeout;
-    let mut probe = [0u8; 1];
-    loop {
-        let Some(remaining) = idle_deadline
-            .checked_duration_since(Instant::now())
-            .filter(|r| !r.is_zero())
-        else {
-            return IdleOutcome::Close;
-        };
-        if stream.set_read_timeout(Some(remaining)).is_err() {
-            return IdleOutcome::Close;
-        }
-        match stream.peek(&mut probe) {
-            Ok(0) => return IdleOutcome::Close,
-            Ok(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    return IdleOutcome::Close;
-                }
-                return IdleOutcome::Ready;
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // The full idle window elapsed (or an interrupt raced a
-                // timeout); the loop re-derives the remaining window.
-                if stop.load(Ordering::SeqCst) {
-                    return IdleOutcome::Close;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return IdleOutcome::Close,
-        }
-    }
-}
-
-/// A [`Read`] over a `TcpStream` that enforces an absolute per-request
-/// deadline across however many reads the request takes: the remaining
-/// budget shrinks with every read, so a client trickling bytes cannot
-/// reset the clock — once the deadline passes every read fails with
-/// `TimedOut`, which the parser maps to a typed 408.
-struct TimedStream {
-    stream: TcpStream,
-    deadline: Option<Instant>,
-}
-
-impl TimedStream {
-    fn arm(&mut self, timeout: Duration) {
-        self.deadline = Some(Instant::now() + timeout);
-    }
-}
-
-impl Read for TimedStream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let remaining = match self.deadline {
-            Some(deadline) => deadline
-                .checked_duration_since(Instant::now())
-                .filter(|r| !r.is_zero())
-                .ok_or_else(|| {
-                    std::io::Error::new(std::io::ErrorKind::TimedOut, "request read deadline")
-                })?,
-            None => Duration::from_secs(3600),
-        };
-        self.stream.set_read_timeout(Some(remaining))?;
-        match self.stream.read(buf) {
-            // Normalize the platform's timeout kind so the deadline is
-            // one typed condition.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "request read deadline",
-                ))
-            }
-            other => other,
-        }
-    }
-}
-
-/// The per-connection state machine: serves a sequence of requests over
-/// one TCP connection with HTTP/1.1 keep-alive.
-///
-/// States, per iteration: **idle** (wait for the next request's first
-/// byte, bounded by the keep-alive timeout, stop-flag aware) → **read**
-/// (parse one request under an absolute deadline — a stalled or
-/// trickling client gets a typed 408) → **respond** (route, then stream
-/// or buffer the response with the right `Connection` header) → back to
-/// idle, until the client asks to close, the requests-per-connection
-/// bound is hit, a parse or write fails, or the server shuts down. Any
-/// parse failure becomes the matching 4xx/5xx and closes (framing is
-/// unreliable after an error); a worker never dies on a bad connection.
-fn serve_connection(
-    stream: TcpStream,
-    service: &Service,
-    limits: &Limits,
-    conn: ConnConfig,
-    stop: &AtomicBool,
-    idle: &IdleRegistry,
-) {
-    let _open = service.metrics.as_ref().map(|m| m.connection_guard());
-    let _ = stream.set_write_timeout(Some(conn.io_timeout));
-    // Chunked responses are flushed block by block; without TCP_NODELAY
-    // the small framing writes sit in Nagle's buffer waiting for delayed
-    // ACKs, turning every keep-alive round trip into ~40-80 ms of idle.
-    let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = RequestReader::new(TimedStream {
-        stream: read_half,
-        deadline: None,
-    });
-    let mut write_half = stream;
-    let mut served = 0usize;
-    // An idle wait ending in `Close` (peer gone, idle timeout, or
-    // shutdown) exits silently — no request is in flight, so no
-    // response is owed.
-    while let IdleOutcome::Ready =
-        wait_for_request(&write_half, reader.has_buffered(), conn, stop, idle)
-    {
-        reader.reader_mut().arm(conn.request_read_timeout);
-        let parsed = reader.next_request(limits);
-        match parsed {
-            Ok(request) => {
-                served += 1;
-                let started = Instant::now();
-                let in_flight = service
-                    .metrics
-                    .as_ref()
-                    .map(|m| m.begin_request(served > 1));
-                let keep = request.keep_alive()
-                    && served < conn.max_requests_per_connection
-                    && !stop.load(Ordering::SeqCst);
-                let mut response = route(service, &request);
-                if request.version == http::Version::Http10 {
-                    // HTTP/1.0 clients cannot parse chunked framing: the
-                    // documented fallback buffers the stream.
-                    response = response.into_buffered();
-                }
-                let status = response.status;
-                // Observed BEFORE the body is written: once the client
-                // has the response, the next scrape is guaranteed to see
-                // this request counted. Streamed bodies generate rows
-                // during the write; that phase is covered by the
-                // dedicated first-byte and bytes series the wrapper below
-                // records.
-                let seconds = started.elapsed().as_secs_f64();
-                if let Some(m) = &service.metrics {
-                    m.observe_request(route_label(&request), status, seconds);
-                    m.instrument_stream(&mut response, m.clock.now_nanos());
-                }
-                let write_ok = response.write_to(&mut write_half, keep).is_ok();
-                drop(in_flight);
-                if let Some(log) = &service.access_log {
-                    log.log(&format!(
-                        "t={} method={} target={} status={} keep={} dur_us={}",
-                        unix_millis(),
-                        request.method,
-                        request.target,
-                        status,
-                        keep && write_ok,
-                        (seconds * 1e6) as u64,
-                    ));
-                }
-                if !write_ok {
-                    // A failed or aborted write (including mid-stream)
-                    // leaves the wire framing unrecoverable.
-                    break;
-                }
-                if !keep {
-                    let _ = write_half.shutdown(std::net::Shutdown::Write);
-                    break;
-                }
-            }
-            Err(e) => {
-                let status = e.status();
-                if let Some(m) = &service.metrics {
-                    let _in_flight = m.begin_request(served > 0);
-                    m.observe_request("unparsed", status, 0.0);
-                }
-                if let Some(log) = &service.access_log {
-                    log.log(&format!(
-                        "t={} method=- target=- status={status} keep=false dur_us=0 parse_error={:?}",
-                        unix_millis(),
-                        e.to_string(),
-                    ));
-                }
-                let mut response = error_response(status, &e.to_string());
-                let _ = response.write_to(&mut write_half, false);
-                let _ = write_half.shutdown(std::net::Shutdown::Write);
-                // The request was rejected mid-send (oversized head, huge
-                // Content-Length, …): briefly drain what the client is
-                // still writing so closing does not RST the socket and
-                // discard the error response before the client reads it.
-                // Bounded in both bytes and time so a hostile client
-                // cannot pin the worker.
-                let _ = write_half.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut scratch = [0u8; 4096];
-                for _ in 0..64 {
-                    match write_half.read(&mut scratch) {
-                        Ok(0) | Err(_) => break,
-                        Ok(_) => {}
-                    }
-                }
-                break;
-            }
-        }
-    }
 }
 
 fn error_response(status: u16, message: &str) -> Response {
@@ -1473,8 +1020,8 @@ fn json_body_prefix(name: &str, seed: u64, n: usize) -> String {
 
 /// A chunked streaming response for a plain (unlabelled) sampling
 /// request: each chunk serializes up to [`STREAM_CHUNK_ROWS`] rows that
-/// are generated — via the core chunked sampler — only when the previous
-/// chunk has been handed to the socket. The `Arc` keeps the model alive
+/// are generated — via `SynthesisSnapshot::sample_rows` — only when the
+/// previous chunk has been handed to the socket. The `Arc` keeps the model alive
 /// for the stream's whole lifetime, so a hot reload mid-stream never
 /// yanks the snapshot out from under the response.
 fn stream_rows(model: Arc<LoadedModel>, name: &str, spec: &SampleSpec) -> Response {
@@ -1572,20 +1119,6 @@ fn render_rows(name: &str, spec: &SampleSpec, rows: &Matrix, labels: Option<&[us
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn server_core_selection_spellings() {
-        assert_eq!(ServerCore::parse(None), ServerCore::Reactor);
-        assert_eq!(ServerCore::parse(Some("reactor")), ServerCore::Reactor);
-        assert_eq!(ServerCore::parse(Some("")), ServerCore::Reactor);
-        for spelling in ["thread", "thread-per-connection", "threaded"] {
-            assert_eq!(
-                ServerCore::parse(Some(spelling)),
-                ServerCore::ThreadPerConnection,
-                "{spelling}"
-            );
-        }
-    }
 
     #[test]
     fn sample_spec_validation() {

@@ -82,8 +82,8 @@ impl ServerMetrics {
     }
 
     /// Mark a request in flight; the guard decrements on drop (panic-safe).
-    /// The guard owns its gauge handle, so under the reactor core it can
-    /// travel with the request across executor threads.
+    /// The guard owns its gauge handle, so it can travel with the request
+    /// across executor threads.
     pub(crate) fn begin_request(&self, reused_connection: bool) -> InFlightGuard {
         self.in_flight.add(1.0);
         if reused_connection {
@@ -94,24 +94,12 @@ impl ServerMetrics {
         }
     }
 
-    /// Mark a connection open; the guard decrements on drop. The
-    /// thread-per-connection core scopes one guard per
-    /// `serve_connection`; the reactor uses the paired
-    /// [`ServerMetrics::connection_opened`] / `connection_closed` calls
-    /// instead because open and close happen at different call sites.
-    pub(crate) fn connection_guard(&self) -> ConnectionGuard {
-        self.connections_open.add(1.0);
-        ConnectionGuard {
-            gauge: self.connections_open.clone(),
-        }
-    }
-
-    /// Mark a connection accepted (reactor core).
+    /// Mark a connection accepted.
     pub(crate) fn connection_opened(&self) {
         self.connections_open.add(1.0);
     }
 
-    /// Mark a connection closed (reactor core).
+    /// Mark a connection closed.
     pub(crate) fn connection_closed(&self) {
         self.connections_open.add(-1.0);
     }
@@ -337,17 +325,6 @@ impl Drop for InFlightGuard {
     }
 }
 
-/// RAII open-connection marker from [`ServerMetrics::connection_guard`].
-pub(crate) struct ConnectionGuard {
-    gauge: Gauge,
-}
-
-impl Drop for ConnectionGuard {
-    fn drop(&mut self) {
-        self.gauge.add(-1.0);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,12 +368,9 @@ mod tests {
         m.reactor_wakeup();
         m.reactor_wakeup();
         m.reactor_wakeup();
-        let guard = m.connection_guard();
         let text = m.registry.render();
-        assert!(text.contains("p3gm_connections_open 2"), "{text}");
+        assert!(text.contains("p3gm_connections_open 1"), "{text}");
         assert!(text.contains("p3gm_reactor_wakeups_total 3"), "{text}");
-        drop(guard);
-        assert!(m.registry.render().contains("p3gm_connections_open 1"));
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //! set for `POLLOUT`, and the executor moves on: a slow reader costs a
 //! slab slot, never a thread.
 //!
-//! Every observable contract of the thread-per-connection core survives
-//! unchanged: byte-identical responses (the same `route()` and the
-//! head/chunk framing shared with `Response::write_to`), request-read
-//! and keep-alive deadlines (typed 408 via the same
-//! `HttpError::Io(TimedOut)` the blocking reader produces), silent close
-//! on clean EOF between requests, `max_requests_per_connection`,
-//! exactly-once ledger charging (charging still happens inside
-//! `route()`, before any byte is written), and graceful shutdown that
-//! drains in-flight work but retires idle connections immediately.
+//! The connection contracts: responses byte-identical to
+//! `Response::write_to` for the same `route()` output (same head and
+//! chunk framing); a request-read deadline that answers a typed 408
+//! (`HttpError::Io(TimedOut)`), and a keep-alive deadline that closes an
+//! idle connection silently; silent close on clean EOF between requests;
+//! `max_requests_per_connection`; exactly-once ledger charging (inside
+//! `route()`, before any byte is written); and graceful shutdown that
+//! drains in-flight work but retires idle connections immediately. A
+//! configured timeout too large for an `Instant` (`Duration::MAX`)
+//! means no deadline.
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
@@ -57,8 +58,9 @@ const WAKER_ID: u64 = u64::MAX;
 /// Synthetic poll-set id for the listener.
 const LISTENER_ID: u64 = u64::MAX - 1;
 /// How long a rejected connection may dribble its remaining request
-/// bytes before the socket is dropped (mirrors the thread core's
-/// bounded post-error drain).
+/// bytes before the socket is dropped. The drain keeps a close with
+/// unread bytes from sending an RST that would discard the error
+/// response before the client reads it.
 const DRAIN_WINDOW: Duration = Duration::from_millis(200);
 /// Byte budget for that drain — a client still uploading megabytes
 /// after a 4xx is cut off rather than serviced.
@@ -67,11 +69,17 @@ const DRAIN_BYTES: usize = 256 * 1024;
 /// (e.g. EMFILE): keeps the loop from spinning while still recovering.
 const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 
+/// The deadline `timeout` from now; `None` (no deadline) when it lies
+/// beyond what an `Instant` can hold, which is how `Duration::MAX`
+/// disables a configured timeout.
+fn deadline_after(timeout: Duration) -> Option<Instant> {
+    Instant::now().checked_add(timeout)
+}
+
 /// A `TcpStream` shared between the reactor (reads, polls, closes) and
 /// executors (writes), with a running count of bytes read so the
 /// reactor can distinguish "clean EOF while idle" (silent close) from
-/// "bytes arrived, then EOF" (400) — the same distinction the blocking
-/// core gets from its `peek`.
+/// "bytes arrived, then EOF" (400).
 #[derive(Clone)]
 pub(crate) struct SharedStream {
     stream: Arc<TcpStream>,
@@ -127,7 +135,7 @@ struct WriteInFlight {
 
 /// Access-log fields captured when the response was computed, emitted
 /// once the write finishes (success path only — parse errors log
-/// immediately from the reactor, as the blocking core does).
+/// immediately from the reactor).
 struct LogEntry {
     method: Method,
     target: String,
@@ -229,7 +237,7 @@ fn advance_write(service: &Service, conn_id: u64, mut write: WriteInFlight) -> D
 }
 
 /// Terminal bookkeeping for a write: release the in-flight gauge, emit
-/// the access-log line (same format as the blocking core).
+/// the access-log line.
 fn finish_write(service: &Service, conn_id: u64, mut write: WriteInFlight, write_ok: bool) -> Done {
     drop(write.guard.take());
     if let (Some(entry), Some(log)) = (write.log.take(), service.access_log.as_ref()) {
@@ -544,7 +552,7 @@ impl Reactor {
                         reader: RequestReader::new(shared),
                         served: 0,
                         state: State::Idle,
-                        deadline: Some(Instant::now() + self.cfg.keep_alive_timeout),
+                        deadline: deadline_after(self.cfg.keep_alive_timeout),
                         bytes_in,
                         read_marker: 0,
                     };
@@ -572,7 +580,7 @@ impl Reactor {
             Some(conn) => match &conn.state {
                 State::Idle => {
                     conn.state = State::Reading;
-                    conn.deadline = Some(Instant::now() + self.cfg.request_read_timeout);
+                    conn.deadline = deadline_after(self.cfg.request_read_timeout);
                     Act::Parse
                 }
                 State::Reading => Act::Parse,
@@ -648,9 +656,9 @@ impl Reactor {
     }
 
     /// Write a typed error response from the reactor thread itself
-    /// (parse errors never reach the pool), then drain-and-close —
-    /// mirroring the blocking core's error path, including the metrics
-    /// and parse-error access-log line.
+    /// (parse errors never reach the pool), count it under the
+    /// `unparsed` route, log a parse-error access-log line, then
+    /// drain-and-close.
     fn reject(&mut self, id: u64, err: &HttpError) {
         let status = err.status();
         let served = match self.slab.get_mut(id) {
@@ -720,7 +728,7 @@ impl Reactor {
             Done::Blocked { conn_id, write } => {
                 if let Some(conn) = self.slab.get_mut(conn_id) {
                     conn.state = State::WritePending(Some(write));
-                    conn.deadline = Some(Instant::now() + self.cfg.io_timeout);
+                    conn.deadline = deadline_after(self.cfg.io_timeout);
                 }
             }
             Done::Finished {
@@ -769,11 +777,11 @@ impl Reactor {
                     // Pipelined bytes already in the carry never raise
                     // POLLIN — parse immediately.
                     conn.state = State::Reading;
-                    conn.deadline = Some(Instant::now() + self.cfg.request_read_timeout);
+                    conn.deadline = deadline_after(self.cfg.request_read_timeout);
                     true
                 } else {
                     conn.state = State::Idle;
-                    conn.deadline = Some(Instant::now() + self.cfg.keep_alive_timeout);
+                    conn.deadline = deadline_after(self.cfg.keep_alive_timeout);
                     false
                 }
             }
@@ -855,7 +863,6 @@ impl Reactor {
         match kind {
             Kind::Silent => self.close(id),
             Kind::ReadTimeout => {
-                // Same typed 408 the blocking reader's deadline produces.
                 self.reject(id, &HttpError::Io(ErrorKind::TimedOut));
             }
             Kind::WriteTimeout(write) => {

@@ -10,7 +10,7 @@
 
 use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
-use p3gm::core::snapshot::{SampleRequest, SynthesisSnapshot};
+use p3gm::core::snapshot::SynthesisSnapshot;
 use p3gm::core::synthesis::LabelledSynthesizer;
 use p3gm::datasets::tabular::adult_like;
 use rand::rngs::StdRng;
@@ -55,40 +55,29 @@ fn main() {
         );
     }
 
-    // 4. ...and serves concurrent, seedable requests. Each request's rows
-    //    are fully determined by its seed, so any replica answers any
-    //    request identically.
-    let requests: Vec<SampleRequest> = (0..4)
-        .map(|i| SampleRequest {
-            seed: 100 + i,
-            n: 250,
-        })
-        .collect();
-    let responses = loaded.serve(&requests);
-    for (req, rows) in requests.iter().zip(responses.iter()) {
-        println!(
-            "request seed {:>3} -> {} synthetic rows",
-            req.seed,
-            rows.rows()
-        );
+    // 4. ...and serves seedable requests. Each request's rows are fully
+    //    determined by its seed, so any replica answers any request
+    //    identically.
+    for seed in 100..104 {
+        let rows = loaded.sample(seed, 250);
+        println!("request seed {seed:>3} -> {} synthetic rows", rows.rows());
     }
 
     // 5. The round-trip guarantee: sampling the loaded snapshot with a
     //    fixed seed is bit-identical to the canonical stream of the
-    //    snapshot that never left memory — serially, chunk by chunk, or
-    //    in parallel (every path consumes the same chunked sampler).
+    //    snapshot that never left memory — whole, or window by window as
+    //    a server streams it.
     let direct = snapshot.sample(42, 100);
     let served = loaded.sample(42, 100);
     assert_eq!(direct.as_slice(), served.as_slice());
-    let chunked: Vec<f64> = loaded
-        .sample_chunks(42, 100, 24)
-        .flat_map(|chunk| chunk.as_slice().to_vec())
+    let windowed: Vec<f64> = (0..100)
+        .step_by(24)
+        .flat_map(|start| {
+            let rows = 24.min(100 - start);
+            loaded.sample_rows(42, start, rows).as_slice().to_vec()
+        })
         .collect();
-    assert_eq!(direct.as_slice(), chunked.as_slice());
-    assert_eq!(
-        direct.as_slice(),
-        loaded.sample_parallel(42, 100).as_slice()
-    );
+    assert_eq!(direct.as_slice(), windowed.as_slice());
     println!("round trip verified: save -> load -> sample is bit-identical");
 
     // 6. Labelled serving: original-unit features with the requested label

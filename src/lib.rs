@@ -9,8 +9,8 @@
 //! * [`store`] — versioned binary snapshot codec for persisting trained
 //!   models (magic + version + tags + checksum, std-only, no serde).
 //! * [`server`] — std-only HTTP synthesis service serving snapshot files
-//!   (model registry with hot reload, privacy budget ledger, strict
-//!   request parsing).
+//!   (Unix only; model registry with hot reload, privacy budget ledger,
+//!   strict request parsing).
 //! * [`obs`] — deterministic observability core (atomic counters, gauges,
 //!   fixed-bucket histograms, Prometheus text exposition, injectable-clock
 //!   spans); telemetry is post-processing and never part of DP state.

@@ -252,10 +252,11 @@ proptest! {
         }
     }
 
-    /// The snapshot's canonical sample stream: for any (seed, n, chunk
-    /// size), the chunked iterator's concatenation, the serial sample,
-    /// and the parallel sample are all bit-identical at every thread
-    /// count — and a shorter request is a row-prefix of a longer one.
+    /// The snapshot's canonical sample stream: for any (seed, n, window
+    /// size), the concatenated `sample_rows` windows — the path the
+    /// server streams — are bit-identical to `sample(seed, n)` at every
+    /// thread count, and a shorter request is a row-prefix of a longer
+    /// one.
     #[test]
     fn snapshot_sampling_is_chunk_and_thread_invariant(
         seed in 0u64..1_000_000,
@@ -264,17 +265,21 @@ proptest! {
     ) {
         let snapshot = snapshot_fixture();
         let reference = with_threads(1, || snapshot.sample(seed, n));
-        let mut chunked: Vec<f64> = Vec::with_capacity(reference.as_slice().len());
-        for chunk in snapshot.sample_chunks(seed, n, chunk_rows) {
-            chunked.extend_from_slice(chunk.as_slice());
-        }
-        prop_assert_eq!(chunked.len(), reference.as_slice().len());
-        for (x, y) in chunked.iter().zip(reference.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
         for threads in [1, 2, 4] {
-            let parallel = with_threads(threads, || snapshot.sample_parallel(seed, n));
-            assert_bits_equal(&parallel, &reference);
+            let windows = with_threads(threads, || {
+                let mut rows: Vec<f64> = Vec::with_capacity(reference.as_slice().len());
+                for start in (0..n).step_by(chunk_rows) {
+                    let window = snapshot.sample_rows(seed, start, chunk_rows.min(n - start));
+                    rows.extend_from_slice(window.as_slice());
+                }
+                rows
+            });
+            prop_assert_eq!(windows.len(), reference.as_slice().len());
+            for (x, y) in windows.iter().zip(reference.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
+            let whole = with_threads(threads, || snapshot.sample(seed, n));
+            assert_bits_equal(&whole, &reference);
         }
         // Prefix stability: the stream does not depend on n.
         let shorter = snapshot.sample(seed, n / 2);

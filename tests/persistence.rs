@@ -12,6 +12,7 @@ use p3gm::linalg::Matrix;
 use p3gm::mixture::Gmm;
 use p3gm::nn::activation::Activation;
 use p3gm::nn::mlp::Mlp;
+use p3gm::parallel::with_threads;
 use p3gm::preprocess::scaler::{MinMaxScaler, StandardScaler};
 use p3gm::store::{crc32, StoreError, CHECKSUM_LEN, FORMAT_VERSION};
 use proptest::prelude::*;
@@ -209,17 +210,23 @@ fn saved_model_reproduces_in_memory_samples_bit_for_bit() {
     for seed in [0u64, 1, 42, u64::MAX] {
         // The never-persisted snapshot's canonical stream is the
         // reference; the loaded snapshot must reproduce it bit for bit —
-        // serially, chunked, and in parallel.
+        // whole, and as the `sample_rows` windows a server streams, at
+        // every thread count.
         let direct = snapshot.sample(seed, 25);
-        let served = loaded.sample(seed, 25);
-        assert_eq!(direct.as_slice(), served.as_slice(), "seed {seed}");
-        let parallel = loaded.sample_parallel(seed, 25);
-        assert_eq!(direct.as_slice(), parallel.as_slice(), "seed {seed}");
-        let chunked: Vec<f64> = loaded
-            .sample_chunks(seed, 25, 7)
-            .flat_map(|chunk| chunk.as_slice().to_vec())
-            .collect();
-        assert_eq!(direct.as_slice(), chunked.as_slice(), "seed {seed}");
+        for threads in [1, 2, 4] {
+            let served = with_threads(threads, || loaded.sample(seed, 25));
+            assert_eq!(direct.as_slice(), served.as_slice(), "seed {seed}");
+            let windows: Vec<f64> = with_threads(threads, || {
+                (0..25)
+                    .step_by(7)
+                    .flat_map(|start| {
+                        let rows = 7.min(25 - start);
+                        loaded.sample_rows(seed, start, rows).as_slice().to_vec()
+                    })
+                    .collect()
+            });
+            assert_eq!(direct.as_slice(), windows.as_slice(), "seed {seed}");
+        }
     }
     // The privacy stamp and synthesizer survive the round trip.
     assert_eq!(

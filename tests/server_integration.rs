@@ -360,6 +360,56 @@ fn idle_connections_are_closed_silently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `Duration::MAX` disables a deadline rather than overflowing the
+/// reactor's `Instant` arithmetic: the server keeps answering new
+/// connections, and a response whose writes block while the client
+/// holds off reading still arrives whole.
+#[test]
+fn duration_max_timeouts_disable_their_deadlines() {
+    let dir = model_dir("max_timeouts", &["m"]);
+    let server = start(
+        ServerConfig::builder(&dir)
+            .threads(2)
+            .io_timeout(Duration::MAX)
+            .request_read_timeout(Duration::MAX)
+            .keep_alive_timeout(Duration::MAX)
+            .build(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    for _ in 0..2 {
+        let (status, _, _) = request(addr, "GET", "/healthz", "");
+        assert_eq!(status, 200);
+    }
+
+    // Megabytes of CSV, far beyond what the loopback socket buffers hold
+    // while the client sleeps, so the server's writes block.
+    let n = 60_000usize;
+    let mut stream = connect(addr);
+    write_request(
+        &mut stream,
+        "POST",
+        "/models/m/sample",
+        &format!("{{\"seed\": 3, \"n\": {n}, \"format\": \"csv\"}}"),
+    );
+    std::thread::sleep(Duration::from_millis(500));
+    let response = ResponseReader::new(stream).next_response().unwrap();
+    assert_eq!(response.status, 200);
+    let expected: String = trained_snapshot()
+        .sample(3, n)
+        .row_iter()
+        .map(|row| {
+            let fields: Vec<String> = row.iter().map(f64::to_string).collect();
+            fields.join(",") + "\n"
+        })
+        .collect();
+    assert!(response.body.len() > 4 << 20, "{}", response.body.len());
+    assert_eq!(response.body, expected.into_bytes());
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn streamed_bodies_are_chunked_bounded_and_byte_identical_to_buffered() {
     let dir = model_dir("stream", &["m"]);
@@ -845,14 +895,32 @@ proptest! {
     }
 
     /// Structured-ish garbage: an almost-valid head with fuzzed method,
-    /// target and header bytes exercises the deeper parser branches.
+    /// target and header bytes exercises the deeper parser branches,
+    /// under the default limits and under operator-set `usize::MAX`
+    /// limits, with Content-Lengths small or near `u64::MAX`.
     #[test]
     fn request_parser_never_panics_on_fuzzed_heads(
         method_pool in proptest::collection::vec(0u32..256, 6),
         target_pool in proptest::collection::vec(0u32..256, 12),
         header_pool in proptest::collection::vec(0u32..256, 24),
-        content_length in 0u32..64
+        length_pick in 0u64..128,
+        max_limits in any::<bool>()
     ) {
+        // Half the picks are sent in full, half claim u64::MAX - k bytes.
+        let (content_length, sent) = if length_pick < 64 {
+            (length_pick, length_pick as usize)
+        } else {
+            (u64::MAX - (length_pick - 64), 0)
+        };
+        let limits = if max_limits {
+            Limits {
+                max_head_bytes: usize::MAX,
+                max_headers: usize::MAX,
+                max_body_bytes: usize::MAX,
+            }
+        } else {
+            Limits::default()
+        };
         let method: Vec<u8> = method_pool.iter().map(|&b| b as u8).collect();
         let target: Vec<u8> = target_pool.iter().map(|&b| b as u8).collect();
         let header: Vec<u8> = header_pool.iter().map(|&b| b as u8).collect();
@@ -864,9 +932,9 @@ proptest! {
         bytes.extend_from_slice(&header);
         bytes.extend_from_slice(b"\r\n");
         bytes.extend_from_slice(format!("Content-Length: {content_length}\r\n\r\n").as_bytes());
-        bytes.extend_from_slice(&vec![b'x'; content_length as usize]);
-        match read_request(&mut Cursor::new(bytes), &Limits::default()) {
-            Ok(req) => prop_assert_eq!(req.body.len(), content_length as usize),
+        bytes.extend_from_slice(&vec![b'x'; sent]);
+        match read_request(&mut Cursor::new(bytes), &limits) {
+            Ok(req) => prop_assert_eq!(req.body.len() as u64, content_length),
             Err(e) => prop_assert!((400..=599).contains(&e.status())),
         }
     }

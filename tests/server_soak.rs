@@ -3,8 +3,7 @@
 //! thread count, every body stays byte-identical to a fresh connection,
 //! a slow-loris client gets the typed 408 while the crowd stays served,
 //! a mid-stream abort still charges the privacy ledger exactly once —
-//! and graceful shutdown drains idle connections promptly under BOTH
-//! cores (the pin for removing the legacy 50 ms idle polling slice).
+//! and graceful shutdown drains idle connections promptly.
 
 use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
@@ -14,7 +13,7 @@ use p3gm::core::{DecoderLoss, VarianceMode};
 use p3gm::linalg::Matrix;
 use p3gm::privacy::sampling;
 use p3gm::server::http::ResponseReader;
-use p3gm::server::{json, start, ServerConfig, ServerCore, ServerHandle};
+use p3gm::server::{json, start, ServerConfig, ServerHandle};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Read, Write};
@@ -137,7 +136,6 @@ fn reactor_soaks_hundreds_of_keep_alive_connections() {
     let stamp = trained_snapshot().privacy_stamp().copied().unwrap();
     let server = start(
         ServerConfig::builder(&dir)
-            .core(ServerCore::Reactor)
             .threads(2)
             .budget_epsilon(Some(100.0 * stamp.epsilon))
             .request_read_timeout(Duration::from_millis(300))
@@ -245,54 +243,43 @@ fn reactor_soaks_hundreds_of_keep_alive_connections() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Graceful shutdown must drain idle keep-alive connections promptly
-/// under both cores. The keep-alive window is 60 s, so a prompt return
-/// proves shutdown interrupts idle waits instead of sleeping them out —
-/// the contract that replaced the old 50 ms polling slice.
+/// Graceful shutdown must drain idle keep-alive connections promptly.
+/// The keep-alive window is 60 s, so a prompt return proves shutdown
+/// interrupts idle waits instead of sleeping them out.
 #[test]
-fn graceful_shutdown_drains_idle_connections_promptly_under_both_cores() {
-    for core in [ServerCore::Reactor, ServerCore::ThreadPerConnection] {
-        let dir = model_dir(
-            match core {
-                ServerCore::Reactor => "drain_reactor",
-                ServerCore::ThreadPerConnection => "drain_thread",
-            },
-            &["m"],
-        );
-        let server: ServerHandle = start(
-            ServerConfig::builder(&dir)
-                .core(core)
-                .threads(2)
-                .keep_alive_timeout(Duration::from_secs(60))
-                .build(),
-        )
+fn graceful_shutdown_drains_idle_connections_promptly() {
+    let dir = model_dir("drain", &["m"]);
+    let server: ServerHandle = start(
+        ServerConfig::builder(&dir)
+            .threads(2)
+            .keep_alive_timeout(Duration::from_secs(60))
+            .build(),
+    )
+    .unwrap();
+    let addr = server.addr();
+
+    // One connection idles after a served request, one never sends a
+    // byte: both flavors of idle must drain.
+    let mut served = connect(addr);
+    write_request(&mut served, "GET", "/healthz", "");
+    let resp = ResponseReader::new(served.try_clone().unwrap())
+        .next_response()
         .unwrap();
-        let addr = server.addr();
+    assert_eq!(resp.status, 200);
+    let mut silent = connect(addr);
 
-        // One connection idles after a served request, one never sends
-        // a byte: both flavors of idle must drain.
-        let mut served = connect(addr);
-        write_request(&mut served, "GET", "/healthz", "");
-        let resp = ResponseReader::new(served.try_clone().unwrap())
-            .next_response()
-            .unwrap();
-        assert_eq!(resp.status, 200, "{core:?}");
-        let mut silent = connect(addr);
+    let begin = Instant::now();
+    server.shutdown();
+    let took = begin.elapsed();
+    assert!(
+        took < Duration::from_secs(5),
+        "shutdown must not wait out the 60 s keep-alive window, took {took:?}"
+    );
 
-        let begin = Instant::now();
-        server.shutdown();
-        let took = begin.elapsed();
-        assert!(
-            took < Duration::from_secs(5),
-            "{core:?} shutdown must not wait out the 60 s keep-alive \
-             window, took {took:?}"
-        );
+    // Both idle connections were closed, not answered.
+    let mut probe = [0u8; 1];
+    assert_eq!(served.read(&mut probe).unwrap_or(0), 0);
+    assert_eq!(silent.read(&mut probe).unwrap_or(0), 0);
 
-        // Both idle connections were closed, not answered.
-        let mut probe = [0u8; 1];
-        assert_eq!(served.read(&mut probe).unwrap_or(0), 0, "{core:?}");
-        assert_eq!(silent.read(&mut probe).unwrap_or(0), 0, "{core:?}");
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
