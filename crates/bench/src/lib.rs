@@ -5,8 +5,8 @@
 //! The heavy lifting lives in `p3gm-eval`; this crate adds the Criterion
 //! entry points (`benches/paper_tables.rs`, `benches/paper_figures.rs`) and
 //! the helpers below for persisting the regenerated reports under
-//! `target/paper_reports/` so they can be diffed against the numbers
-//! recorded in `EXPERIMENTS.md`.
+//! `target/paper_reports/`, one text file per table or figure, so two runs
+//! can be diffed.
 //!
 //! Usage:
 //!

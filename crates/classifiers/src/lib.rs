@@ -7,8 +7,8 @@
 //! train-on-synthetic / test-on-real protocol of Jordon et al.).  For
 //! tabular data it uses four classifiers — logistic regression, AdaBoost,
 //! gradient boosting and XGBoost — scored by AUROC and AUPRC; for images it
-//! trains a small CNN scored by accuracy.  This crate reimplements all of
-//! them:
+//! trains a small CNN scored by accuracy, for which this crate substitutes
+//! an MLP.  This crate reimplements all of them:
 //!
 //! * [`metrics`] — accuracy, AUROC, AUPRC.
 //! * [`logistic`] — binary logistic regression trained with full-batch
@@ -21,7 +21,7 @@
 //! * [`xgboost`] — second-order (Newton) boosting with L2 regularization on
 //!   leaf weights (the XGBoost objective).
 //! * [`mlp_classifier`] — a multi-class MLP softmax classifier used for the
-//!   image experiments (the Conv2d variant lives in `p3gm-nn::conv`).
+//!   image experiments (Table VII, Figure 7c).
 //! * [`suite`] — the paper's four-classifier evaluation harness producing
 //!   the AUROC/AUPRC rows of Tables V and VI.
 

@@ -1,5 +1,6 @@
 //! Hyper-parameter configuration for the generative models.
 
+use crate::lot::steps_per_epoch;
 use crate::{CoreError, Result};
 
 /// How the decoder scores reconstructions.
@@ -257,8 +258,7 @@ impl PgmConfig {
     /// Number of DP-SGD steps `T_s` the Decoding Phase will take on a
     /// dataset of `n` rows.
     pub fn sgd_steps(&self, n: usize) -> usize {
-        let steps_per_epoch = n.div_ceil(self.batch_size.max(1)).max(1);
-        steps_per_epoch * self.epochs
+        steps_per_epoch(n, self.batch_size) * self.epochs
     }
 
     /// Sampling probability `q = B/N` used by the privacy accountant.
@@ -343,7 +343,24 @@ impl VaeConfig {
     /// Validates the configuration against a dataset of `n` rows and `d`
     /// features.
     pub fn validate(&self, n: usize, d: usize) -> Result<()> {
-        self.check_finite()?;
+        self.validate_for_dim(d)?;
+        if n < 8 {
+            return Err(CoreError::InvalidData {
+                msg: format!("{n} rows are not enough to train"),
+            });
+        }
+        Ok(())
+    }
+
+    /// The checks of [`validate`](Self::validate) that do not depend on
+    /// the number of rows, for `d` features.
+    pub(crate) fn validate_for_dim(&self, d: usize) -> Result<()> {
+        check_finite(&[
+            ("learning_rate", self.learning_rate),
+            ("clip_norm", self.clip_norm),
+            ("sigma_s", self.sigma_s),
+            ("delta", self.delta),
+        ])?;
         if self.latent_dim == 0 || self.latent_dim > d {
             return Err(CoreError::InvalidConfig {
                 msg: format!("latent_dim must be in 1..={d}, got {}", self.latent_dim),
@@ -360,28 +377,17 @@ impl VaeConfig {
                     .to_string(),
             });
         }
-        if n < 8 {
-            return Err(CoreError::InvalidData {
-                msg: format!("{n} rows are not enough to train"),
+        if self.is_private() && !(self.delta > 0.0 && self.delta < 1.0) {
+            return Err(CoreError::InvalidConfig {
+                msg: format!("DP-VAE needs delta in (0,1), got {}", self.delta),
             });
         }
         Ok(())
     }
 
-    /// Rejects a non-finite value in any floating-point field (see
-    /// [`check_finite`]).
-    pub(crate) fn check_finite(&self) -> Result<()> {
-        check_finite(&[
-            ("learning_rate", self.learning_rate),
-            ("clip_norm", self.clip_norm),
-            ("sigma_s", self.sigma_s),
-            ("delta", self.delta),
-        ])
-    }
-
     /// Number of SGD steps taken on `n` rows.
     pub fn sgd_steps(&self, n: usize) -> usize {
-        n.div_ceil(self.batch_size.max(1)).max(1) * self.epochs
+        steps_per_epoch(n, self.batch_size) * self.epochs
     }
 
     /// Sampling probability `q = B/N`.
@@ -606,6 +612,92 @@ mod tests {
         assert_eq!(cfg.sgd_steps(321), 55);
         assert!((cfg.sampling_probability(320) - 0.1).abs() < 1e-12);
         assert_eq!(cfg.sampling_probability(10), 1.0);
+    }
+
+    /// The steps a fit takes are the steps the accountant charges, on lots
+    /// of the size its sampling probability assumes.
+    #[test]
+    fn fits_take_the_steps_the_accountant_charges() {
+        use crate::{PhasedGenerativeModel, Vae};
+        use rand::{rngs::StdRng, SeedableRng};
+        for (n, batch_size) in [(64, 16), (70, 16), (20, 64)] {
+            let data = p3gm_linalg::Matrix::from_fn(n, 5, |i, j| {
+                (((i * 5 + j) as f64) * 0.37).sin().abs()
+            });
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let cfg = PgmConfig {
+                latent_dim: 2,
+                hidden_dim: 8,
+                mog_components: 2,
+                epochs: 2,
+                batch_size,
+                em_iterations: 2,
+                ..PgmConfig::default()
+            };
+            let (_, history, report) =
+                PhasedGenerativeModel::fit_with_report(&mut rng, &data, cfg.clone(), None).unwrap();
+            let steps = cfg.sgd_steps(n);
+            assert_eq!(
+                report.dp_sgd_steps, steps as u64,
+                "n = {n}, B = {batch_size}"
+            );
+            assert_eq!(history.total_steps(), steps, "n = {n}, B = {batch_size}");
+            let lot = report.clip_measured_examples as f64 / report.dp_sgd_steps as f64;
+            assert_eq!(lot / n as f64, cfg.sampling_probability(n));
+
+            let cfg = VaeConfig {
+                latent_dim: 2,
+                hidden_dim: 8,
+                epochs: 2,
+                batch_size,
+                sigma_s: 1.0,
+                ..VaeConfig::default()
+            };
+            let (_, history) = Vae::fit(&mut rng, &data, cfg.clone()).unwrap();
+            assert_eq!(
+                history.total_steps(),
+                cfg.sgd_steps(n),
+                "n = {n}, B = {batch_size}"
+            );
+        }
+    }
+
+    #[test]
+    fn vae_rejects_out_of_range_configs_at_new_and_fit() {
+        use crate::Vae;
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut r = StdRng::seed_from_u64(3);
+        let data = p3gm_linalg::Matrix::from_fn(40, 6, |i, j| ((i + j) % 2) as f64);
+        // (learning_rate, hidden_dim, sigma_s, delta), one bad field each;
+        // δ matters only for the private DP-VAE.
+        for (learning_rate, hidden_dim, sigma_s, delta) in [
+            (0.0, 16, 0.0, 1e-5),
+            (-1.0, 16, 0.0, 1e-5),
+            (1e-2, 0, 0.0, 1e-5),
+            (1e-2, 16, -1.0, 1e-5),
+            (1e-2, 16, 1.0, 0.0),
+            (1e-2, 16, 1.0, 1.0),
+            (1e-2, 16, 1.0, 2.0),
+        ] {
+            let cfg = VaeConfig {
+                learning_rate,
+                hidden_dim,
+                sigma_s,
+                delta,
+                latent_dim: 2,
+                ..VaeConfig::default()
+            };
+            let new = Vae::new(&mut r, 6, cfg.clone());
+            assert!(
+                matches!(new, Err(CoreError::InvalidConfig { .. })),
+                "{cfg:?}"
+            );
+            let fit = Vae::fit(&mut r, &data, cfg.clone());
+            assert!(
+                matches!(fit, Err(CoreError::InvalidConfig { .. })),
+                "{cfg:?}"
+            );
+        }
     }
 
     #[test]

@@ -53,7 +53,6 @@ pub use synthesis::{synthesize_labelled, LabelledSynthesizer};
 pub use vae::Vae;
 
 use p3gm_linalg::Matrix;
-use rand::Rng;
 
 /// Common interface of every generative model in the workspace: draw
 /// synthetic rows in the same feature space the model was trained on.
@@ -96,13 +95,6 @@ impl std::error::Error for CoreError {}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, CoreError>;
-
-/// Draws `n` samples from any [`GenerativeModel`] using a concrete RNG —
-/// a small helper so callers with a `StdRng` don't need to cast to
-/// `dyn RngCore` themselves.
-pub fn sample_n<M: GenerativeModel + ?Sized, R: Rng>(model: &M, rng: &mut R, n: usize) -> Matrix {
-    model.sample(rng, n)
-}
 
 #[cfg(test)]
 mod tests {

@@ -9,33 +9,36 @@
 //! **Decoding Phase** (paper §IV-C): the decoder `p_θ(x|z)` and the encoder
 //! variance `σ_φ(x)` are trained against the ELBO of paper Eq. (8), whose KL
 //! term is taken against the MoG prior via the Hershey–Olsen approximation;
-//! the optimizer is DP-SGD for P3GM and plain Adam for PGM.
+//! the optimizer is DP-SGD for P3GM and plain Adam for PGM. The epoch loop
+//! and the DP-SGD step are the trainer the DP-VAE shares (the crate's `lot`
+//! module); this module supplies the networks, their flat parameter layout
+//! and the gradient of a chunk of a lot.
 //!
 //! **Data synthesis** (paper §IV-E): sample `z ~ MoG(λ)`, decode.
 //!
 //! The privacy of the whole pipeline is the RDP composition of Theorem 4,
 //! exposed through [`PhasedGenerativeModel::privacy_spec`].
 
-use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, PgmConfig, VarianceMode};
 use crate::history::{EpochStats, TrainingHistory};
-use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum, RowLosses};
-use crate::report::{elapsed_nanos, TrainReport};
+use crate::lot::{self, reconstruction, reparametrize, LotModel, LotSum, Trainer};
+use crate::report::TrainReport;
 use crate::{CoreError, GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_mixture::dpem::{self, DpEmConfig};
 use p3gm_mixture::em::{self, EmConfig};
 use p3gm_mixture::Gmm;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{clip_and_sum_batch, sample_batch_indices, DpSgdConfig};
+use p3gm_nn::dpsgd::clip_and_sum_batch;
 use p3gm_nn::loss::{bce_with_logits, sse};
 use p3gm_nn::mlp::{BatchGradients, Mlp};
-use p3gm_nn::optimizer::{Adam, Optimizer};
 use p3gm_obs::TimeSource;
 use p3gm_preprocess::pca::{DpPca, Pca};
 use p3gm_privacy::rdp::PrivacySpec;
-use p3gm_privacy::sampling;
 use rand::Rng;
+
+/// Per-step decay of the Polyak average of the Decoding Phase's iterates.
+const POLYAK_DECAY: f64 = 0.99;
 
 /// The dimensionality-reduction component of the Encoding Phase.
 #[derive(Debug, Clone)]
@@ -79,14 +82,8 @@ pub struct PhasedGenerativeModel {
     /// Scale applied to rows before the projection so that the DP-PCA
     /// sensitivity bound (unit L2 ball) holds; 1.0 for the non-private PGM.
     input_scale: f64,
-    optimizer: Adam,
-    trained_epochs: usize,
     n_train: usize,
-    /// Raw (non-averaged) optimizer iterate. The networks themselves hold the
-    /// Polyak-averaged weights after each epoch, which is what inference and
-    /// sampling should use; the optimizer continues from the raw iterate.
-    raw_params: Option<Vec<f64>>,
-    averager: PolyakAverager,
+    trainer: Trainer,
 }
 
 impl PhasedGenerativeModel {
@@ -273,8 +270,7 @@ impl PhasedGenerativeModel {
                 config.decoder_loss,
             );
         }
-        let optimizer = Adam::new(config.learning_rate);
-
+        let trainer = Trainer::new(config.learning_rate, POLYAK_DECAY, 0);
         Ok(PhasedGenerativeModel {
             projection,
             prior,
@@ -283,11 +279,8 @@ impl PhasedGenerativeModel {
             config,
             data_dim: d,
             input_scale,
-            optimizer,
-            trained_epochs: 0,
             n_train: n,
-            raw_params: None,
-            averager: PolyakAverager::new(0.99),
+            trainer,
         })
     }
 
@@ -349,7 +342,7 @@ impl PhasedGenerativeModel {
 
     /// Number of Decoding-Phase epochs trained so far.
     pub fn trained_epochs(&self) -> usize {
-        self.trained_epochs
+        self.trainer.epochs()
     }
 
     /// Whether the encoder-variance network is trained (full P3GM) or the
@@ -434,13 +427,9 @@ impl PhasedGenerativeModel {
     /// than following it. The counts are deterministic (folded in chunk
     /// order) and do not alter the update.
     ///
-    /// Each step is one parallel dispatch over row chunks of the lot. A
-    /// chunk runs the batched forward passes of both networks, the loss
-    /// and KL glue, and the batched backward passes, then clips and sums
-    /// its examples' gradients without forming them
-    /// (`p3gm_nn::dpsgd::clip_and_sum_batch`). Meanwhile the calling
-    /// thread first draws the step's DP noise, in the rng order of a draw
-    /// after the lot, and adds it once the sum is folded.
+    /// The epoch runs the trainer the DP-VAE shares (see the crate's
+    /// `lot` module): each step is one parallel dispatch over row chunks
+    /// of the lot, while the calling thread draws the step's DP noise.
     pub fn train_epoch_observed<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -448,130 +437,10 @@ impl PhasedGenerativeModel {
         report: &mut TrainReport,
         timer: Option<&dyn TimeSource>,
     ) -> Result<EpochStats> {
-        if data.cols() != self.data_dim {
-            return Err(CoreError::InvalidData {
-                msg: format!("expected {} features, got {}", self.data_dim, data.cols()),
-            });
-        }
-        let n = data.rows();
-        if n == 0 {
-            return Err(CoreError::InvalidData {
-                msg: "empty training data".to_string(),
-            });
-        }
-        let batch = self.config.batch_size.min(n).max(1);
-        let steps_per_epoch = n.div_ceil(batch);
-        let dp = if self.config.private {
-            Some(DpSgdConfig {
-                clip_norm: self.config.clip_norm,
-                noise_multiplier: self.config.sigma_s,
-                batch_size: batch,
-            })
-        } else {
-            None
-        };
-
-        // Resume from the raw optimizer iterate: the networks hold the
-        // Polyak-averaged weights between epochs.
-        let mut params = match self.raw_params.take() {
-            Some(p) => p,
-            None => self.flat_params(),
-        };
-        // Re-install the raw iterate before computing any gradients: the
-        // networks currently hold the averaged weights from the previous
-        // epoch, and gradients must be evaluated at the point the optimizer
-        // actually updates.
-        self.set_flat_params(&params);
-        let mut recon_sum = 0.0;
-        let mut kl_sum = 0.0;
-        let mut examples = 0usize;
-
-        for _ in 0..steps_per_epoch {
-            let indices = sample_batch_indices(rng, n, batch);
-            let (gradient, losses) = self.step_gradient(rng, data, &indices, dp, report, timer)?;
-            for (recon, kl) in losses {
-                recon_sum += recon;
-                kl_sum += kl;
-                examples += 1;
-            }
-            let start = timer.map(TimeSource::now_nanos);
-            self.optimizer.step(&mut params, &gradient);
-            self.set_flat_params(&params);
-            self.averager.update(&params);
-            report.record_phase(timer, "optimizer", start);
-        }
-
-        // Install the averaged weights for inference; keep the raw iterate
-        // so the next epoch's optimization continues undisturbed.
-        if let Some(avg) = self.averager.average() {
-            self.raw_params = Some(params);
-            self.set_flat_params(&avg);
-        }
-
-        let stats = EpochStats {
-            epoch: self.trained_epochs,
-            reconstruction_loss: recon_sum / examples.max(1) as f64,
-            kl_loss: kl_sum / examples.max(1) as f64,
-            steps: steps_per_epoch,
-        };
-        self.trained_epochs += 1;
-        report.epochs += 1;
-        Ok(stats)
-    }
-
-    /// One Decoding-Phase step's gradient over the lot `indices` of
-    /// `data`: the privatized average gradient when `dp` is set (DP-SGD),
-    /// else the plain average, with each row's (reconstruction, KL) loss.
-    ///
-    /// The lot's reparametrization noise is drawn serially (row-major, the
-    /// rng order of the per-example loop it replaced). Then one dispatch
-    /// sums the lot on parallel row chunks, bit-identical for every thread
-    /// count, while this thread draws the step's DP noise: the rng order
-    /// is the same as drawing it after the lot. Records the step's
-    /// `"lot_gradients"` and `"dp_noise"` phases and counts into `report`.
-    fn step_gradient<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        data: &Matrix,
-        indices: &[usize],
-        dp: Option<DpSgdConfig>,
-        report: &mut TrainReport,
-        timer: Option<&dyn TimeSource>,
-    ) -> Result<(Vec<f64>, RowLosses)> {
-        let b = indices.len();
-        let d = self.config.latent_dim;
-        let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-        let dim = self.trainable_param_count();
-        let draw_noise = || {
-            dp.map(|cfg| {
-                let start = timer.map(TimeSource::now_nanos);
-                let noise = cfg.draw_noise(rng, dim);
-                (noise, elapsed_nanos(timer, start))
-            })
-        };
-        let clip_norm = dp.map(|cfg| cfg.clip_norm);
-        let start = timer.map(TimeSource::now_nanos);
-        let (noise, lot) = sum_lot(b, draw_noise, |range| {
-            let eps = &eps.as_slice()[range.start * d..range.end * d];
-            self.lot_chunk(data, &indices[range], eps, clip_norm)
-        });
-        report.record_phase(timer, "lot_gradients", start);
-        let gradient = match noise {
-            Some((noise, draw_nanos)) => {
-                let noise = noise.map_err(|e| CoreError::Substrate { msg: e.to_string() })?;
-                report.record_nanos("dp_noise", draw_nanos);
-                report.dp_sgd_steps += 1;
-                report.clipped_examples += lot.clipped;
-                report.clip_measured_examples += b as u64;
-                noise.apply(lot.gradient)
-            }
-            None => {
-                let mut avg = lot.gradient;
-                p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                avg
-            }
-        };
-        Ok((gradient, lot.losses))
+        let c = &self.config;
+        let dp = c.private.then_some((c.clip_norm, c.sigma_s));
+        let batch = c.batch_size;
+        lot::train_epoch(self, rng, data, batch, dp, report, timer)
     }
 
     /// The (ε, δ)-DP guarantee of the *configured* training run on `n` rows
@@ -587,75 +456,6 @@ impl PhasedGenerativeModel {
     /// fitted on.
     pub fn training_privacy_spec(&self) -> Option<PrivacySpec> {
         self.privacy_spec(self.n_train)
-    }
-
-    /// The contribution of one chunk of a lot — rows `indices` of `data`
-    /// with their pre-drawn standard-normal reparametrization noise `eps`
-    /// (row-major) — to the Decoding-Phase step (paper Eq. (10)): the
-    /// gradient sum over the trainable parameters (encoder-variance block
-    /// then decoder block when the variance is trained, decoder only
-    /// otherwise), each example clipped to `clip_norm` when given, plus
-    /// the clip count and the rows' reconstruction and KL losses.
-    /// Deterministic, so it is safe to run on worker threads.
-    fn lot_chunk(
-        &self,
-        data: &Matrix,
-        indices: &[usize],
-        eps: &[f64],
-        clip_norm: Option<f64>,
-    ) -> LotSum {
-        let x = data
-            .select_rows(indices)
-            .expect("lot indices lie inside the data");
-        let rows = x.rows();
-        let d = self.config.latent_dim;
-        // The frozen encoder mean, bit-identical to `encode_mean` per row.
-        let mu = self
-            .projection
-            .transform(&x.scale(self.input_scale))
-            .expect("dimension fixed at fit time");
-        let (encoder, logvar) = match self.config.variance_mode {
-            VarianceMode::Learned => {
-                let cache = self.encoder_var.forward_batch_cached(&x);
-                let logvar = cache.output().clone();
-                (Some(cache), logvar)
-            }
-            VarianceMode::Fixed(v) => (None, Matrix::filled(rows, d, v)),
-        };
-        let (sigma, z) = reparametrize(&mu, &logvar, eps);
-
-        // Reconstruction term.
-        let decoder = self.decoder.forward_batch_cached(&z);
-        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
-        let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
-        let grad_z = grad_z.expect("the decoder input gradient was requested");
-
-        // KL against the MoG prior (Hershey–Olsen approximation). The mean
-        // is frozen so only the log-variance gradient is used.
-        let mut grad_logvar = Matrix::zeros(rows, d);
-        let mut losses = Vec::with_capacity(rows);
-        for (i, &recon) in recon.iter().enumerate() {
-            let (kl, _kl_grad_mu, kl_grad_logvar) =
-                self.prior.kl_diag_to_mixture(mu.row(i), logvar.row(i));
-            let row = grad_logvar.row_mut(i);
-            for k in 0..d {
-                row[k] =
-                    grad_z.get(i, k) * 0.5 * sigma.get(i, k) * eps[i * d + k] + kl_grad_logvar[k];
-            }
-            losses.push((recon, kl));
-        }
-        let encoder_grads = encoder.map(|cache| {
-            self.encoder_var
-                .backward_batch(cache, &grad_logvar, false)
-                .0
-        });
-        let parts: Vec<&BatchGradients> = encoder_grads.iter().chain([&decoder_grads]).collect();
-        let (gradient, clipped) = clip_and_sum_batch(&parts, clip_norm);
-        LotSum {
-            gradient,
-            clipped,
-            losses,
-        }
     }
 
     /// Serializes the trained model into a framed `p3gm-store` buffer:
@@ -674,7 +474,7 @@ impl PhasedGenerativeModel {
         self.config.encode_into(&mut enc);
         enc.usize(self.data_dim)
             .f64(self.input_scale)
-            .usize(self.trained_epochs)
+            .usize(self.trained_epochs())
             .usize(self.n_train);
         match &self.projection {
             Projection::Exact(p) => enc.u8(0).nested(&p.to_bytes()),
@@ -755,7 +555,7 @@ impl PhasedGenerativeModel {
             });
         }
 
-        let optimizer = Adam::new(config.learning_rate);
+        let trainer = Trainer::new(config.learning_rate, POLYAK_DECAY, trained_epochs);
         Ok(PhasedGenerativeModel {
             projection,
             prior,
@@ -764,18 +564,24 @@ impl PhasedGenerativeModel {
             config,
             data_dim,
             input_scale,
-            optimizer,
-            trained_epochs,
             n_train,
-            raw_params: None,
-            averager: PolyakAverager::new(0.99),
+            trainer,
         })
     }
+}
 
-    /// Flat trainable-parameter vector: encoder-variance network (when
-    /// trained) followed by the decoder.
-    /// The length of [`flat_params`](Self::flat_params).
-    fn trainable_param_count(&self) -> usize {
+/// The Decoding Phase's trainable parameters: the encoder-variance network
+/// (when trained) followed by the decoder.
+impl LotModel for PhasedGenerativeModel {
+    fn data_dim(&self) -> usize {
+        self.data_dim
+    }
+
+    fn latent_dim(&self) -> usize {
+        self.config.latent_dim
+    }
+
+    fn num_params(&self) -> usize {
         let encoder = if self.trains_variance() {
             self.encoder_var.num_params()
         } else {
@@ -802,6 +608,72 @@ impl PhasedGenerativeModel {
         } else {
             self.decoder.set_params(params);
         }
+    }
+
+    /// A chunk's part of the Decoding-Phase step (paper Eq. (10)).
+    fn lot_chunk(
+        &self,
+        data: &Matrix,
+        indices: &[usize],
+        eps: &[f64],
+        clip_norm: Option<f64>,
+    ) -> LotSum {
+        let x = data
+            .select_rows(indices)
+            .expect("lot indices lie inside the data");
+        let rows = x.rows();
+        let d = self.config.latent_dim;
+        // The frozen encoder mean, bit-identical to `encode_mean` per row.
+        let mu = self
+            .projection
+            .transform(&x.scale(self.input_scale))
+            .expect("dimension fixed at fit time");
+        let (encoder, logvar) = match self.config.variance_mode {
+            VarianceMode::Learned => {
+                let cache = self.encoder_var.forward_batch_cached(&x);
+                let logvar = cache.output().clone();
+                (Some(cache), logvar)
+            }
+            VarianceMode::Fixed(v) => (None, Matrix::filled(rows, d, v)),
+        };
+        let (sigma, z) = reparametrize(&mu, &logvar, eps);
+
+        // Reconstruction term.
+        let decoder = self.decoder.forward_batch_cached(&z);
+        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
+        let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
+        let grad_z = grad_z.expect("the decoder input gradient was requested");
+
+        // KL against the MoG prior (Hershey–Olsen approximation). The mean
+        // is frozen so only the log-variance gradient is used.
+        let mut grad_logvar = Matrix::zeros(rows, d);
+        let mut losses = Vec::with_capacity(rows);
+        for (i, &recon) in recon.iter().enumerate() {
+            let (kl, _kl_grad_mu, kl_grad_logvar) =
+                self.prior.kl_diag_to_mixture(mu.row(i), logvar.row(i));
+            let row = grad_logvar.row_mut(i);
+            for k in 0..d {
+                row[k] =
+                    grad_z.get(i, k) * 0.5 * sigma.get(i, k) * eps[i * d + k] + kl_grad_logvar[k];
+            }
+            losses.push((recon, kl));
+        }
+        let encoder_grads = encoder.map(|cache| {
+            self.encoder_var
+                .backward_batch(cache, &grad_logvar, false)
+                .0
+        });
+        let parts: Vec<&BatchGradients> = encoder_grads.iter().chain([&decoder_grads]).collect();
+        let (gradient, clipped) = clip_and_sum_batch(&parts, clip_norm);
+        LotSum {
+            gradient,
+            clipped,
+            losses,
+        }
+    }
+
+    fn trainer(&mut self) -> &mut Trainer {
+        &mut self.trainer
     }
 }
 
@@ -947,7 +819,10 @@ impl GenerativeModel for PhasedGenerativeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lot::reference::lot_sum;
+    use p3gm_nn::dpsgd::DpSgdConfig;
     use p3gm_privacy::rdp::RdpAccountant;
+    use p3gm_privacy::sampling;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1052,27 +927,6 @@ mod tests {
         out
     }
 
-    /// A lot's clipped sum through the production path: rows `indices` of
-    /// `data` with reparametrization noise `eps`, one dispatch.
-    fn lot_sum(
-        model: &PhasedGenerativeModel,
-        data: &Matrix,
-        indices: &[usize],
-        eps: &[f64],
-        clip_norm: Option<f64>,
-    ) -> LotSum {
-        let d = model.config.latent_dim;
-        let ((), lot) = sum_lot(
-            indices.len(),
-            || (),
-            |range| {
-                let eps = &eps[range.start * d..range.end * d];
-                model.lot_chunk(data, &indices[range], eps, clip_norm)
-            },
-        );
-        lot
-    }
-
     #[test]
     fn lot_sums_match_the_per_row_reference() {
         use crate::lot::reference::{assert_matches_rows, clip_between_norms};
@@ -1147,9 +1001,16 @@ mod tests {
                 };
                 let mut rng = StdRng::seed_from_u64(5);
                 let mut report = TrainReport::new();
-                let (gradient, _) = model
-                    .step_gradient(&mut rng, &data, &indices, Some(dp), &mut report, None)
-                    .unwrap();
+                let (gradient, _) = lot::step_gradient(
+                    &model,
+                    &mut rng,
+                    &data,
+                    &indices,
+                    Some(dp),
+                    &mut report,
+                    None,
+                )
+                .unwrap();
                 gradient
             };
             // The step draws the lot's reparametrization noise first.

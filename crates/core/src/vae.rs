@@ -5,19 +5,19 @@
 //! `q_φ(z|x)`; the decoder maps a reparametrized sample `z = µ + σ ⊙ ε`
 //! back to logits over `x`. The objective is the negative ELBO of paper
 //! Eq. (1) with the standard-normal prior. With `sigma_s > 0` the gradients
-//! are privatized with DP-SGD (DP-VAE).
+//! are privatized with DP-SGD (DP-VAE), through the same trainer as the
+//! P3GM Decoding Phase (the crate's `lot` module).
 
-use crate::averaging::PolyakAverager;
 use crate::config::{DecoderLoss, VaeConfig};
 use crate::history::{EpochStats, TrainingHistory};
-use crate::lot::{reconstruction, reparametrize, sum_lot, LotSum, RowLosses};
-use crate::{CoreError, GenerativeModel, Result};
+use crate::lot::{self, reconstruction, reparametrize, LotModel, LotSum, Trainer};
+use crate::report::TrainReport;
+use crate::{GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::activation::{sigmoid, Activation};
-use p3gm_nn::dpsgd::{clip_and_sum_batch, sample_batch_indices, DpSgdConfig};
+use p3gm_nn::dpsgd::clip_and_sum_batch;
 use p3gm_nn::loss::{bce_with_logits, kl_diag_gaussian_standard, sse};
 use p3gm_nn::mlp::Mlp;
-use p3gm_nn::optimizer::{Adam, Optimizer};
 use p3gm_privacy::rdp::{DpSgdBound, PrivacySpec, RdpAccountant};
 use p3gm_privacy::sampling;
 use rand::Rng;
@@ -29,31 +29,15 @@ pub struct Vae {
     decoder: Mlp,
     config: VaeConfig,
     data_dim: usize,
-    optimizer: Adam,
-    trained_epochs: usize,
-    /// Raw (non-averaged) optimizer iterate; the networks hold the
-    /// Polyak-averaged weights between epochs (see [`PolyakAverager`]).
-    raw_params: Option<Vec<f64>>,
-    averager: PolyakAverager,
+    trainer: Trainer,
 }
 
 impl Vae {
-    /// Builds an untrained VAE for `data_dim`-dimensional data.
+    /// Builds an untrained VAE for `data_dim`-dimensional data, after the
+    /// checks of [`VaeConfig::validate`] that do not depend on the number
+    /// of rows.
     pub fn new<R: Rng + ?Sized>(rng: &mut R, data_dim: usize, config: VaeConfig) -> Result<Self> {
-        config.check_finite()?;
-        if data_dim == 0 {
-            return Err(CoreError::InvalidConfig {
-                msg: "data_dim must be positive".to_string(),
-            });
-        }
-        if config.latent_dim == 0 || config.latent_dim > data_dim {
-            return Err(CoreError::InvalidConfig {
-                msg: format!(
-                    "latent_dim must be in 1..={data_dim}, got {}",
-                    config.latent_dim
-                ),
-            });
-        }
+        config.validate_for_dim(data_dim)?;
         let encoder = Mlp::new(
             rng,
             &[data_dim, config.hidden_dim, 2 * config.latent_dim],
@@ -66,16 +50,13 @@ impl Vae {
             Activation::Relu,
             Activation::Identity,
         );
-        let optimizer = Adam::new(config.learning_rate);
+        let trainer = Trainer::new(config.learning_rate, 0.95, 0);
         Ok(Vae {
             encoder,
             decoder,
             config,
             data_dim,
-            optimizer,
-            trained_epochs: 0,
-            raw_params: None,
-            averager: PolyakAverager::new(0.95),
+            trainer,
         })
     }
 
@@ -107,7 +88,7 @@ impl Vae {
 
     /// Number of epochs trained so far.
     pub fn trained_epochs(&self) -> usize {
-        self.trained_epochs
+        self.trainer.epochs()
     }
 
     /// Total number of trainable parameters (encoder + decoder).
@@ -123,111 +104,10 @@ impl Vae {
         rng: &mut R,
         data: &Matrix,
     ) -> Result<EpochStats> {
-        if data.cols() != self.data_dim {
-            return Err(CoreError::InvalidData {
-                msg: format!("expected {} features, got {}", self.data_dim, data.cols()),
-            });
-        }
-        let n = data.rows();
-        if n == 0 {
-            return Err(CoreError::InvalidData {
-                msg: "empty training data".to_string(),
-            });
-        }
-        let batch = self.config.batch_size.min(n).max(1);
-        let steps_per_epoch = n.div_ceil(batch);
-        let dp = if self.config.is_private() {
-            Some(DpSgdConfig {
-                clip_norm: self.config.clip_norm,
-                noise_multiplier: self.config.sigma_s,
-                batch_size: batch,
-            })
-        } else {
-            None
-        };
-
-        // Resume from the raw optimizer iterate: the networks hold the
-        // Polyak-averaged weights between epochs.
-        let mut params: Vec<f64> = match self.raw_params.take() {
-            Some(p) => p,
-            None => self.flat_params(),
-        };
-        // Re-install the raw iterate before computing any gradients: the
-        // networks currently hold the averaged weights from the previous
-        // epoch, and gradients must be evaluated at the point the optimizer
-        // actually updates.
-        self.set_flat_params(&params);
-        let mut recon_sum = 0.0;
-        let mut kl_sum = 0.0;
-        let mut examples = 0usize;
-
-        for _ in 0..steps_per_epoch {
-            let indices = sample_batch_indices(rng, n, batch);
-            let (gradient, losses) = self.step_gradient(rng, data, &indices, dp)?;
-            for (recon, kl) in losses {
-                recon_sum += recon;
-                kl_sum += kl;
-                examples += 1;
-            }
-            self.optimizer.step(&mut params, &gradient);
-            self.set_flat_params(&params);
-            self.averager.update(&params);
-        }
-
-        // Install the averaged weights for inference; keep the raw iterate
-        // so the next epoch's optimization continues undisturbed.
-        if let Some(avg) = self.averager.average() {
-            self.raw_params = Some(params);
-            self.set_flat_params(&avg);
-        }
-
-        let stats = EpochStats {
-            epoch: self.trained_epochs,
-            reconstruction_loss: recon_sum / examples.max(1) as f64,
-            kl_loss: kl_sum / examples.max(1) as f64,
-            steps: steps_per_epoch,
-        };
-        self.trained_epochs += 1;
-        Ok(stats)
-    }
-
-    /// One step's gradient over the lot `indices` of `data`: the
-    /// privatized average gradient when `dp` is set (DP-SGD), else the
-    /// plain average, with each row's (reconstruction, KL) loss.
-    ///
-    /// The lot's reparametrization noise is drawn serially (row-major, the
-    /// rng order of the per-example loop it replaced). Then one dispatch
-    /// sums the lot on parallel row chunks, bit-identical for every thread
-    /// count, while this thread draws the step's DP noise: the rng order
-    /// is the same as drawing it after the lot.
-    fn step_gradient<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        data: &Matrix,
-        indices: &[usize],
-        dp: Option<DpSgdConfig>,
-    ) -> Result<(Vec<f64>, RowLosses)> {
-        let b = indices.len();
-        let d = self.config.latent_dim;
-        let eps = Matrix::from_fn(b, d, |_, _| sampling::normal(rng, 0.0, 1.0));
-        let dim = self.num_params();
-        let draw_noise = || dp.map(|cfg| cfg.draw_noise(rng, dim));
-        let clip_norm = dp.map(|cfg| cfg.clip_norm);
-        let (noise, lot) = sum_lot(b, draw_noise, |range| {
-            let eps = &eps.as_slice()[range.start * d..range.end * d];
-            self.lot_chunk(data, &indices[range], eps, clip_norm)
-        });
-        let gradient = match noise {
-            Some(noise) => noise
-                .map_err(|e| CoreError::Substrate { msg: e.to_string() })?
-                .apply(lot.gradient),
-            None => {
-                let mut avg = lot.gradient;
-                p3gm_linalg::vector::scale(1.0 / b as f64, &mut avg);
-                avg
-            }
-        };
-        Ok((gradient, lot.losses))
+        let c = &self.config;
+        let dp = c.is_private().then_some((c.clip_norm, c.sigma_s));
+        let batch = c.batch_size;
+        lot::train_epoch(self, rng, data, batch, dp, &mut TrainReport::new(), None)
     }
 
     /// Encodes one row to the mean and log-variance of `q_φ(z|x)`.
@@ -295,14 +175,35 @@ impl Vae {
         .ok()?;
         acc.to_dp(self.config.delta).ok()
     }
+}
 
-    /// The contribution of one chunk of a lot — rows `indices` of `data`
-    /// with their pre-drawn standard-normal reparametrization noise `eps`
-    /// (row-major) — to the ELBO step: the gradient sum over all parameters
-    /// (encoder block then decoder block, the flat parameter layout), each
-    /// example clipped to `clip_norm` when given, plus the clip count and
-    /// the rows' reconstruction and KL losses. Deterministic, so it is safe
-    /// to run on worker threads.
+/// The trainable parameters: the encoder followed by the decoder.
+impl LotModel for Vae {
+    fn data_dim(&self) -> usize {
+        self.data_dim
+    }
+
+    fn latent_dim(&self) -> usize {
+        self.config.latent_dim
+    }
+
+    fn num_params(&self) -> usize {
+        Vae::num_params(self)
+    }
+
+    fn flat_params(&self) -> Vec<f64> {
+        let mut p = self.encoder.params();
+        p.extend(self.decoder.params());
+        p
+    }
+
+    fn set_flat_params(&mut self, params: &[f64]) {
+        let enc_n = self.encoder.num_params();
+        self.encoder.set_params(&params[..enc_n]);
+        self.decoder.set_params(&params[enc_n..]);
+    }
+
+    /// A chunk's part of the ELBO step.
     fn lot_chunk(
         &self,
         data: &Matrix,
@@ -350,16 +251,8 @@ impl Vae {
         }
     }
 
-    fn flat_params(&self) -> Vec<f64> {
-        let mut p = self.encoder.params();
-        p.extend(self.decoder.params());
-        p
-    }
-
-    fn set_flat_params(&mut self, params: &[f64]) {
-        let enc_n = self.encoder.num_params();
-        self.encoder.set_params(&params[..enc_n]);
-        self.decoder.set_params(&params[enc_n..]);
+    fn trainer(&mut self) -> &mut Trainer {
+        &mut self.trainer
     }
 }
 
@@ -378,6 +271,9 @@ impl GenerativeModel for Vae {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lot::reference::lot_sum;
+    use crate::CoreError;
+    use p3gm_nn::dpsgd::DpSgdConfig;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -446,27 +342,6 @@ mod tests {
         (recon, kl)
     }
 
-    /// A lot's clipped sum through the production path: rows `indices` of
-    /// `data` with reparametrization noise `eps`, one dispatch.
-    fn lot_sum(
-        vae: &Vae,
-        data: &Matrix,
-        indices: &[usize],
-        eps: &[f64],
-        clip_norm: Option<f64>,
-    ) -> LotSum {
-        let d = vae.config.latent_dim;
-        let ((), lot) = sum_lot(
-            indices.len(),
-            || (),
-            |range| {
-                let eps = &eps[range.start * d..range.end * d];
-                vae.lot_chunk(data, &indices[range], eps, clip_norm)
-            },
-        );
-        lot
-    }
-
     #[test]
     fn a_dp_sgd_step_adds_calibrated_noise_exactly_once() {
         use crate::lot::reference::assert_step_noise_is_calibrated;
@@ -488,7 +363,8 @@ mod tests {
                 batch_size: b,
             };
             let mut rng = StdRng::seed_from_u64(5);
-            vae.step_gradient(&mut rng, &data, &indices, Some(dp))
+            let mut report = TrainReport::new();
+            lot::step_gradient(&vae, &mut rng, &data, &indices, Some(dp), &mut report, None)
                 .unwrap()
                 .0
         };

@@ -3,8 +3,8 @@
 //! Every image is a `size × size` grayscale grid with pixel values in
 //! `[0, 1]`, flattened row-major — the same format the paper's generative
 //! models consume (MNIST is 28×28; the evaluation harness defaults to a
-//! reduced resolution for single-core runtimes and records the scale factor
-//! in `EXPERIMENTS.md`).
+//! reduced resolution for single-core runtimes, set by `p3gm-eval`'s
+//! `Scale`).
 //!
 //! * [`mnist_like`] renders ten digit-like stroke classes (vertical bar,
 //!   horizontal bar, the two diagonals, a cross, a ring, the four corner L

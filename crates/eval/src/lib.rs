@@ -18,7 +18,9 @@
 //! enough for `cargo test`, [`Scale::Paper`] is the configuration the
 //! benchmark harness uses to regenerate the reported numbers. The dataset
 //! sizes and network widths for both scales (and how they relate to the
-//! paper's originals) are recorded in `EXPERIMENTS.md`.
+//! paper's originals) are documented in [`scale`]; the `paper_tables` and
+//! `paper_figures` benches of `p3gm-bench` write the regenerated reports
+//! to `target/paper_reports/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

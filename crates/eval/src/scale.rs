@@ -2,9 +2,10 @@
 //!
 //! The paper's experiments run on GPUs over datasets of up to 285 k rows
 //! and 784 features; this reproduction runs everything on one CPU core, so
-//! each experiment is scaled down. The scale factors live here (and are
-//! documented in `EXPERIMENTS.md`) so that every experiment and bench uses
-//! the same, explicit configuration.
+//! each experiment is scaled down. The scale factors live here so that
+//! every experiment and bench uses the same, explicit configuration; the
+//! `paper_tables` and `paper_figures` benches of `p3gm-bench` run them at
+//! [`Scale::Paper`] and write their reports to `target/paper_reports/`.
 
 /// How large an experiment run is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -2,14 +2,15 @@
 //!
 //! This module glues the per-example gradients produced by [`crate::mlp`]
 //! to the gradient-privatization primitives in `p3gm-privacy` and an
-//! [`crate::optimizer`] step. The trainers clip without ever forming a
-//! per-example gradient: [`clip_and_sum_batch`] takes each example's norm
-//! from the factored [`BatchGradients`] of one or more networks, clips with
-//! `p3gm-privacy`'s single rule [`clip_factor`], and sums with one weighted
-//! product per layer. [`DpSgdConfig::draw_noise`] draws a step's noise,
-//! which does not depend on the data, so the trainers draw it on the
-//! calling thread while the lot is summed in parallel, then add it and
-//! average ([`GradientNoise::apply`]). [`DpSgdConfig::step`] runs the
+//! [`crate::optimizer`] step. The DP-SGD trainer (`p3gm-core`, shared by
+//! P3GM and the DP-VAE) clips without ever forming a per-example gradient:
+//! [`clip_and_sum_batch`] takes each example's norm from the factored
+//! [`BatchGradients`] of one or more networks, clips with `p3gm-privacy`'s
+//! single rule [`clip_factor`], and sums with one weighted product per
+//! layer. [`DpSgdConfig::draw_noise`] draws a step's noise, which does not
+//! depend on the data, so the trainer draws it on the calling thread while
+//! the lot is summed in parallel, then adds it and averages
+//! ([`GradientNoise::apply`]). [`DpSgdConfig::step`] runs the
 //! same mechanism on a materialized `B x P` batch (the reference). The
 //! privacy *accounting* for the resulting training run lives in
 //! `p3gm-privacy::rdp` — the trainer here only reports the (steps,

@@ -4,9 +4,8 @@
 //!
 //! The paper's encoder and decoder are two-layer fully-connected networks
 //! (`[d, 1000, d']` and `[d', 1000, d]` with ReLU), trained with DP-SGD.
-//! This crate provides everything needed to train such networks — and the
-//! small CNN used as a downstream image classifier — from scratch on a
-//! single CPU core:
+//! This crate provides everything needed to train such networks, and the
+//! MLP behind the downstream classifiers, from scratch:
 //!
 //! * [`activation`] — ReLU / sigmoid / tanh / softplus / identity with
 //!   derivatives.
@@ -21,14 +20,11 @@
 //!   parameter vectors.
 //! * [`dpsgd`] — the DP-SGD update rule: clip per-example gradients, add
 //!   Gaussian noise, average, and take an optimizer step.
-//! * [`conv`] — a small Conv2d + MaxPool2d CNN used as the image classifier
-//!   in the Table VII experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod activation;
-pub mod conv;
 pub mod dpsgd;
 pub mod linear;
 pub mod loss;

@@ -15,8 +15,8 @@
 //! product `δᵢ aᵢᵀ` (bias: `δᵢ`), so its squared norm is
 //! `‖δᵢ‖² (‖aᵢ‖² + 1)` and a weighted sum over the batch is one product
 //! `Δᵀ diag(w) A` per layer. The identity is exact for an MLP because every
-//! weight is used once per example; it does not hold for weight-shared
-//! layers such as [`crate::conv::Conv2d`].
+//! weight is used once per example; it would not hold for a weight-shared
+//! layer such as a convolution.
 //!
 //! [`Mlp::per_example_gradients`] still materializes the `B x P` batch, one
 //! row per example. It is the reference the factored path is tested

@@ -11,8 +11,9 @@
 //! * [`sampling`] — deterministic-seedable samplers for the Gaussian,
 //!   Laplace and Wishart distributions used by every mechanism (implemented
 //!   in-repo so the workspace depends only on `rand`).
-//! * [`mechanisms`] — the Laplace, Gaussian, Wishart and exponential
-//!   mechanisms plus the DP-SGD gradient-privatization primitive.
+//! * [`mechanisms`] — the Wishart and exponential mechanisms plus the
+//!   DP-SGD gradient-privatization primitives (clipping rule, noise draw,
+//!   and the materialized reference).
 //! * [`moments`] — the moments-accountant bounds from the paper:
 //!   Eq. (3) for DP-EM and Eq. (4) for DP-SGD, plus the tighter
 //!   sampled-Gaussian RDP bound used as an ablation.
@@ -37,9 +38,7 @@ pub mod zcdp;
 pub use calibrate::{calibrate_dpsgd_sigma, calibrate_gaussian_sigma, BudgetSplit};
 pub use mechanisms::{
     clip_and_sum_gradients, clip_and_sum_gradients_counted, clip_factor, draw_gradient_noise,
-    exponential_mechanism, gaussian_mechanism_vec, laplace_mechanism_vec, noise_and_average,
-    privatize_gradient_sum, validate_dp_sgd, wishart_noise, GaussianMechanism, GradientNoise,
-    LaplaceMechanism,
+    exponential_mechanism, privatize_gradient_sum, validate_dp_sgd, wishart_noise, GradientNoise,
 };
 pub use rdp::{PrivacySpec, RdpAccountant, DEFAULT_ORDERS};
 pub use zcdp::ZcdpAccountant;

@@ -1,157 +1,28 @@
 //! Differentially private mechanisms.
 //!
-//! * [`LaplaceMechanism`] / [`GaussianMechanism`] — classic output
-//!   perturbation for scalar- and vector-valued queries.
 //! * [`wishart_noise`] — the Wishart noise matrix of the DP-PCA mechanism
 //!   (Jiang et al., used by the paper's Encoding Phase).
 //! * [`exponential_mechanism`] — utility-based selection, used by the
 //!   PrivBayes baseline to pick Bayesian-network edges.
 //! * DP-SGD (paper §II-D): [`clip_factor`] is the clipping rule `ψ_C` every
-//!   trainer applies per example; [`noise_and_average`] adds `N(0, σ²C²I)`
-//!   noise to a clipped sum and averages. It is two halves that the
-//!   trainers call apart: [`draw_gradient_noise`] draws the noise, which
-//!   does not depend on the data, on the calling thread while the lot's
-//!   clipped sum is computed in parallel, and [`GradientNoise::apply`]
-//!   adds it once the sum is known. The trainers form that sum without
-//!   materializing per-example gradients (`p3gm-nn`'s
-//!   `clip_and_sum_batch`); [`privatize_gradient_sum`] runs the whole
-//!   mechanism on a materialized `B x P` batch and is the reference for
-//!   tests and benchmarks.
+//!   trainer applies per example. The Gaussian noise `N(0, σ²C²I)` comes in
+//!   two halves: [`draw_gradient_noise`] draws it, which does not depend on
+//!   the data, so the trainer draws it on the calling thread while the
+//!   lot's clipped sum is computed in parallel, and [`GradientNoise::apply`]
+//!   adds it to the sum and averages once the sum is known. The trainer
+//!   forms that sum without materializing per-example gradients
+//!   (`p3gm-nn`'s `clip_and_sum_batch`); [`privatize_gradient_sum`] runs
+//!   the whole mechanism on a materialized `B x P` batch and is the
+//!   reference for tests and benchmarks.
+//!
+//! The DP-EM mechanism adds its Gaussian noise inside `p3gm-mixture`, and
+//! the DP-GM and PrivBayes baselines draw their Laplace noise from
+//! [`crate::sampling::laplace`].
 
 use crate::sampling;
 use crate::{PrivacyError, Result};
 use p3gm_linalg::{vector, Matrix};
 use rand::Rng;
-
-/// The Laplace mechanism for releasing vector-valued queries with a known
-/// L1 sensitivity under pure ε-DP.
-#[derive(Debug, Clone, Copy)]
-pub struct LaplaceMechanism {
-    /// L1 sensitivity of the query.
-    pub l1_sensitivity: f64,
-    /// Privacy budget ε.
-    pub epsilon: f64,
-}
-
-impl LaplaceMechanism {
-    /// Creates the mechanism; both parameters must be positive.
-    pub fn new(l1_sensitivity: f64, epsilon: f64) -> Result<Self> {
-        if l1_sensitivity <= 0.0 || epsilon <= 0.0 {
-            return Err(PrivacyError::InvalidParameter {
-                msg: format!(
-                    "Laplace mechanism requires positive sensitivity and epsilon, got {l1_sensitivity}, {epsilon}"
-                ),
-            });
-        }
-        Ok(LaplaceMechanism {
-            l1_sensitivity,
-            epsilon,
-        })
-    }
-
-    /// The noise scale `b = Δ₁/ε`.
-    pub fn scale(&self) -> f64 {
-        self.l1_sensitivity / self.epsilon
-    }
-
-    /// Adds Laplace noise to a scalar.
-    pub fn randomize<R: Rng + ?Sized>(&self, rng: &mut R, value: f64) -> f64 {
-        value + sampling::laplace(rng, self.scale())
-    }
-
-    /// Adds i.i.d. Laplace noise to each coordinate of a vector.
-    pub fn randomize_vec<R: Rng + ?Sized>(&self, rng: &mut R, values: &[f64]) -> Vec<f64> {
-        values
-            .iter()
-            .map(|&v| v + sampling::laplace(rng, self.scale()))
-            .collect()
-    }
-}
-
-/// The Gaussian mechanism for releasing vector-valued queries with a known
-/// L2 sensitivity under (ε, δ)- or Rényi-DP.
-#[derive(Debug, Clone, Copy)]
-pub struct GaussianMechanism {
-    /// L2 sensitivity of the query.
-    pub l2_sensitivity: f64,
-    /// Standard deviation of the added noise (already scaled by the
-    /// sensitivity, i.e. the noise is `N(0, (σ·Δ₂)²)` per coordinate when
-    /// constructed via [`GaussianMechanism::from_multiplier`]).
-    pub std_dev: f64,
-}
-
-impl GaussianMechanism {
-    /// Creates a mechanism adding `N(0, std_dev²)` noise per coordinate.
-    pub fn new(l2_sensitivity: f64, std_dev: f64) -> Result<Self> {
-        if l2_sensitivity <= 0.0 || std_dev <= 0.0 {
-            return Err(PrivacyError::InvalidParameter {
-                msg: format!(
-                    "Gaussian mechanism requires positive sensitivity and std-dev, got {l2_sensitivity}, {std_dev}"
-                ),
-            });
-        }
-        Ok(GaussianMechanism {
-            l2_sensitivity,
-            std_dev,
-        })
-    }
-
-    /// Creates a mechanism from a noise *multiplier* σ, i.e. the added noise
-    /// has standard deviation `σ · Δ₂` (the DP-SGD convention).
-    pub fn from_multiplier(l2_sensitivity: f64, multiplier: f64) -> Result<Self> {
-        Self::new(l2_sensitivity, multiplier * l2_sensitivity)
-    }
-
-    /// Adds Gaussian noise to a scalar.
-    pub fn randomize<R: Rng + ?Sized>(&self, rng: &mut R, value: f64) -> f64 {
-        value + sampling::normal(rng, 0.0, self.std_dev)
-    }
-
-    /// Adds i.i.d. Gaussian noise to each coordinate of a vector.
-    pub fn randomize_vec<R: Rng + ?Sized>(&self, rng: &mut R, values: &[f64]) -> Vec<f64> {
-        values
-            .iter()
-            .map(|&v| v + sampling::normal(rng, 0.0, self.std_dev))
-            .collect()
-    }
-
-    /// Adds i.i.d. Gaussian noise to every entry of a matrix, then
-    /// symmetrizes it (the DP-EM covariance update perturbs a symmetric
-    /// matrix, and re-symmetrizing is a post-processing step).
-    pub fn randomize_symmetric_matrix<R: Rng + ?Sized>(&self, rng: &mut R, m: &Matrix) -> Matrix {
-        let mut out = m.clone();
-        for i in 0..out.rows() {
-            for j in 0..out.cols() {
-                let v = out.get(i, j) + sampling::normal(rng, 0.0, self.std_dev);
-                out.set(i, j, v);
-            }
-        }
-        if out.rows() == out.cols() {
-            out.symmetrize();
-        }
-        out
-    }
-}
-
-/// Convenience wrapper: adds `N(0, σ²)` noise to each coordinate.
-pub fn gaussian_mechanism_vec<R: Rng + ?Sized>(
-    rng: &mut R,
-    values: &[f64],
-    std_dev: f64,
-) -> Vec<f64> {
-    values
-        .iter()
-        .map(|&v| v + sampling::normal(rng, 0.0, std_dev))
-        .collect()
-}
-
-/// Convenience wrapper: adds Laplace(0, scale) noise to each coordinate.
-pub fn laplace_mechanism_vec<R: Rng + ?Sized>(rng: &mut R, values: &[f64], scale: f64) -> Vec<f64> {
-    values
-        .iter()
-        .map(|&v| v + sampling::laplace(rng, scale))
-        .collect()
-}
 
 /// Samples the Wishart noise matrix of the DP-PCA mechanism (Jiang et al.,
 /// paper §II-D): `W ~ W_d(d + 1, C)` where `C` has `d` equal eigenvalues
@@ -253,7 +124,7 @@ pub fn clip_factor(norm: f64, clip_norm: f64) -> Option<f64> {
 /// Row chunks are clipped and summed in parallel; the per-chunk partial
 /// sums are folded in chunk order, so the result is bit-identical for every
 /// thread count. This is the materialized reference for the factored
-/// clipping the trainers use (`p3gm-nn`'s `clip_and_sum_batch`), kept for
+/// clipping the trainer uses (`p3gm-nn`'s `clip_and_sum_batch`), kept for
 /// tests and benchmarks; it consumes no randomness.
 pub fn clip_and_sum_gradients(per_example: &Matrix, clip_norm: f64) -> Vec<f64> {
     clip_and_sum_gradients_counted(per_example, clip_norm).0
@@ -328,7 +199,7 @@ pub fn validate_dp_sgd(clip_norm: f64, noise_multiplier: f64, batch_size: usize)
 /// 2. sum the clipped gradients ([`clip_and_sum_gradients`], parallel and
 ///    deterministic),
 /// 3. add `N(0, (σ C)² I)` noise to the sum and divide by the *lot size*
-///    `batch_size` ([`noise_and_average`]).
+///    `batch_size` ([`draw_gradient_noise`], then [`GradientNoise::apply`]).
 ///
 /// Returns the privatized average gradient. `batch_size` may exceed
 /// `per_example.rows()` (Poisson-style sampling can produce small lots); it
@@ -347,32 +218,8 @@ pub fn privatize_gradient_sum<R: Rng + ?Sized>(
     }
     validate_dp_sgd(clip_norm, noise_multiplier, batch_size)?;
     let sum = clip_and_sum_gradients(per_example, clip_norm);
-    noise_and_average(rng, sum, clip_norm, noise_multiplier, batch_size)
-}
-
-/// The noise half of DP-SGD on a sum of gradients each already clipped to
-/// L2 norm at most `clip_norm`: adds `N(0, (σ C)² I)` noise, drawn
-/// serially in coordinate order, then divides by the lot size
-/// `batch_size`. With σ = 0 no randomness is consumed.
-///
-/// This is [`draw_gradient_noise`] followed by [`GradientNoise::apply`];
-/// the trainers call the two halves apart, drawing the noise while the
-/// lot's sum is still being computed.
-pub fn noise_and_average<R: Rng + ?Sized>(
-    rng: &mut R,
-    clipped_sum: Vec<f64>,
-    clip_norm: f64,
-    noise_multiplier: f64,
-    batch_size: usize,
-) -> Result<Vec<f64>> {
-    let noise = draw_gradient_noise(
-        rng,
-        clipped_sum.len(),
-        clip_norm,
-        noise_multiplier,
-        batch_size,
-    )?;
-    Ok(noise.apply(clipped_sum))
+    let noise = draw_gradient_noise(rng, sum.len(), clip_norm, noise_multiplier, batch_size)?;
+    Ok(noise.apply(sum))
 }
 
 /// Draws the DP-SGD noise for a clipped gradient sum of `dim`
@@ -440,52 +287,6 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(7)
-    }
-
-    #[test]
-    fn laplace_mechanism_noise_scale() {
-        let mech = LaplaceMechanism::new(2.0, 0.5).unwrap();
-        assert!((mech.scale() - 4.0).abs() < 1e-12);
-        let mut r = rng();
-        let n = 30_000;
-        let vals: Vec<f64> = (0..n).map(|_| mech.randomize(&mut r, 10.0)).collect();
-        let mean = vals.iter().sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.15);
-        let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
-        assert!((var - 2.0 * 16.0).abs() < 3.0, "var {var}");
-        assert_eq!(mech.randomize_vec(&mut r, &[1.0, 2.0]).len(), 2);
-    }
-
-    #[test]
-    fn gaussian_mechanism_noise_scale() {
-        let mech = GaussianMechanism::from_multiplier(2.0, 1.5).unwrap();
-        assert!((mech.std_dev - 3.0).abs() < 1e-12);
-        let mut r = rng();
-        let n = 30_000;
-        let vals: Vec<f64> = (0..n).map(|_| mech.randomize(&mut r, 0.0)).collect();
-        let var = vals.iter().map(|v| v * v).sum::<f64>() / n as f64;
-        assert!((var - 9.0).abs() < 0.4, "var {var}");
-    }
-
-    #[test]
-    fn gaussian_symmetric_matrix_stays_symmetric() {
-        let mech = GaussianMechanism::new(1.0, 0.5).unwrap();
-        let mut r = rng();
-        let m = Matrix::identity(4);
-        let noisy = mech.randomize_symmetric_matrix(&mut r, &m);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!((noisy.get(i, j) - noisy.get(j, i)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn mechanism_constructors_validate() {
-        assert!(LaplaceMechanism::new(0.0, 1.0).is_err());
-        assert!(LaplaceMechanism::new(1.0, 0.0).is_err());
-        assert!(GaussianMechanism::new(1.0, 0.0).is_err());
-        assert!(GaussianMechanism::new(-1.0, 1.0).is_err());
     }
 
     #[test]
@@ -621,8 +422,8 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(privatize_gradient_sum(&mut r, &grads, bad, 1.42, 2).is_err());
             assert!(privatize_gradient_sum(&mut r, &grads, 1.0, bad, 2).is_err());
-            assert!(noise_and_average(&mut r, vec![1.0], bad, 1.42, 2).is_err());
-            assert!(noise_and_average(&mut r, vec![1.0], 1.0, bad, 2).is_err());
+            assert!(draw_gradient_noise(&mut r, 1, bad, 1.42, 2).is_err());
+            assert!(draw_gradient_noise(&mut r, 1, 1.0, bad, 2).is_err());
         }
     }
 

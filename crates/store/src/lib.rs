@@ -8,7 +8,7 @@
 //! post-processing, at zero additional privacy cost. That only works in
 //! practice if the trained model can outlive the process that trained it:
 //! this crate provides the byte format every persisted layer of the
-//! workspace (`Matrix`, `Mlp`, `Conv2d`, `Gmm`, the preprocess
+//! workspace (`Matrix`, `Mlp`, `Gmm`, the preprocess
 //! transforms, and the top-level `PhasedGenerativeModel` snapshot) encodes
 //! itself with via `to_bytes` / `from_bytes` surfaces.
 //!
@@ -81,7 +81,7 @@ pub mod tags {
     pub const MATRIX: u32 = 1;
     /// `p3gm_nn::mlp::Mlp`.
     pub const MLP: u32 = 2;
-    /// `p3gm_nn::conv::Conv2d`.
+    /// Reserved: the retired `Conv2d` layer's buffers. Never reuse it.
     pub const CONV2D: u32 = 3;
     /// `p3gm_mixture::Gmm`.
     pub const GMM: u32 = 4;

@@ -13,7 +13,8 @@ use p3gm::eval::Scale;
 
 fn main() {
     // Smoke scale keeps the example under a minute; use Scale::Paper for the
-    // configuration the benchmark harness reports in EXPERIMENTS.md.
+    // configuration the `paper_figures` bench reports in
+    // target/paper_reports/.
     let report = fig2::run_models(
         Scale::Smoke,
         &[

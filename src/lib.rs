@@ -17,14 +17,15 @@
 //! * [`parallel`] — deterministic std-only data parallelism (one scoped
 //!   dispatch per kernel call, ordered map-reduce, `P3GM_THREADS` override).
 //! * [`linalg`] — dense matrices, symmetric (tridiagonal QL) eigendecomposition, Cholesky.
-//! * [`nn`] — MLP/CNN layers, per-example backprop, optimizers, DP-SGD.
-//! * [`privacy`] — DP mechanisms (Gaussian, Laplace, Wishart, exponential)
-//!   and accounting (RDP, moments accountant, zCDP, calibration).
+//! * [`nn`] — MLP layers, per-example backprop, optimizers, DP-SGD.
+//! * [`privacy`] — DP mechanisms (the Wishart, exponential and DP-SGD
+//!   Gaussian mechanisms, seedable Gaussian/Laplace/Wishart samplers) and
+//!   accounting (RDP, moments accountant, zCDP, calibration).
 //! * [`preprocess`] — PCA / DP-PCA, scalers, encoders.
 //! * [`mixture`] — GMM, EM, DP-EM, (DP) k-means.
 //! * [`datasets`] — synthetic stand-ins for the paper's six datasets.
 //! * [`classifiers`] — logistic regression, AdaBoost, GBM, XGBoost-style
-//!   boosting, MLP/CNN classifiers, AUROC/AUPRC/accuracy.
+//!   boosting, an MLP classifier, AUROC/AUPRC/accuracy.
 //! * [`core`] — VAE, DP-VAE, PGM, P3GM, P3GM(AE) and labelled synthesis.
 //! * [`baselines`] — DP-GM and PrivBayes.
 //! * [`eval`] — the experiment harness regenerating every table and figure
@@ -49,8 +50,9 @@
 //! assert_eq!(samples.rows(), 100);
 //! ```
 //!
-//! See `examples/` for runnable end-to-end scenarios and `EXPERIMENTS.md`
-//! for the paper-vs-measured comparison of every table and figure.
+//! See `examples/` for runnable end-to-end scenarios. The `paper_tables`
+//! and `paper_figures` benches of `p3gm-bench` regenerate every table and
+//! figure and write the reports to `target/paper_reports/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -70,7 +72,7 @@ pub use p3gm_parallel as parallel;
 /// Dense linear algebra substrate.
 pub use p3gm_linalg as linalg;
 
-/// Neural-network substrate (MLP, CNN, DP-SGD).
+/// Neural-network substrate (MLP, DP-SGD).
 pub use p3gm_nn as nn;
 
 /// Differential-privacy mechanisms and accounting.

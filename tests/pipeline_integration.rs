@@ -140,8 +140,8 @@ fn harness_private_models_agree_with_direct_pipeline() {
         1.0,
     );
     // At smoke scale the private model is noisy, so only basic sanity of the
-    // harness output is asserted here; the paper-scale ordering is checked by
-    // the bench harness and recorded in EXPERIMENTS.md.
+    // harness output is asserted here; the paper-scale numbers come from the
+    // `paper_tables` bench, which writes them to `target/paper_reports/`.
     assert!(report.mean_auroc().is_finite() && (0.0..=1.0).contains(&report.mean_auroc()));
     assert!(report.mean_auprc().is_finite() && (0.0..=1.0).contains(&report.mean_auprc()));
 }
