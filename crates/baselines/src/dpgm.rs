@@ -63,7 +63,6 @@ impl Default for DpGmConfig {
                 clip_norm: 1.0,
                 sigma_s: 1.5,
                 delta: 1e-5,
-                ..Default::default()
             },
             delta: 1e-5,
         }

@@ -9,7 +9,7 @@ use p3gm_linalg::{vector, Matrix};
 use p3gm_nn::activation::Activation;
 use p3gm_nn::loss::softmax_cross_entropy;
 use p3gm_nn::mlp::Mlp;
-use p3gm_nn::optimizer::{Adam, Optimizer};
+use p3gm_nn::optimizer::Adam;
 use rand::seq::SliceRandom;
 use rand::Rng;
 

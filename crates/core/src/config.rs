@@ -3,18 +3,6 @@
 use crate::lot::steps_per_epoch;
 use crate::{CoreError, Result};
 
-/// How the decoder scores reconstructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecoderLoss {
-    /// Bernoulli likelihood with logits — appropriate for data normalized to
-    /// `[0, 1]` (images, min-max-scaled tabular data). This is what the
-    /// reference implementation uses.
-    Bernoulli,
-    /// Gaussian likelihood with fixed unit variance (sum-of-squares
-    /// reconstruction error) — appropriate for standardized continuous data.
-    Gaussian,
-}
-
 /// How the encoder variance is handled in the Decoding Phase.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum VarianceMode {
@@ -26,6 +14,9 @@ pub enum VarianceMode {
 }
 
 /// Configuration of the phased generative model (PGM / P3GM / P3GM(AE)).
+///
+/// Every decoder is Bernoulli: it outputs logits over data scaled to
+/// `[0, 1]`, as the reference implementation does.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PgmConfig {
     /// Latent dimensionality `d'` (the PCA output dimension).
@@ -58,8 +49,6 @@ pub struct PgmConfig {
     pub delta: f64,
     /// How the encoder variance is treated.
     pub variance_mode: VarianceMode,
-    /// Reconstruction likelihood.
-    pub decoder_loss: DecoderLoss,
 }
 
 impl Default for PgmConfig {
@@ -79,7 +68,6 @@ impl Default for PgmConfig {
             sigma_s: 1.42,
             delta: 1e-5,
             variance_mode: VarianceMode::Learned,
-            decoder_loss: DecoderLoss::Bernoulli,
         }
     }
 }
@@ -193,10 +181,9 @@ impl PgmConfig {
             VarianceMode::Learned => enc.u8(0).f64(0.0),
             VarianceMode::Fixed(v) => enc.u8(1).f64(v),
         };
-        enc.u8(match self.decoder_loss {
-            DecoderLoss::Bernoulli => 0,
-            DecoderLoss::Gaussian => 1,
-        });
+        // The decoder-likelihood code: 0 is the Bernoulli decoder, the only
+        // one there is. Code 1 named the retired Gaussian decoder.
+        enc.u8(0);
     }
 
     /// Reads a configuration written by [`PgmConfig::encode_into`].
@@ -223,15 +210,14 @@ impl PgmConfig {
                 })
             }
         };
-        let decoder_loss = match dec.u8()? {
-            0 => DecoderLoss::Bernoulli,
-            1 => DecoderLoss::Gaussian,
+        match dec.u8()? {
+            0 => {}
             code => {
                 return Err(p3gm_store::StoreError::Invalid {
-                    msg: format!("unknown decoder-loss code {code}"),
+                    msg: format!("unknown decoder-likelihood code {code}"),
                 })
             }
-        };
+        }
         let config = PgmConfig {
             latent_dim,
             hidden_dim,
@@ -247,7 +233,6 @@ impl PgmConfig {
             sigma_s,
             delta,
             variance_mode,
-            decoder_loss,
         };
         config
             .check_finite()
@@ -294,7 +279,8 @@ impl PgmConfig {
     }
 }
 
-/// Configuration of the (DP-)VAE baselines.
+/// Configuration of the (DP-)VAE baselines (Bernoulli decoder, like
+/// [`PgmConfig`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VaeConfig {
     /// Latent dimensionality.
@@ -314,8 +300,6 @@ pub struct VaeConfig {
     pub sigma_s: f64,
     /// Target δ for the DP guarantee of DP-VAE.
     pub delta: f64,
-    /// Reconstruction likelihood.
-    pub decoder_loss: DecoderLoss,
 }
 
 impl Default for VaeConfig {
@@ -329,7 +313,6 @@ impl Default for VaeConfig {
             clip_norm: 1.0,
             sigma_s: 0.0,
             delta: 1e-5,
-            decoder_loss: DecoderLoss::Bernoulli,
         }
     }
 }
@@ -598,6 +581,32 @@ mod tests {
                 PgmConfig::decode_from(&mut dec),
                 Err(p3gm_store::StoreError::Invalid { .. })
             ));
+        }
+    }
+
+    /// Decoder-likelihood code 1 named the retired Gaussian decoder; a
+    /// payload carrying it, or any code but 0, is invalid.
+    #[test]
+    fn decode_rejects_reserved_decoder_likelihood_codes() {
+        let mut enc = p3gm_store::Encoder::new(99);
+        PgmConfig::default().encode_into(&mut enc);
+        let good = enc.finish();
+        // The code is the payload's last byte, just before the checksum.
+        let body = good.len() - p3gm_store::CHECKSUM_LEN;
+        assert_eq!(good[body - 1], 0);
+        for code in [1, 2, u8::MAX] {
+            let mut bytes = good.clone();
+            bytes[body - 1] = code;
+            let crc = p3gm_store::crc32(&bytes[..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            let mut dec = p3gm_store::Decoder::new(&bytes, 99).unwrap();
+            assert!(
+                matches!(
+                    PgmConfig::decode_from(&mut dec),
+                    Err(p3gm_store::StoreError::Invalid { .. })
+                ),
+                "code {code}"
+            );
         }
     }
 

@@ -44,7 +44,7 @@ pub mod snapshot;
 pub mod synthesis;
 pub mod vae;
 
-pub use config::{DecoderLoss, PgmConfig, VaeConfig, VarianceMode};
+pub use config::{PgmConfig, VaeConfig, VarianceMode};
 pub use history::{EpochStats, TrainingHistory};
 pub use pgm::PhasedGenerativeModel;
 pub use report::TrainReport;

@@ -19,14 +19,13 @@
 //! the same rng order as drawing it after the lot.
 
 use crate::averaging::PolyakAverager;
-use crate::config::DecoderLoss;
 use crate::history::EpochStats;
 use crate::report::{elapsed_nanos, TrainReport};
 use crate::{CoreError, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::dpsgd::{sample_batch_indices, DpSgdConfig};
-use p3gm_nn::loss::{bce_with_logits, sse};
-use p3gm_nn::optimizer::{Adam, Optimizer};
+use p3gm_nn::loss::bce_with_logits;
+use p3gm_nn::optimizer::Adam;
 use p3gm_obs::TimeSource;
 use p3gm_privacy::sampling;
 use rand::Rng;
@@ -305,16 +304,14 @@ pub(crate) fn reparametrize(mu: &Matrix, logvar: &Matrix, eps: &[f64]) -> (Matri
     (sigma, z)
 }
 
-/// Each row's reconstruction loss of `x` under the decoder's `logits`, and
-/// the loss gradient with respect to the logits (one row per example).
-pub(crate) fn reconstruction(loss: DecoderLoss, logits: &Matrix, x: &Matrix) -> (Vec<f64>, Matrix) {
+/// Each row's Bernoulli reconstruction loss of `x` under the decoder's
+/// `logits`, and the loss gradient with respect to the logits (one row per
+/// example).
+pub(crate) fn reconstruction(logits: &Matrix, x: &Matrix) -> (Vec<f64>, Matrix) {
     let mut grad = Matrix::zeros(x.rows(), x.cols());
     let losses = (0..x.rows())
         .map(|i| {
-            let (value, g) = match loss {
-                DecoderLoss::Bernoulli => bce_with_logits(logits.row(i), x.row(i)),
-                DecoderLoss::Gaussian => sse(logits.row(i), x.row(i)),
-            };
+            let (value, g) = bce_with_logits(logits.row(i), x.row(i));
             grad.row_mut(i).copy_from_slice(&g);
             value
         })

@@ -19,7 +19,7 @@
 //! The privacy of the whole pipeline is the RDP composition of Theorem 4,
 //! exposed through [`PhasedGenerativeModel::privacy_spec`].
 
-use crate::config::{DecoderLoss, PgmConfig, VarianceMode};
+use crate::config::{PgmConfig, VarianceMode};
 use crate::history::{EpochStats, TrainingHistory};
 use crate::lot::{self, reconstruction, reparametrize, LotModel, LotSum, Trainer};
 use crate::report::TrainReport;
@@ -30,7 +30,7 @@ use p3gm_mixture::em::{self, EmConfig};
 use p3gm_mixture::Gmm;
 use p3gm_nn::activation::{sigmoid, Activation};
 use p3gm_nn::dpsgd::clip_and_sum_batch;
-use p3gm_nn::loss::{bce_with_logits, sse};
+use p3gm_nn::loss::bce_with_logits;
 use p3gm_nn::mlp::{BatchGradients, Mlp};
 use p3gm_obs::TimeSource;
 use p3gm_preprocess::pca::{DpPca, Pca};
@@ -262,13 +262,7 @@ impl PhasedGenerativeModel {
                 Projection::Exact(p) => p,
                 Projection::Private(p) => p.pca(),
             };
-            warm_start_decoder(
-                &mut decoder,
-                pca.components(),
-                pca.mean(),
-                input_scale,
-                config.decoder_loss,
-            );
+            warm_start_decoder(&mut decoder, pca.components(), pca.mean(), input_scale);
         }
         let trainer = Trainer::new(config.learning_rate, POLYAK_DECAY, 0);
         Ok(PhasedGenerativeModel {
@@ -366,13 +360,11 @@ impl PhasedGenerativeModel {
         }
     }
 
-    /// Decodes a latent vector to the data-space mean.
+    /// Decodes a latent vector to the data-space mean (the sigmoid of the
+    /// decoder's logits).
     pub fn decode(&self, z: &[f64]) -> Vec<f64> {
         let logits = self.decoder.forward(z);
-        match self.config.decoder_loss {
-            DecoderLoss::Bernoulli => logits.iter().map(|&l| sigmoid(l)).collect(),
-            DecoderLoss::Gaussian => logits,
-        }
+        logits.iter().map(|&l| sigmoid(l)).collect()
     }
 
     /// Deterministic reconstruction: decode the frozen encoder mean.
@@ -394,10 +386,7 @@ impl PhasedGenerativeModel {
                     let row = data.row(i);
                     let mu = self.encode_mean(row);
                     let logits = self.decoder.forward(&mu);
-                    sum += match self.config.decoder_loss {
-                        DecoderLoss::Bernoulli => bce_with_logits(&logits, row).0,
-                        DecoderLoss::Gaussian => sse(&logits, row).0,
-                    };
+                    sum += bce_with_logits(&logits, row).0;
                 }
                 sum
             },
@@ -640,7 +629,7 @@ impl LotModel for PhasedGenerativeModel {
 
         // Reconstruction term.
         let decoder = self.decoder.forward_batch_cached(&z);
-        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
+        let (recon, grad_logits) = reconstruction(decoder.output(), &x);
         let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
         let grad_z = grad_z.expect("the decoder input gradient was requested");
 
@@ -679,31 +668,22 @@ impl LotModel for PhasedGenerativeModel {
 
 /// Initializes a two-layer ReLU decoder to the affine PCA reconstruction
 /// `x̂(z) = (V z + µ) / input_scale`, using one `(+z_i, −z_i)` ReLU pair per
-/// latent coordinate (`ReLU(t) − ReLU(−t) = t`). For the Bernoulli decoder
-/// the output is expressed in logit space via the first-order linearization
+/// latent coordinate (`ReLU(t) − ReLU(−t) = t`). The Bernoulli decoder's
+/// output is expressed in logit space via the first-order linearization
 /// `logit ≈ 4 (x̂ − ½)`, which matches value and slope of `sigmoid⁻¹` at ½.
 ///
 /// Requires `hidden ≥ 2 · latent`; smaller hidden layers keep their random
 /// initialization. Hidden units beyond the identity pairs keep their random
 /// incoming weights but start with zero outgoing weights, so the function is
 /// exactly affine at initialization while spare capacity remains trainable.
-fn warm_start_decoder(
-    decoder: &mut Mlp,
-    components: &Matrix,
-    mean: &[f64],
-    input_scale: f64,
-    decoder_loss: DecoderLoss,
-) {
+fn warm_start_decoder(decoder: &mut Mlp, components: &Matrix, mean: &[f64], input_scale: f64) {
     let latent = components.cols();
     let d = components.rows();
     let hidden = (decoder.num_params() - d) / (latent + d + 1);
     if hidden < 2 * latent {
         return;
     }
-    let (k, shift) = match decoder_loss {
-        DecoderLoss::Bernoulli => (4.0, -0.5),
-        DecoderLoss::Gaussian => (1.0, 0.0),
-    };
+    let (k, shift) = (4.0, -0.5);
 
     let mut params = decoder.params();
     let w0_len = hidden * latent;
@@ -862,7 +842,6 @@ mod tests {
             sigma_s: 1.0,
             delta: 1e-5,
             variance_mode: VarianceMode::Learned,
-            decoder_loss: DecoderLoss::Bernoulli,
         }
     }
 
@@ -895,10 +874,7 @@ mod tests {
             (None, out)
         };
         let dec_cache = model.decoder.forward_cached(&z);
-        let (recon, grad_logits) = match model.config.decoder_loss {
-            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
-            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
-        };
+        let (recon, grad_logits) = bce_with_logits(dec_cache.output(), x);
         let grad_z = model.decoder.backward(&dec_cache, &grad_logits, dec_grads);
         let (kl, _kl_grad_mu, kl_grad_logvar) = model.prior.kl_diag_to_mixture(&mu, &logvar);
         if let (Some(enc_grads), Some(cache)) = (enc_grads, enc_cache) {
@@ -911,18 +887,13 @@ mod tests {
     }
 
     /// Every Decoding-Phase variant: PGM and P3GM, learned and fixed
-    /// (P3GM(AE)) variance, Bernoulli and Gaussian decoder losses.
+    /// (P3GM(AE)) variance.
     fn variants() -> Vec<PgmConfig> {
         let mut out = Vec::new();
         for private in [false, true] {
-            for decoder_loss in [DecoderLoss::Bernoulli, DecoderLoss::Gaussian] {
-                let cfg = PgmConfig {
-                    decoder_loss,
-                    ..small_config(private)
-                };
-                out.push(cfg.clone());
-                out.push(cfg.autoencoder_variant());
-            }
+            let cfg = small_config(private);
+            out.push(cfg.clone());
+            out.push(cfg.autoencoder_variant());
         }
         out
     }

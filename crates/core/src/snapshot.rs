@@ -521,7 +521,7 @@ fn derive_seed(seed: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::PgmConfig;
-    use crate::{DecoderLoss, VarianceMode};
+    use crate::VarianceMode;
     use p3gm_privacy::sampling;
 
     fn rng() -> StdRng {
@@ -560,7 +560,6 @@ mod tests {
             sigma_s: 1.0,
             delta: 1e-5,
             variance_mode: VarianceMode::Learned,
-            decoder_loss: DecoderLoss::Bernoulli,
         }
     }
 

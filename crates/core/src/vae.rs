@@ -3,12 +3,12 @@
 //!
 //! The encoder maps `x` to the mean and log-variance of a diagonal Gaussian
 //! `q_φ(z|x)`; the decoder maps a reparametrized sample `z = µ + σ ⊙ ε`
-//! back to logits over `x`. The objective is the negative ELBO of paper
-//! Eq. (1) with the standard-normal prior. With `sigma_s > 0` the gradients
-//! are privatized with DP-SGD (DP-VAE), through the same trainer as the
-//! P3GM Decoding Phase (the crate's `lot` module).
+//! back to Bernoulli logits over `x`. The objective is the negative ELBO
+//! of paper Eq. (1) with the standard-normal prior. With `sigma_s > 0` the
+//! gradients are privatized with DP-SGD (DP-VAE), through the same
+//! trainer as the P3GM Decoding Phase (the crate's `lot` module).
 
-use crate::config::{DecoderLoss, VaeConfig};
+use crate::config::VaeConfig;
 use crate::history::{EpochStats, TrainingHistory};
 use crate::lot::{self, reconstruction, reparametrize, LotModel, LotSum, Trainer};
 use crate::report::TrainReport;
@@ -16,7 +16,7 @@ use crate::{GenerativeModel, Result};
 use p3gm_linalg::Matrix;
 use p3gm_nn::activation::{sigmoid, Activation};
 use p3gm_nn::dpsgd::clip_and_sum_batch;
-use p3gm_nn::loss::{bce_with_logits, kl_diag_gaussian_standard, sse};
+use p3gm_nn::loss::{bce_with_logits, kl_diag_gaussian_standard};
 use p3gm_nn::mlp::Mlp;
 use p3gm_privacy::rdp::{DpSgdBound, PrivacySpec, RdpAccountant};
 use p3gm_privacy::sampling;
@@ -117,14 +117,11 @@ impl Vae {
         (out[..d].to_vec(), out[d..].to_vec())
     }
 
-    /// Decodes a latent vector to the data-space mean (sigmoid of the logits
-    /// for the Bernoulli decoder, raw output for the Gaussian decoder).
+    /// Decodes a latent vector to the data-space mean (the sigmoid of the
+    /// decoder's logits).
     pub fn decode(&self, z: &[f64]) -> Vec<f64> {
         let logits = self.decoder.forward(z);
-        match self.config.decoder_loss {
-            DecoderLoss::Bernoulli => logits.iter().map(|&l| sigmoid(l)).collect(),
-            DecoderLoss::Gaussian => logits,
-        }
+        logits.iter().map(|&l| sigmoid(l)).collect()
     }
 
     /// Deterministic reconstruction of one row (encode to the mean, decode).
@@ -146,10 +143,7 @@ impl Vae {
                     let row = data.row(i);
                     let (mu, _) = self.encode(row);
                     let logits = self.decoder.forward(&mu);
-                    sum += match self.config.decoder_loss {
-                        DecoderLoss::Bernoulli => bce_with_logits(&logits, row).0,
-                        DecoderLoss::Gaussian => sse(&logits, row).0,
-                    };
+                    sum += bce_with_logits(&logits, row).0;
                 }
                 sum
             },
@@ -224,7 +218,7 @@ impl LotModel for Vae {
         // Reparametrization trick with the pre-drawn noise.
         let (sigma, z) = reparametrize(&mu, &logvar, eps);
         let decoder = self.decoder.forward_batch_cached(&z);
-        let (recon, grad_logits) = reconstruction(self.config.decoder_loss, decoder.output(), &x);
+        let (recon, grad_logits) = reconstruction(decoder.output(), &x);
         let (decoder_grads, grad_z) = self.decoder.backward_batch(decoder, &grad_logits, true);
         let grad_z = grad_z.expect("the decoder input gradient was requested");
 
@@ -327,10 +321,7 @@ mod tests {
         let z: Vec<f64> = (0..d).map(|i| mu[i] + sigma[i] * eps[i]).collect();
         let (enc_grads, dec_grads) = out.split_at_mut(vae.encoder.num_params());
         let dec_cache = vae.decoder.forward_cached(&z);
-        let (recon, grad_logits) = match vae.config.decoder_loss {
-            DecoderLoss::Bernoulli => bce_with_logits(dec_cache.output(), x),
-            DecoderLoss::Gaussian => sse(dec_cache.output(), x),
-        };
+        let (recon, grad_logits) = bce_with_logits(dec_cache.output(), x);
         let grad_z = vae.decoder.backward(&dec_cache, &grad_logits, dec_grads);
         let (kl, kl_grad_mu, kl_grad_logvar) = kl_diag_gaussian_standard(mu, logvar);
         let mut grad_enc_out = vec![0.0; 2 * d];
@@ -386,29 +377,26 @@ mod tests {
         // 40 distinct rows: three chunks of 16, 16 and 8.
         let indices: Vec<usize> = (0..40).map(|i| (i * 7) % 48).collect();
         for sigma_s in [0.0, 1.0] {
-            for decoder_loss in [DecoderLoss::Bernoulli, DecoderLoss::Gaussian] {
-                let cfg = VaeConfig {
-                    sigma_s,
-                    decoder_loss,
-                    ..small_config()
-                };
-                let mut vae = Vae::new(&mut r, 6, cfg).unwrap();
-                vae.train_epoch(&mut r, &data).unwrap();
-                let d = vae.config.latent_dim;
-                let eps = sampling::normal_vec(&mut r, indices.len() * d, 1.0);
-                let mut rows = Matrix::zeros(indices.len(), vae.num_params());
-                let losses: Vec<(f64, f64)> = indices
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &row)| {
-                        let eps = &eps[i * d..(i + 1) * d];
-                        example_gradient_reference(&vae, data.row(row), eps, rows.row_mut(i))
-                    })
-                    .collect();
-                for clip_norm in [None, Some(clip_between_norms(&rows))] {
-                    let lot = lot_sum(&vae, &data, &indices, &eps, clip_norm);
-                    assert_matches_rows(&lot, &rows, &losses, clip_norm);
-                }
+            let cfg = VaeConfig {
+                sigma_s,
+                ..small_config()
+            };
+            let mut vae = Vae::new(&mut r, 6, cfg).unwrap();
+            vae.train_epoch(&mut r, &data).unwrap();
+            let d = vae.config.latent_dim;
+            let eps = sampling::normal_vec(&mut r, indices.len() * d, 1.0);
+            let mut rows = Matrix::zeros(indices.len(), vae.num_params());
+            let losses: Vec<(f64, f64)> = indices
+                .iter()
+                .enumerate()
+                .map(|(i, &row)| {
+                    let eps = &eps[i * d..(i + 1) * d];
+                    example_gradient_reference(&vae, data.row(row), eps, rows.row_mut(i))
+                })
+                .collect();
+            for clip_norm in [None, Some(clip_between_norms(&rows))] {
+                let lot = lot_sum(&vae, &data, &indices, &eps, clip_norm);
+                assert_matches_rows(&lot, &rows, &losses, clip_norm);
             }
         }
     }
@@ -563,22 +551,6 @@ mod tests {
             high > low,
             "huge noise should hurt reconstruction: low {low}, high {high}"
         );
-    }
-
-    #[test]
-    fn gaussian_decoder_variant_trains() {
-        let mut r = rng();
-        let data = bimodal(&mut r, 60);
-        let cfg = VaeConfig {
-            decoder_loss: DecoderLoss::Gaussian,
-            epochs: 5,
-            ..small_config()
-        };
-        let (vae, history) = Vae::fit(&mut r, &data, cfg).unwrap();
-        assert_eq!(history.len(), 5);
-        // Gaussian decoder output is unbounded, but should stay finite.
-        let samples = vae.sample(&mut r, 8);
-        assert!(samples.as_slice().iter().all(|v| v.is_finite()));
     }
 
     #[test]

@@ -190,7 +190,6 @@ pub fn pgm_config_for(
         sigma_s: 1.5,
         delta: DELTA,
         variance_mode: p3gm_core::config::VarianceMode::Learned,
-        decoder_loss: p3gm_core::config::DecoderLoss::Bernoulli,
     };
     if matches!(kind, GenerativeKind::P3gmAe) {
         cfg = cfg.autoencoder_variant();
@@ -235,7 +234,6 @@ pub fn vae_config_for(
         clip_norm: 1.0,
         sigma_s: 0.0,
         delta: DELTA,
-        decoder_loss: p3gm_core::config::DecoderLoss::Bernoulli,
     };
     if private {
         let t_s = cfg.sgd_steps(n);
@@ -392,20 +390,6 @@ pub fn mean(values: &[f64]) -> f64 {
     } else {
         values.iter().sum::<f64>() / values.len() as f64
     }
-}
-
-/// Draws `n` samples and splits them back into features/labels — used by
-/// the Figure 2 experiment to inspect raw samples.
-pub fn sample_images(
-    rng: &mut StdRng,
-    generator: &TrainedGenerator,
-    synth: &LabelledSynthesizer,
-    n: usize,
-) -> (Matrix, Vec<usize>) {
-    let raw = generator.sample(rng, n);
-    synth
-        .split(&raw)
-        .expect("generated rows have the prepared width")
 }
 
 /// Helper for experiments that need a quick non-degenerate subsample for

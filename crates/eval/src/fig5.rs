@@ -8,7 +8,7 @@
 //! suffers from the curse of dimensionality.
 
 use crate::common::{
-    evaluate_images, experiment_rng, make_dataset, pgm_config_for, stratified_split, GenerativeKind,
+    experiment_rng, make_dataset, pgm_config_for, stratified_split, GenerativeKind,
 };
 use crate::report::{fmt_metric, TextTable};
 use crate::scale::Scale;
@@ -120,22 +120,6 @@ pub fn run_sweeps(scale: Scale, dps: &[usize], dms: &[usize]) -> Fig5Report {
         dp_sweep,
         dm_ablation,
     }
-}
-
-/// Sanity reference: the accuracy of the full P3GM default at the same
-/// scale (used by the bench narrative, not by the sweep itself).
-pub fn reference_accuracy(scale: Scale) -> f64 {
-    let mut rng = experiment_rng(56);
-    let dataset = make_dataset(&mut rng, DatasetKind::Mnist, scale);
-    let split = stratified_split(&mut rng, &dataset, scale.test_fraction());
-    evaluate_images(
-        &mut rng,
-        GenerativeKind::P3gm,
-        &split.train,
-        &split.test,
-        scale,
-        1.0,
-    )
 }
 
 impl Fig5Report {

@@ -223,11 +223,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Copies the matrix out as a list of rows.
     ///
     /// This is an I/O-boundary adapter (serialization, report rendering);

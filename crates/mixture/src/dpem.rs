@@ -138,7 +138,7 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
         config.covariance_regularization,
     );
 
-    let mut model = Gmm::new(weights.clone(), means.clone(), covariances.clone()).map_err(keep)?;
+    let mut model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
     let mut trace = Vec::with_capacity(config.iterations);
     let mut resp = Matrix::zeros(n, k);
     // Pass A on the initial model: the first M-step's statistics. The
@@ -184,7 +184,7 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &DpEmConfig) -> 
             covariances[c] = cov;
         }
 
-        model = Gmm::new(weights.clone(), means.clone(), covariances.clone()).map_err(keep)?;
+        model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
         // The released model's pass A: its log-likelihood for the trace
         // and the next iteration's statistics.
         stats = e_step(&model, &clipped, &mut resp);
@@ -205,10 +205,6 @@ pub fn clip_rows(data: &Matrix, clip_norm: f64) -> Matrix {
         vector::clip_norm(out.row_mut(i), clip_norm);
     }
     out
-}
-
-fn keep(e: MixtureError) -> MixtureError {
-    e
 }
 
 #[cfg(test)]

@@ -196,8 +196,7 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &EmConfig) -> Re
     let (mut weights, mut means, mut covariances) =
         initial_parameters(data, &km.assignments, k, config.covariance_regularization);
 
-    let mut model =
-        Gmm::new(weights.clone(), means.clone(), covariances.clone()).map_err(upgrade_numerical)?;
+    let mut model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
     let mut trace: Vec<f64> = Vec::with_capacity(config.max_iters);
     let mut converged = false;
     let mut iterations = 0;
@@ -221,8 +220,7 @@ pub fn fit<R: Rng + ?Sized>(rng: &mut R, data: &Matrix, config: &EmConfig) -> Re
             covariances[c] = cov;
         }
 
-        model = Gmm::new(weights.clone(), means.clone(), covariances.clone())
-            .map_err(upgrade_numerical)?;
+        model = Gmm::new(weights.clone(), means.clone(), covariances.clone())?;
         // The new model's pass A: its log-likelihood now, its statistics
         // for the next iteration.
         stats = e_step(&model, data, &mut resp);
@@ -318,13 +316,6 @@ pub(crate) fn validate(data: &Matrix, config: &EmConfig) -> Result<()> {
         });
     }
     Ok(())
-}
-
-fn upgrade_numerical(e: MixtureError) -> MixtureError {
-    match e {
-        MixtureError::Numerical { msg } => MixtureError::Numerical { msg },
-        other => other,
-    }
 }
 
 /// The (DP-)EM kernels before the two-pass fusion, kept as the test

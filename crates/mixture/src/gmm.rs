@@ -354,11 +354,6 @@ impl Gmm {
         sampling::multivariate_normal(rng, self.means.row(k), &self.factors[k])
     }
 
-    /// Draws one sample from a specific component.
-    pub fn sample_component<R: Rng + ?Sized>(&self, rng: &mut R, k: usize) -> Vec<f64> {
-        sampling::multivariate_normal(rng, self.means.row(k), &self.factors[k])
-    }
-
     /// Draws `n` samples from the mixture as rows of a matrix.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Matrix {
         let mut out = Matrix::zeros(n, self.dim());

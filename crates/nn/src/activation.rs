@@ -1,4 +1,5 @@
-//! Element-wise activation functions with derivatives.
+//! Element-wise activation functions with derivatives, and the logistic
+//! sigmoid the Bernoulli decoders and the classifiers apply to logits.
 
 /// The activation functions used by the networks in this workspace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -8,13 +9,6 @@ pub enum Activation {
     Identity,
     /// Rectified linear unit, `max(0, x)`.
     Relu,
-    /// Logistic sigmoid, `1 / (1 + exp(-x))`.
-    Sigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Softplus, `log(1 + exp(x))` — a smooth positive function used when a
-    /// network must output a strictly positive quantity (e.g. a variance).
-    Softplus,
 }
 
 impl Activation {
@@ -24,9 +18,6 @@ impl Activation {
         match self {
             Activation::Identity => x,
             Activation::Relu => x.max(0.0),
-            Activation::Sigmoid => sigmoid(x),
-            Activation::Tanh => x.tanh(),
-            Activation::Softplus => softplus(x),
         }
     }
 
@@ -43,15 +34,6 @@ impl Activation {
                     0.0
                 }
             }
-            Activation::Sigmoid => {
-                let s = sigmoid(x);
-                s * (1.0 - s)
-            }
-            Activation::Tanh => {
-                let t = x.tanh();
-                1.0 - t * t
-            }
-            Activation::Softplus => sigmoid(x),
         }
     }
 
@@ -63,26 +45,23 @@ impl Activation {
 
     /// The stable one-byte code identifying this activation in persisted
     /// snapshots (part of the `p3gm-store` wire format — never renumber).
+    /// Codes 2–4 are reserved: they named the retired sigmoid, tanh and
+    /// softplus activations, and decoding rejects them.
     pub fn persist_code(self) -> u8 {
         match self {
             Activation::Identity => 0,
             Activation::Relu => 1,
-            Activation::Sigmoid => 2,
-            Activation::Tanh => 3,
-            Activation::Softplus => 4,
         }
     }
 
-    /// Inverse of [`Activation::persist_code`]; `None` for unknown codes.
+    /// Inverse of [`Activation::persist_code`]; `None` for unknown and
+    /// reserved codes.
     pub fn from_persist_code(code: u8) -> Option<Self> {
-        Some(match code {
-            0 => Activation::Identity,
-            1 => Activation::Relu,
-            2 => Activation::Sigmoid,
-            3 => Activation::Tanh,
-            4 => Activation::Softplus,
-            _ => return None,
-        })
+        match code {
+            0 => Some(Activation::Identity),
+            1 => Some(Activation::Relu),
+            _ => None,
+        }
     }
 
     /// Multiplies `grad` element-wise by the derivative evaluated at the
@@ -107,38 +86,18 @@ pub fn sigmoid(x: f64) -> f64 {
     }
 }
 
-/// Numerically stable softplus `log(1 + exp(x))`.
-#[inline]
-pub fn softplus(x: f64) -> f64 {
-    if x > 30.0 {
-        x
-    } else if x < -30.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const ACTS: [Activation; 5] = [
-        Activation::Identity,
-        Activation::Relu,
-        Activation::Sigmoid,
-        Activation::Tanh,
-        Activation::Softplus,
-    ];
+    const ACTS: [Activation; 2] = [Activation::Identity, Activation::Relu];
 
     #[test]
     fn known_values() {
         assert_eq!(Activation::Identity.apply(-2.5), -2.5);
         assert_eq!(Activation::Relu.apply(-1.0), 0.0);
         assert_eq!(Activation::Relu.apply(2.0), 2.0);
-        assert!((Activation::Sigmoid.apply(0.0) - 0.5).abs() < 1e-12);
-        assert!((Activation::Tanh.apply(0.0)).abs() < 1e-12);
-        assert!((Activation::Softplus.apply(0.0) - 2.0_f64.ln()).abs() < 1e-12);
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -164,14 +123,6 @@ mod tests {
         assert!(sigmoid(-1000.0) < 1e-12);
         assert!(!sigmoid(750.0).is_nan());
         assert!(!sigmoid(-750.0).is_nan());
-    }
-
-    #[test]
-    fn softplus_is_stable_at_extremes() {
-        assert!((softplus(100.0) - 100.0).abs() < 1e-9);
-        assert!(softplus(-100.0) > 0.0);
-        assert!(softplus(-100.0) < 1e-9);
-        assert!(!softplus(750.0).is_nan());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! This module glues the per-example gradients produced by [`crate::mlp`]
 //! to the gradient-privatization primitives in `p3gm-privacy` and an
-//! [`crate::optimizer`] step. The DP-SGD trainer (`p3gm-core`, shared by
+//! [`Adam`] step. The DP-SGD trainer (`p3gm-core`, shared by
 //! P3GM and the DP-VAE) clips without ever forming a per-example gradient:
 //! [`clip_and_sum_batch`] takes each example's norm from the factored
 //! [`BatchGradients`] of one or more networks, clips with `p3gm-privacy`'s
@@ -17,7 +17,7 @@
 //! sampling-rate, noise) triple the accountant needs.
 
 use crate::mlp::BatchGradients;
-use crate::optimizer::Optimizer;
+use crate::optimizer::Adam;
 use p3gm_linalg::Matrix;
 use p3gm_privacy::mechanisms::{
     clip_factor, draw_gradient_noise, privatize_gradient_sum, validate_dp_sgd, GradientNoise,
@@ -66,14 +66,14 @@ impl DpSgdConfig {
 
     /// Privatizes a batch of per-example gradients (`B x P`, one flat
     /// gradient per row — the layout [`crate::mlp::Mlp::per_example_gradients`]
-    /// produces) and applies one optimizer step to `params`. Returns the
+    /// produces) and applies one Adam step to `params`. Returns the
     /// privatized average gradient (useful for logging gradient norms).
-    pub fn step<R: Rng + ?Sized, O: Optimizer + ?Sized>(
+    pub fn step<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         per_example_grads: &Matrix,
         params: &mut [f64],
-        optimizer: &mut O,
+        optimizer: &mut Adam,
     ) -> Result<Vec<f64>, PrivacyError> {
         let noisy = privatize_gradient_sum(
             rng,
@@ -159,7 +159,6 @@ pub fn sample_batch_indices<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::Sgd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -203,7 +202,7 @@ mod tests {
                 let mut params = vec![0.0; 2];
                 let grads = Matrix::from_rows(&[vec![30.0, 40.0], vec![3.0, 4.0]]).unwrap();
                 assert!(cfg
-                    .step(&mut rng(), &grads, &mut params, &mut Sgd::new(1.0))
+                    .step(&mut rng(), &grads, &mut params, &mut Adam::new(1.0))
                     .is_err());
                 assert!(cfg.draw_noise(&mut rng(), 2).is_err());
                 assert_eq!(params, vec![0.0; 2], "a rejected step must not move");
@@ -252,13 +251,18 @@ mod tests {
             batch_size: 2,
         };
         let mut params = vec![0.0, 0.0];
-        let mut opt = Sgd::new(1.0);
-        // Two identical unit-norm gradients → average is the gradient itself.
-        let grads = Matrix::from_rows(&[vec![0.6, 0.8], vec![0.6, 0.8]]).unwrap();
+        let mut opt = Adam::new(0.1);
+        // A unit-norm gradient and a clipped one (norm 5 → 1): the
+        // privatized average is their common direction.
+        let grads = Matrix::from_rows(&[vec![0.6, 0.8], vec![3.0, 4.0]]).unwrap();
         let noisy = cfg.step(&mut r, &grads, &mut params, &mut opt).unwrap();
         assert!((noisy[0] - 0.6).abs() < 1e-12);
-        assert!((params[0] + 0.6).abs() < 1e-12);
-        assert!((params[1] + 0.8).abs() < 1e-12);
+        assert!((noisy[1] - 0.8).abs() < 1e-12);
+        // Adam's first step moves every coordinate by the learning rate
+        // against the gradient's sign.
+        assert_eq!(opt.steps_taken(), 1);
+        assert!((params[0] + 0.1).abs() < 1e-6, "{params:?}");
+        assert!((params[1] + 0.1).abs() < 1e-6, "{params:?}");
     }
 
     #[test]
@@ -270,7 +274,7 @@ mod tests {
             batch_size: 4,
         };
         let mut params = vec![0.0; 8];
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let grads = Matrix::zeros(4, 8);
         cfg.step(&mut r, &grads, &mut params, &mut opt).unwrap();
         // Pure noise: parameters moved away from zero.

@@ -7,19 +7,18 @@
 //! This crate provides everything needed to train such networks, and the
 //! MLP behind the downstream classifiers, from scratch:
 //!
-//! * [`activation`] — ReLU / sigmoid / tanh / softplus / identity with
-//!   derivatives.
+//! * [`activation`] — ReLU / identity with derivatives, and the logistic
+//!   sigmoid applied to logits.
 //! * [`linear`] — a fully-connected layer with explicit forward/backward.
 //! * [`mlp`] — multi-layer perceptrons with flat parameter/gradient
 //!   vectors and a batched backward pass that keeps per-example gradients
 //!   factored, so DP-SGD can clip each example without materializing it.
-//! * [`loss`] — MSE, Bernoulli cross-entropy with logits, softmax
-//!   cross-entropy, and the Gaussian-VAE KL divergence, all returning both
-//!   value and gradient.
-//! * [`optimizer`] — SGD (with momentum) and Adam operating on flat
-//!   parameter vectors.
+//! * [`loss`] — Bernoulli cross-entropy with logits, softmax
+//!   cross-entropy, and the Gaussian-VAE KL divergences, all returning
+//!   both value and gradient.
+//! * [`optimizer`] — Adam operating on flat parameter vectors.
 //! * [`dpsgd`] — the DP-SGD update rule: clip per-example gradients, add
-//!   Gaussian noise, average, and take an optimizer step.
+//!   Gaussian noise, average, and take an Adam step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,4 +34,4 @@ pub use activation::Activation;
 pub use dpsgd::DpSgdConfig;
 pub use linear::Linear;
 pub use mlp::{BatchCache, BatchGradients, Mlp, MlpCache};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;

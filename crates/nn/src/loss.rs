@@ -1,35 +1,9 @@
 //! Loss functions returning both the value and the gradient with respect to
-//! the model output (logits where applicable).
+//! the model output (logits where applicable): the Bernoulli decoder's
+//! reconstruction term, the classifiers' cross-entropies and the KL terms
+//! of the ELBO.
 
 use p3gm_linalg::vector;
-
-/// Mean-squared error `1/n Σ (y - t)²` and its gradient with respect to `y`.
-pub fn mse(prediction: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
-    debug_assert_eq!(prediction.len(), target.len());
-    let n = prediction.len().max(1) as f64;
-    let mut grad = vec![0.0; prediction.len()];
-    let mut total = 0.0;
-    for ((g, &y), &t) in grad.iter_mut().zip(prediction.iter()).zip(target.iter()) {
-        let d = y - t;
-        total += d * d;
-        *g = 2.0 * d / n;
-    }
-    (total / n, grad)
-}
-
-/// Sum-squared error `Σ (y - t)²` and its gradient (no 1/n factor) — the
-/// Gaussian-decoder reconstruction term of the ELBO uses the summed form.
-pub fn sse(prediction: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
-    debug_assert_eq!(prediction.len(), target.len());
-    let mut grad = vec![0.0; prediction.len()];
-    let mut total = 0.0;
-    for ((g, &y), &t) in grad.iter_mut().zip(prediction.iter()).zip(target.iter()) {
-        let d = y - t;
-        total += d * d;
-        *g = 2.0 * d;
-    }
-    (total, grad)
-}
 
 /// Bernoulli negative log-likelihood with logits, summed over dimensions:
 ///
@@ -138,25 +112,6 @@ mod tests {
     fn finite_diff(f: impl Fn(f64) -> f64, x: f64) -> f64 {
         let h = 1e-6;
         (f(x + h) - f(x - h)) / (2.0 * h)
-    }
-
-    #[test]
-    fn mse_value_and_gradient() {
-        let (v, g) = mse(&[1.0, 3.0], &[0.0, 1.0]);
-        assert!((v - (1.0 + 4.0) / 2.0).abs() < 1e-12);
-        assert!((g[0] - 1.0).abs() < 1e-12);
-        assert!((g[1] - 2.0).abs() < 1e-12);
-        // Perfect prediction.
-        let (v, g) = mse(&[2.0], &[2.0]);
-        assert_eq!(v, 0.0);
-        assert_eq!(g, vec![0.0]);
-    }
-
-    #[test]
-    fn sse_value_and_gradient() {
-        let (v, g) = sse(&[1.0, 3.0], &[0.0, 1.0]);
-        assert!((v - 5.0).abs() < 1e-12);
-        assert_eq!(g, vec![2.0, 4.0]);
     }
 
     #[test]

@@ -170,7 +170,7 @@ impl Mlp {
             .windows(2)
             .map(|w| match hidden_activation {
                 Activation::Relu => Linear::new_he(rng, w[0], w[1]),
-                _ => Linear::new_xavier(rng, w[0], w[1]),
+                Activation::Identity => Linear::new_xavier(rng, w[0], w[1]),
             })
             .collect();
         Mlp {
@@ -526,29 +526,43 @@ impl Mlp {
             output_activation,
         })
     }
-
-    /// Applies a gradient-descent style update `params -= lr * grad` (used
-    /// by tests and by simple non-private training loops; real training uses
-    /// the [`crate::optimizer`] module).
-    pub fn apply_gradient(&mut self, grad: &[f64], lr: f64) {
-        let mut params = self.params();
-        assert_eq!(grad.len(), params.len());
-        for (p, &g) in params.iter_mut().zip(grad.iter()) {
-            *p -= lr * g;
-        }
-        self.set_params(&params);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(11)
+    }
+
+    /// Mean-squared error `1/n Σ (y - t)²` and its gradient with respect
+    /// to `y`: the regression loss of the gradient checks below.
+    fn mse(prediction: &[f64], target: &[f64]) -> (f64, Vec<f64>) {
+        debug_assert_eq!(prediction.len(), target.len());
+        let n = prediction.len().max(1) as f64;
+        let mut grad = vec![0.0; prediction.len()];
+        let mut total = 0.0;
+        for ((g, &y), &t) in grad.iter_mut().zip(prediction.iter()).zip(target.iter()) {
+            let d = y - t;
+            total += d * d;
+            *g = 2.0 * d / n;
+        }
+        (total / n, grad)
+    }
+
+    #[test]
+    fn mse_value_and_gradient() {
+        let (v, g) = mse(&[1.0, 3.0], &[0.0, 1.0]);
+        assert!((v - (1.0 + 4.0) / 2.0).abs() < 1e-12);
+        assert!((g[0] - 1.0).abs() < 1e-12);
+        assert!((g[1] - 2.0).abs() < 1e-12);
+        // Perfect prediction.
+        let (v, g) = mse(&[2.0], &[2.0]);
+        assert_eq!(v, 0.0);
+        assert_eq!(g, vec![0.0]);
     }
 
     #[test]
@@ -572,9 +586,9 @@ mod tests {
     #[test]
     fn params_roundtrip() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Tanh, Activation::Identity);
+        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Relu, Activation::Identity);
         let p = mlp.params();
-        let mut other = Mlp::new(&mut r, &[3, 5, 2], Activation::Tanh, Activation::Identity);
+        let mut other = Mlp::new(&mut r, &[3, 5, 2], Activation::Relu, Activation::Identity);
         other.set_params(&p);
         let x = [0.5, -0.5, 1.0];
         let a = mlp.forward(&x);
@@ -587,7 +601,7 @@ mod tests {
     #[test]
     fn forward_cached_output_matches_forward() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 6, 2], Activation::Relu, Activation::Sigmoid);
+        let mlp = Mlp::new(&mut r, &[3, 6, 2], Activation::Relu, Activation::Identity);
         let x = [0.2, -0.4, 0.9];
         let cache = mlp.forward_cached(&x);
         let direct = mlp.forward(&x);
@@ -599,18 +613,18 @@ mod tests {
     #[test]
     fn backward_matches_finite_differences() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Tanh, Activation::Identity);
+        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Relu, Activation::Identity);
         let x = [0.3, -0.2, 0.8];
         let target = [0.7, -0.4];
 
         // Loss: MSE between output and target.
         let loss_of = |m: &Mlp| -> f64 {
             let y = m.forward(&x);
-            loss::mse(&y, &target).0
+            mse(&y, &target).0
         };
 
         let cache = mlp.forward_cached(&x);
-        let (_, grad_out) = loss::mse(cache.output(), &target);
+        let (_, grad_out) = mse(cache.output(), &target);
         let mut grads = vec![0.0; mlp.num_params()];
         mlp.backward(&cache, &grad_out, &mut grads);
 
@@ -669,7 +683,7 @@ mod tests {
         ];
         let total_loss = |m: &Mlp| -> f64 {
             data.iter()
-                .map(|(x, y)| loss::mse(&m.forward(x), &[*y]).0)
+                .map(|(x, y)| mse(&m.forward(x), &[*y]).0)
                 .sum::<f64>()
         };
         let before = total_loss(&mlp);
@@ -677,13 +691,17 @@ mod tests {
             let mut grads = vec![0.0; mlp.num_params()];
             for (x, y) in &data {
                 let cache = mlp.forward_cached(x);
-                let (_, g) = loss::mse(cache.output(), &[*y]);
+                let (_, g) = mse(cache.output(), &[*y]);
                 mlp.backward(&cache, &g, &mut grads);
             }
             for g in &mut grads {
                 *g /= data.len() as f64;
             }
-            mlp.apply_gradient(&grads, 0.05);
+            let mut params = mlp.params();
+            for (p, g) in params.iter_mut().zip(&grads) {
+                *p -= 0.05 * g;
+            }
+            mlp.set_params(&params);
         }
         let after = total_loss(&mlp);
         assert!(
@@ -708,7 +726,7 @@ mod tests {
     #[test]
     fn forward_batch_matches_row_forward() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 7, 2], Activation::Relu, Activation::Sigmoid);
+        let mlp = Mlp::new(&mut r, &[3, 7, 2], Activation::Relu, Activation::Identity);
         let x = Matrix::from_fn(9, 3, |i, j| ((i * 3 + j) as f64 * 0.77).sin());
         let batch = mlp.forward_batch(&x);
         assert_eq!(batch.shape(), (9, 2));
@@ -720,7 +738,7 @@ mod tests {
     #[test]
     fn per_example_gradients_match_example_gradient() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Tanh, Activation::Identity);
+        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Relu, Activation::Identity);
         let x = Matrix::from_fn(6, 3, |i, j| ((i + 2 * j) as f64 * 0.41).cos());
         let gouts = Matrix::from_fn(6, 2, |i, j| ((i * 2 + j) as f64 * 0.19).sin());
         let batch = mlp.per_example_gradients(&x, &gouts);
@@ -734,7 +752,7 @@ mod tests {
     #[test]
     fn byte_round_trip_reproduces_forward_bitwise() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[4, 9, 3], Activation::Relu, Activation::Sigmoid);
+        let mlp = Mlp::new(&mut r, &[4, 9, 3], Activation::Identity, Activation::Relu);
         let back = Mlp::from_bytes(&mlp.to_bytes()).unwrap();
         assert_eq!(back.num_params(), mlp.num_params());
         assert_eq!(back.params(), mlp.params());
@@ -745,7 +763,7 @@ mod tests {
     #[test]
     fn from_bytes_rejects_malformed_buffers() {
         let mut r = rng();
-        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Tanh, Activation::Identity);
+        let mlp = Mlp::new(&mut r, &[3, 5, 2], Activation::Relu, Activation::Identity);
         let bytes = mlp.to_bytes();
         for cut in 0..bytes.len() {
             assert!(Mlp::from_bytes(&bytes[..cut]).is_err(), "prefix {cut}");
@@ -782,6 +800,27 @@ mod tests {
             Mlp::from_bytes(&enc.finish()),
             Err(p3gm_store::StoreError::Invalid { .. })
         ));
+    }
+
+    /// Activation codes 2–4 are reserved (the retired sigmoid, tanh and
+    /// softplus): a buffer naming one is invalid in either position.
+    #[test]
+    fn from_bytes_rejects_reserved_activation_codes() {
+        for (hidden, output) in [(3, 0), (1, 3), (2, 0), (1, 4)] {
+            let mut enc = p3gm_store::Encoder::new(p3gm_store::tags::MLP);
+            enc.u8(hidden).u8(output).usize(1);
+            enc.usize(3)
+                .usize(2)
+                .f64_slice(&[0.0; 6])
+                .f64_slice(&[0.0; 2]);
+            assert!(
+                matches!(
+                    Mlp::from_bytes(&enc.finish()),
+                    Err(p3gm_store::StoreError::Invalid { .. })
+                ),
+                "codes ({hidden}, {output})"
+            );
+        }
     }
 
     #[test]

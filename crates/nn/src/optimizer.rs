@@ -1,87 +1,19 @@
-//! First-order optimizers over flat parameter vectors.
+//! The Adam optimizer over flat parameter vectors, the optimizer of every
+//! network this workspace trains.
 
-/// Common interface for optimizers: apply one update given the gradient.
-pub trait Optimizer {
-    /// Updates `params` in place using `grad` (same length).
-    fn step(&mut self, params: &mut [f64], grad: &[f64]);
+/// Exponential decay of the first-moment estimate (β₁).
+const BETA1: f64 = 0.9;
+/// Exponential decay of the second-moment estimate (β₂).
+const BETA2: f64 = 0.999;
+/// Denominator guard (ε).
+const EPS: f64 = 1e-8;
 
-    /// The base learning rate (useful for schedules and logging).
-    fn learning_rate(&self) -> f64;
-
-    /// Overrides the learning rate (used by decay schedules).
-    fn set_learning_rate(&mut self, lr: f64);
-}
-
-/// Stochastic gradient descent with optional momentum.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<f64>,
-}
-
-impl Sgd {
-    /// Plain SGD with the given learning rate.
-    pub fn new(lr: f64) -> Self {
-        Self::with_momentum(lr, 0.0)
-    }
-
-    /// SGD with momentum; `momentum` in `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
-        assert_eq!(
-            params.len(),
-            grad.len(),
-            "parameter/gradient length mismatch"
-        );
-        if self.momentum == 0.0 {
-            for (p, &g) in params.iter_mut().zip(grad.iter()) {
-                *p -= self.lr * g;
-            }
-            return;
-        }
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
-        }
-        for ((p, v), &g) in params
-            .iter_mut()
-            .zip(self.velocity.iter_mut())
-            .zip(grad.iter())
-        {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
-    }
-}
-
-/// Adam optimizer (Kingma & Ba) — the optimizer the reference P3GM
+/// Adam optimizer (Kingma & Ba) with the standard hyper-parameters
+/// β₁ = 0.9, β₂ = 0.999, ε = 1e-8 — the optimizer the reference P3GM
 /// implementation pairs with DP-SGD-style noisy gradients.
 #[derive(Debug, Clone)]
 pub struct Adam {
     lr: f64,
-    beta1: f64,
-    beta2: f64,
-    eps: f64,
     t: u64,
     /// `beta1^t` / `beta2^t`, maintained by one multiply per step in a
     /// fixed order — the bias correction never goes through `powi`,
@@ -93,21 +25,14 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Adam with standard hyper-parameters (β₁ = 0.9, β₂ = 0.999, ε = 1e-8).
+    /// Adam with learning rate `lr`.
+    ///
+    /// # Panics
+    /// Panics if `lr` is not positive.
     pub fn new(lr: f64) -> Self {
-        Self::with_params(lr, 0.9, 0.999, 1e-8)
-    }
-
-    /// Adam with explicit hyper-parameters.
-    pub fn with_params(lr: f64, beta1: f64, beta2: f64, eps: f64) -> Self {
         assert!(lr > 0.0, "learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        assert!(eps > 0.0);
         Adam {
             lr,
-            beta1,
-            beta2,
-            eps,
             t: 0,
             beta1_pow: 1.0,
             beta2_pow: 1.0,
@@ -120,10 +45,12 @@ impl Adam {
     pub fn steps_taken(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, params: &mut [f64], grad: &[f64]) {
+    /// Updates `params` in place using `grad` (same length).
+    ///
+    /// # Panics
+    /// Panics if the lengths differ.
+    pub fn step(&mut self, params: &mut [f64], grad: &[f64]) {
         assert_eq!(
             params.len(),
             grad.len(),
@@ -137,29 +64,18 @@ impl Optimizer for Adam {
             self.beta2_pow = 1.0;
         }
         self.t += 1;
-        let b1 = self.beta1;
-        let b2 = self.beta2;
-        self.beta1_pow *= b1;
-        self.beta2_pow *= b2;
+        self.beta1_pow *= BETA1;
+        self.beta2_pow *= BETA2;
         let bias1 = 1.0 - self.beta1_pow;
         let bias2 = 1.0 - self.beta2_pow;
         for i in 0..params.len() {
             let g = grad[i];
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g;
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g;
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g;
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g;
             let m_hat = self.m[i] / bias1;
             let v_hat = self.v[i] / bias2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            params[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
         }
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        assert!(lr > 0.0, "learning rate must be positive");
-        self.lr = lr;
     }
 }
 
@@ -167,35 +83,16 @@ impl Optimizer for Adam {
 mod tests {
     use super::*;
 
-    /// Minimizes f(x) = (x - 3)² from x = 0 with the given optimizer.
-    fn minimize(opt: &mut dyn Optimizer, iters: usize) -> f64 {
+    #[test]
+    fn adam_converges_on_quadratic() {
+        // Minimizes f(x) = (x - 3)² from x = 0.
+        let mut opt = Adam::new(0.1);
         let mut params = vec![0.0];
-        for _ in 0..iters {
+        for _ in 0..500 {
             let grad = vec![2.0 * (params[0] - 3.0)];
             opt.step(&mut params, &grad);
         }
-        params[0]
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        let x = minimize(&mut opt, 200);
-        assert!((x - 3.0).abs() < 1e-6, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_with_momentum_converges() {
-        let mut opt = Sgd::with_momentum(0.05, 0.9);
-        let x = minimize(&mut opt, 400);
-        assert!((x - 3.0).abs() < 1e-4, "x = {x}");
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let mut opt = Adam::new(0.1);
-        let x = minimize(&mut opt, 500);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
+        assert!((params[0] - 3.0).abs() < 1e-3, "x = {}", params[0]);
         assert_eq!(opt.steps_taken(), 500);
     }
 
@@ -214,20 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn learning_rate_accessors() {
-        let mut sgd = Sgd::new(0.1);
-        assert_eq!(sgd.learning_rate(), 0.1);
-        sgd.set_learning_rate(0.01);
-        assert_eq!(sgd.learning_rate(), 0.01);
-        let mut adam = Adam::new(0.001);
-        adam.set_learning_rate(0.002);
-        assert_eq!(adam.learning_rate(), 0.002);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn step_rejects_mismatched_lengths() {
-        let mut opt = Sgd::new(0.1);
+        let mut opt = Adam::new(0.1);
         let mut params = vec![0.0, 1.0];
         opt.step(&mut params, &[1.0]);
     }
@@ -235,18 +121,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "learning rate must be positive")]
     fn rejects_bad_learning_rate() {
-        let _ = Sgd::new(0.0);
-    }
-
-    #[test]
-    fn sgd_zero_momentum_matches_plain() {
-        let mut a = Sgd::new(0.1);
-        let mut b = Sgd::with_momentum(0.1, 0.0);
-        let mut pa = vec![1.0, -2.0];
-        let mut pb = vec![1.0, -2.0];
-        let grad = vec![0.3, -0.4];
-        a.step(&mut pa, &grad);
-        b.step(&mut pb, &grad);
-        assert_eq!(pa, pb);
+        let _ = Adam::new(0.0);
     }
 }

@@ -10,7 +10,8 @@
 //!
 //! * [`pca`] — [`pca::Pca`] (exact) and [`pca::DpPca`] (Wishart mechanism,
 //!   (ε_p, 0)-DP), both exposing `transform` / `inverse_transform`.
-//! * [`scaler`] — [`scaler::MinMaxScaler`] and [`scaler::StandardScaler`].
+//! * [`scaler`] — [`scaler::MinMaxScaler`], the `[0, 1]` feature scaling
+//!   of the labelled synthesis pipeline.
 //! * [`encoding`] — [`encoding::OneHotEncoder`] for labels/categoricals and
 //!   [`encoding::Discretizer`] (equal-width binning) for PrivBayes.
 
@@ -23,7 +24,7 @@ pub mod scaler;
 
 pub use encoding::{Discretizer, OneHotEncoder};
 pub use pca::{DpPca, Pca};
-pub use scaler::{MinMaxScaler, StandardScaler};
+pub use scaler::MinMaxScaler;
 
 /// Errors produced by preprocessing.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,8 +1,8 @@
 //! Feature scaling.
 //!
-//! The P3GM pipeline scales tabular features into `[0, 1]` (so the decoder's
-//! Bernoulli likelihood applies and DP-PCA's unit-ball assumption is easy to
-//! satisfy) and standardizes features for the downstream classifiers.
+//! The P3GM pipeline scales tabular features into `[0, 1]`, so the
+//! decoder's Bernoulli likelihood applies and DP-PCA's unit-ball assumption
+//! is easy to satisfy.
 
 use crate::{PreprocessError, Result};
 use p3gm_linalg::{stats, Matrix};
@@ -143,123 +143,6 @@ impl MinMaxScaler {
     }
 }
 
-/// Standardizes every feature to zero mean and unit variance.
-#[derive(Debug, Clone)]
-pub struct StandardScaler {
-    means: Vec<f64>,
-    stds: Vec<f64>,
-}
-
-impl StandardScaler {
-    /// Fits the scaler on the rows of `data`. Features with zero variance
-    /// get a standard deviation of 1 (so they map to 0).
-    pub fn fit(data: &Matrix) -> Result<Self> {
-        let means = stats::column_means(data)
-            .map_err(|e| PreprocessError::InvalidData { msg: e.to_string() })?;
-        let vars = stats::column_variances(data)
-            .map_err(|e| PreprocessError::InvalidData { msg: e.to_string() })?;
-        let stds = vars
-            .iter()
-            .map(|&v| if v > 0.0 { v.sqrt() } else { 1.0 })
-            .collect();
-        Ok(StandardScaler { means, stds })
-    }
-
-    /// Per-feature means.
-    pub fn means(&self) -> &[f64] {
-        &self.means
-    }
-
-    /// Per-feature standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
-
-    /// Standardizes one row.
-    pub fn transform_row(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.means.len() {
-            return Err(PreprocessError::InvalidData {
-                msg: format!("expected {} features, got {}", self.means.len(), x.len()),
-            });
-        }
-        Ok(x.iter()
-            .zip(self.means.iter().zip(self.stds.iter()))
-            .map(|(&v, (&m, &s))| (v - m) / s)
-            .collect())
-    }
-
-    /// Standardizes every row of a matrix (parallel over row chunks).
-    pub fn transform(&self, data: &Matrix) -> Result<Matrix> {
-        if data.cols() != self.means.len() {
-            return Err(PreprocessError::InvalidData {
-                msg: format!(
-                    "expected {} features, got {}",
-                    self.means.len(),
-                    data.cols()
-                ),
-            });
-        }
-        Ok(map_rows(data, |r, out| {
-            for ((o, &v), (&m, &s)) in out
-                .iter_mut()
-                .zip(r.iter())
-                .zip(self.means.iter().zip(self.stds.iter()))
-            {
-                *o = (v - m) / s;
-            }
-        }))
-    }
-
-    /// Restores the original units of one row.
-    pub fn inverse_transform_row(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.means.len() {
-            return Err(PreprocessError::InvalidData {
-                msg: format!("expected {} features, got {}", self.means.len(), x.len()),
-            });
-        }
-        Ok(x.iter()
-            .zip(self.means.iter().zip(self.stds.iter()))
-            .map(|(&v, (&m, &s))| v * s + m)
-            .collect())
-    }
-
-    /// Serializes the fitted scaler into a framed `p3gm-store` buffer.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut enc = p3gm_store::Encoder::new(p3gm_store::tags::STANDARD_SCALER);
-        enc.f64_slice(&self.means).f64_slice(&self.stds);
-        enc.finish()
-    }
-
-    /// Deserializes a scaler from a buffer produced by
-    /// [`StandardScaler::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> p3gm_store::Result<StandardScaler> {
-        let mut dec = p3gm_store::Decoder::new(bytes, p3gm_store::tags::STANDARD_SCALER)?;
-        let means = dec.f64_vec()?;
-        let stds = dec.f64_vec()?;
-        dec.finish()?;
-        if means.len() != stds.len() || means.is_empty() {
-            return Err(p3gm_store::StoreError::Invalid {
-                msg: format!(
-                    "mean/std vectors of lengths {}/{} do not form a scaler",
-                    means.len(),
-                    stds.len()
-                ),
-            });
-        }
-        if stds.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-            return Err(p3gm_store::StoreError::Invalid {
-                msg: "standard deviations must be positive and finite".to_string(),
-            });
-        }
-        if means.iter().any(|v| !v.is_finite()) {
-            return Err(p3gm_store::StoreError::Invalid {
-                msg: "means must be finite".to_string(),
-            });
-        }
-        Ok(StandardScaler { means, stds })
-    }
-}
-
 /// Applies an infallible per-row kernel `f(input_row, output_row)` to every
 /// row, filling a fresh output matrix on parallel row chunks (callers
 /// validate widths up front). Rows are independent, so the result is
@@ -333,51 +216,18 @@ mod tests {
     }
 
     #[test]
-    fn standard_scaler_zero_mean_unit_variance() {
-        let scaler = StandardScaler::fit(&data()).unwrap();
-        let t = scaler.transform(&data()).unwrap();
-        let means = stats::column_means(&t).unwrap();
-        let vars = stats::column_variances(&t).unwrap();
-        assert!(means[0].abs() < 1e-12);
-        assert!(means[1].abs() < 1e-12);
-        assert!((vars[0] - 1.0).abs() < 1e-9);
-        assert!((vars[1] - 1.0).abs() < 1e-9);
-        // Constant feature maps to 0 with std 1.
-        assert_eq!(t.get(0, 2), 0.0);
-        assert_eq!(scaler.stds()[2], 1.0);
-        assert_eq!(scaler.means()[2], 5.0);
-    }
-
-    #[test]
-    fn standard_scaler_roundtrip() {
-        let scaler = StandardScaler::fit(&data()).unwrap();
-        let row = [3.0, 25.0, 5.0];
-        let t = scaler.transform_row(&row).unwrap();
-        let back = scaler.inverse_transform_row(&t).unwrap();
-        for (a, b) in row.iter().zip(back.iter()) {
-            assert!((a - b).abs() < 1e-12);
-        }
-        assert!(scaler.transform_row(&[1.0]).is_err());
-        assert!(scaler.inverse_transform_row(&[1.0]).is_err());
-    }
-
-    #[test]
     fn byte_round_trips_are_bit_exact() {
         let minmax = MinMaxScaler::fit(&data()).unwrap();
         let back = MinMaxScaler::from_bytes(&minmax.to_bytes()).unwrap();
         assert_eq!(back.mins(), minmax.mins());
         assert_eq!(back.maxs(), minmax.maxs());
 
-        let standard = StandardScaler::fit(&data()).unwrap();
-        let back = StandardScaler::from_bytes(&standard.to_bytes()).unwrap();
-        assert_eq!(back.means(), standard.means());
-        assert_eq!(back.stds(), standard.stds());
-
         // Truncation and cross-type confusion are typed errors.
         let bytes = minmax.to_bytes();
         assert!(MinMaxScaler::from_bytes(&bytes[..10]).is_err());
+        let other = p3gm_store::Encoder::new(p3gm_store::tags::MATRIX).finish();
         assert!(matches!(
-            StandardScaler::from_bytes(&bytes),
+            MinMaxScaler::from_bytes(&other),
             Err(p3gm_store::StoreError::WrongTag { .. })
         ));
     }
@@ -385,7 +235,6 @@ mod tests {
     #[test]
     fn fitting_empty_data_fails() {
         assert!(MinMaxScaler::fit(&Matrix::zeros(0, 2)).is_err());
-        assert!(StandardScaler::fit(&Matrix::zeros(0, 2)).is_err());
     }
 
     fn stats_minmax(m: &Matrix) -> (Vec<f64>, Vec<f64>) {

@@ -909,17 +909,21 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
 
     // Charge the budget before any synthesis work: a refused request
     // must not cost compute, and a served request must be durably
-    // recorded first (crash-safety favors over-counting).
+    // recorded first (crash-safety favors over-counting). The remaining
+    // budget is read in the same critical section, so the two headers
+    // describe one ledger state whatever other requests charge meanwhile.
     let (epsilon, delta) = stamp.map_or((0.0, 0.0), |s| (s.epsilon, s.delta));
     let charged = {
         let mut ledger = service
             .ledger
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ledger.charge(name, epsilon, delta)
+        ledger
+            .charge(name, epsilon, delta)
+            .map(|entry| (entry, ledger.remaining(name)))
     };
-    let entry = match charged {
-        Ok(entry) => entry,
+    let (entry, remaining) = match charged {
+        Ok(charged) => charged,
         Err(LedgerError::Exhausted {
             spent,
             budget,
@@ -955,13 +959,6 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
         },
     };
 
-    let remaining = {
-        let ledger = service
-            .ledger
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        ledger.remaining(name)
-    };
     response
         .with_header("x-p3gm-privacy", stamp_header(stamp.as_ref()))
         .with_header("x-p3gm-epsilon-spent", entry.spent_epsilon.to_string())

@@ -9,8 +9,8 @@
 //! accounting state lives exclusively in the [`crate::ledger`].
 
 use crate::http::{Response, ResponseBody};
-use p3gm_obs::time::WallClock;
 use p3gm_obs::{Counter, Gauge, Histogram, MetricsRegistry, LATENCY_BOUNDS_SECONDS};
+use std::time::Instant;
 
 /// First-byte latency bounds for chunked streams: the interesting region
 /// is sub-millisecond (the whole point of streaming), so the buckets lean
@@ -24,9 +24,6 @@ const FIRST_BYTE_BOUNDS: &[f64] = &[
 /// genuinely vary, like route and status).
 pub(crate) struct ServerMetrics {
     pub(crate) registry: MetricsRegistry,
-    /// The server's single real clock. The numeric crates never see it —
-    /// they report counts; only this HTTP layer measures durations.
-    pub(crate) clock: WallClock,
     in_flight: Gauge,
     keepalive_reuse: Counter,
     stream_first_byte: Histogram,
@@ -71,7 +68,6 @@ impl ServerMetrics {
         );
         ServerMetrics {
             registry,
-            clock: WallClock::new(),
             in_flight,
             keepalive_reuse,
             stream_first_byte,
@@ -142,29 +138,23 @@ impl ServerMetrics {
     }
 
     /// Wrap a chunked response body so the stream reports its first-byte
-    /// latency (relative to `start_nanos` on the server clock) and its
-    /// produced bytes. Buffered bodies pass through untouched.
-    pub(crate) fn instrument_stream(&self, response: &mut Response, start_nanos: u64) {
+    /// latency (from `parsed_at`, the instant the request was parsed — the
+    /// same origin as the request-duration histogram) and its produced
+    /// bytes. Buffered bodies pass through untouched.
+    pub(crate) fn instrument_stream(&self, response: &mut Response, parsed_at: Instant) {
         let body = std::mem::replace(&mut response.body, ResponseBody::Buffered(Vec::new()));
         match body {
             ResponseBody::Buffered(bytes) => response.body = ResponseBody::Buffered(bytes),
             ResponseBody::Chunked(mut source) => {
                 let first_byte = self.stream_first_byte.clone();
                 let bytes_total = self.stream_bytes.clone();
-                let clock_now = {
-                    // Capture only cheap handles in the closure; the clock
-                    // origin is shared through the histogram's span math.
-                    let start = start_nanos;
-                    let clock = self.clock_nanos_fn();
-                    move || (clock)().saturating_sub(start) as f64 * 1e-9
-                };
                 let mut first = true;
                 response.body = ResponseBody::Chunked(Box::new(move || {
                     let block = source();
                     if let Some(block) = &block {
                         if first {
                             first = false;
-                            first_byte.observe(clock_now());
+                            first_byte.observe(parsed_at.elapsed().as_secs_f64());
                         }
                         bytes_total.add(block.len() as u64);
                     }
@@ -172,20 +162,6 @@ impl ServerMetrics {
                 }));
             }
         }
-    }
-
-    /// A `'static` closure reading the server clock, for instrumented
-    /// stream closures that outlive this borrow.
-    fn clock_nanos_fn(&self) -> impl Fn() -> u64 + Send + 'static {
-        // WallClock is origin + elapsed; re-deriving from a cloned origin
-        // would need Clone, so share via Arc-free trick: read the current
-        // value now and measure deltas with a fresh clock. Simpler and
-        // exact: a fresh WallClock's zero is "now", which is precisely the
-        // reference the caller's start_nanos was taken against only if both
-        // use the same clock — so instead capture a new clock and rebase.
-        let now = p3gm_obs::TimeSource::now_nanos(&self.clock);
-        let fresh = WallClock::new();
-        move || now + p3gm_obs::TimeSource::now_nanos(&fresh)
     }
 
     /// Re-export a registry-stats snapshot (the same snapshot `GET /stats`
@@ -352,7 +328,7 @@ mod tests {
         let mut remaining = vec![b"world".to_vec(), b"hello ".to_vec()];
         let source: crate::http::ChunkSource = Box::new(move || remaining.pop());
         let mut response = Response::chunked("text/plain", source);
-        m.instrument_stream(&mut response, p3gm_obs::TimeSource::now_nanos(&m.clock));
+        m.instrument_stream(&mut response, Instant::now());
         let body = response.into_body_bytes();
         assert_eq!(body, b"hello world");
         assert_eq!(m.stream_bytes.get(), 11);

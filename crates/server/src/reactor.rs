@@ -51,7 +51,6 @@ use crate::metrics::InFlightGuard;
 use crate::sys::{poll_fds, PollFd, WakeHandle, Waker, POLLIN, POLLOUT};
 use crate::{error_response, route, route_label, ConnConfig, Service};
 use p3gm_obs::time::unix_millis;
-use p3gm_obs::TimeSource;
 
 /// Synthetic poll-set id for the waker pipe.
 const WAKER_ID: u64 = u64::MAX;
@@ -203,7 +202,7 @@ fn run_request(service: &Service, job: RequestJob) -> Done {
     let label = route_label(&request);
     if let Some(metrics) = service.metrics.as_ref() {
         metrics.observe_request(label, status, seconds);
-        metrics.instrument_stream(&mut response, metrics.clock.now_nanos());
+        metrics.instrument_stream(&mut response, parsed_at);
     }
     let log = service.access_log.as_ref().map(|_| LogEntry {
         method: request.method,

@@ -91,7 +91,7 @@ pub mod tags {
     pub const DP_PCA: u32 = 6;
     /// `p3gm_preprocess::scaler::MinMaxScaler`.
     pub const MIN_MAX_SCALER: u32 = 7;
-    /// `p3gm_preprocess::scaler::StandardScaler`.
+    /// Reserved: the retired `StandardScaler`'s buffers. Never reuse it.
     pub const STANDARD_SCALER: u32 = 8;
     /// `p3gm_preprocess::encoding::OneHotEncoder`.
     pub const ONE_HOT_ENCODER: u32 = 9;

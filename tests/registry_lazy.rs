@@ -10,7 +10,7 @@ use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
 use p3gm::core::snapshot::{SnapshotHeader, SynthesisSnapshot};
 use p3gm::core::synthesis::LabelledSynthesizer;
-use p3gm::core::{DecoderLoss, VarianceMode};
+use p3gm::core::VarianceMode;
 use p3gm::linalg::Matrix;
 use p3gm::server::http::ResponseReader;
 use p3gm::server::registry::{Registry, RegistryConfig, RegistryError};
@@ -69,7 +69,6 @@ fn train_snapshot(
         sigma_s: 1.0,
         delta: 1e-5,
         variance_mode: VarianceMode::Learned,
-        decoder_loss: DecoderLoss::Bernoulli,
     };
     let (model, _) = PhasedGenerativeModel::fit(&mut rng, &prepared, config).unwrap();
     let snapshot = SynthesisSnapshot::capture(model);

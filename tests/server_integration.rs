@@ -13,7 +13,7 @@ use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
 use p3gm::core::snapshot::SynthesisSnapshot;
 use p3gm::core::synthesis::LabelledSynthesizer;
-use p3gm::core::{DecoderLoss, VarianceMode};
+use p3gm::core::VarianceMode;
 use p3gm::linalg::Matrix;
 use p3gm::privacy::sampling;
 use p3gm::server::http::{
@@ -63,7 +63,6 @@ fn trained_snapshot() -> &'static SynthesisSnapshot {
             sigma_s: 1.0,
             delta: 1e-5,
             variance_mode: VarianceMode::Learned,
-            decoder_loss: DecoderLoss::Bernoulli,
         };
         let (model, _) = PhasedGenerativeModel::fit(&mut rng, &prepared, config).unwrap();
         SynthesisSnapshot::capture(model).with_synthesizer(synth)
@@ -1167,4 +1166,95 @@ fn metrics_endpoint_exposes_requests_denials_and_budget_end_to_end() {
     let (status, _, _) = request(server.addr(), "GET", "/healthz", "");
     assert_eq!(status, 200);
     server.shutdown();
+}
+
+/// `p3gm_stream_first_byte_seconds` and `p3gm_request_duration_seconds`
+/// are both timed from the request's parse, and a streamed body's first
+/// chunk is produced after its response is ready. So over the same
+/// streamed requests, served one after another, the first-byte sum is at
+/// least the request-duration sum (the durable ledger's fsync makes the
+/// routing part of that duration clearly non-zero).
+#[test]
+fn stream_first_byte_is_timed_from_request_parse() {
+    let dir = model_dir("first_byte", &["m"]);
+    let server = start_server(&dir, 2, None);
+    let addr = server.addr();
+    let mut stream = connect(addr);
+    let mut client = ResponseReader::new(stream.try_clone().unwrap());
+    for seed in 0..8 {
+        let body = format!(r#"{{"seed": {seed}, "n": 64}}"#);
+        write_request(&mut stream, "POST", "/models/m/sample", &body);
+        let response = client.next_response().unwrap();
+        assert_eq!(response.status, 200);
+        assert!(response.chunked, "HTTP/1.1 sampling responses stream");
+    }
+    let (status, _, text) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let sum = |series: &str| -> f64 {
+        text.lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {series} in:\n{text}"))
+    };
+    let first_byte = sum("p3gm_stream_first_byte_seconds_sum");
+    let duration = sum("p3gm_request_duration_seconds_sum{route=\"/models/{name}/sample\"}");
+    assert!(
+        first_byte >= duration,
+        "first-byte sum {first_byte} s < request-duration sum {duration} s"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sampling response's two budget headers describe one ledger state,
+/// `remaining == max(budget − spent, 0)`, even while other clients charge
+/// the same model between this request's charge and its response.
+#[test]
+fn budget_headers_agree_under_concurrent_charges() {
+    let dir = model_dir("budget_headers", &["m"]);
+    let budget = 1e9;
+    let server = start(
+        ServerConfig::builder(&dir)
+            .threads(4)
+            .ledger_path(None)
+            .budget_epsilon(Some(budget))
+            .build(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    let inconsistent: usize = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..4u64)
+            .map(|client| {
+                s.spawn(move || {
+                    let mut stream = connect(addr);
+                    let mut reader = ResponseReader::new(stream.try_clone().unwrap());
+                    let mut inconsistent = 0;
+                    for i in 0..100 {
+                        let body = if i % 2 == 0 {
+                            format!(r#"{{"seed": {client}, "labels": [20, 20]}}"#)
+                        } else {
+                            format!(r#"{{"seed": {client}, "n": 8}}"#)
+                        };
+                        write_request(&mut stream, "POST", "/models/m/sample", &body);
+                        let response = reader.next_response().unwrap();
+                        assert_eq!(response.status, 200);
+                        let header =
+                            |name: &str| -> f64 { response.header(name).unwrap().parse().unwrap() };
+                        let spent = header("x-p3gm-epsilon-spent");
+                        let remaining = header("x-p3gm-epsilon-remaining");
+                        if remaining != (budget - spent).max(0.0) {
+                            inconsistent += 1;
+                        }
+                    }
+                    inconsistent
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert_eq!(
+        inconsistent, 0,
+        "inconsistent budget headers in 400 responses"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

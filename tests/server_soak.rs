@@ -9,7 +9,7 @@ use p3gm::core::config::PgmConfig;
 use p3gm::core::pgm::PhasedGenerativeModel;
 use p3gm::core::snapshot::SynthesisSnapshot;
 use p3gm::core::synthesis::LabelledSynthesizer;
-use p3gm::core::{DecoderLoss, VarianceMode};
+use p3gm::core::VarianceMode;
 use p3gm::linalg::Matrix;
 use p3gm::privacy::sampling;
 use p3gm::server::http::ResponseReader;
@@ -56,7 +56,6 @@ fn trained_snapshot() -> &'static SynthesisSnapshot {
             sigma_s: 1.0,
             delta: 1e-5,
             variance_mode: VarianceMode::Learned,
-            decoder_loss: DecoderLoss::Bernoulli,
         };
         let (model, _) = PhasedGenerativeModel::fit(&mut rng, &prepared, config).unwrap();
         SynthesisSnapshot::capture(model).with_synthesizer(synth)
