@@ -7,7 +7,7 @@
 //! | Rule | Contract | What it forbids | Where |
 //! |------|----------|-----------------|-------|
 //! | D1 | determinism | `mul_add` / `powi` / `fma` calls (FMA-contractible or expansion-order-dependent intrinsics) | numeric crates |
-//! | D2 | determinism | `thread::spawn`, `Instant::now`, `SystemTime::now` (ad-hoc parallelism / wall-clock) | everywhere except `parallel`, `bench`, `server`, and the obs clock file `crates/obs/src/time.rs` |
+//! | D2 | determinism | `thread::spawn`, `Instant::now`, `SystemTime::now` (ad-hoc parallelism / wall-clock) | everywhere except `parallel`, `bench`, `server` |
 //! | D3 | determinism | `HashMap` / `HashSet` (iteration order must never feed a float reduction) | numeric crates |
 //! | D4 | hardening | `.unwrap()`, `.expect(`, `panic!`, `unreachable!`, `todo!`, `unimplemented!`, `assert!`-family | untrusted-byte zones |
 //! | D5 | hardening | a crate root missing `#![forbid(unsafe_code)]`; for [`D5_SHIM_EXEMPT`] crates the root carries `#![deny(unsafe_code)]` and the `unsafe` token is banned in every file but the sanctioned shim | every crate root + shim-exempt crate files |
@@ -43,13 +43,6 @@ pub const NUMERIC_CRATES: &[&str] = &["linalg", "mixture", "nn", "privacy", "pre
 /// Crates allowed to spawn threads and read clocks (D2 exemptions).
 pub const D2_EXEMPT_CRATES: &[&str] = &["parallel", "bench", "server"];
 
-/// Individual files allowed to read clocks (D2 exemptions narrower than
-/// a whole crate). The obs crate's injectable-timer design confines every
-/// real clock to exactly one file — the rest of `crates/obs` (and every
-/// crate consuming it) stays under D2, so a metrics counter can never
-/// smuggle wall-clock reads into a numeric kernel.
-pub const D2_EXEMPT_FILES: &[&str] = &["crates/obs/src/time.rs"];
-
 /// Files whose inputs are untrusted bytes: the D4 no-panic zones.
 pub const D4_ZONES: &[&str] = &[
     "crates/store/src/",
@@ -58,16 +51,15 @@ pub const D4_ZONES: &[&str] = &[
     "crates/server/src/ledger.rs",
 ];
 
-/// D5 file-level shim exemptions, mirroring the [`D2_EXEMPT_FILES`]
-/// pattern: `(crate root, sanctioned shim file)` pairs. The named crate
-/// confines all `unsafe` to exactly one file (the server's `poll(2)` FFI
-/// shim). Its root then carries `#![deny(unsafe_code)]` instead of
-/// `forbid` — `forbid` would reject the shim's file-level
-/// `#![allow(unsafe_code)]` override — and in exchange D5 tightens from
-/// an attribute check to a token rule: the `unsafe` keyword is banned
-/// outright in **every** file of that crate except the sanctioned shim,
-/// so the confinement the compiler no longer proves is machine-checked
-/// here instead.
+/// D5 file-level shim exemptions: `(crate root, sanctioned shim file)`
+/// pairs. The named crate confines all `unsafe` to exactly one file (the
+/// server's `poll(2)` FFI shim). Its root then carries
+/// `#![deny(unsafe_code)]` instead of `forbid` — `forbid` would reject
+/// the shim's file-level `#![allow(unsafe_code)]` override — and in
+/// exchange D5 tightens from an attribute check to a token rule: the
+/// `unsafe` keyword is banned outright in **every** file of that crate
+/// except the sanctioned shim, so the confinement the compiler no longer
+/// proves is machine-checked here instead.
 pub const D5_SHIM_EXEMPT: &[(&str, &str)] =
     &[("crates/server/src/lib.rs", "crates/server/src/sys.rs")];
 
@@ -123,8 +115,7 @@ impl RuleId {
                 "no mul_add/powi/fma in numeric crates (FMA contraction breaks bit-identity)"
             }
             RuleId::D2 => {
-                "no thread::spawn/Instant::now/SystemTime::now outside parallel, bench, server, \
-                 and the obs clock file"
+                "no thread::spawn/Instant::now/SystemTime::now outside parallel, bench, server"
             }
             RuleId::D3 => "no HashMap/HashSet in numeric crates (iteration order feeds reductions)",
             RuleId::D4 => {
@@ -222,9 +213,7 @@ pub fn scope_for(path: &str) -> Scope {
     scope.d1 = numeric;
     scope.d3 = numeric;
     scope.d6 = numeric;
-    scope.d2 = crate_name != "p3gm"
-        && !D2_EXEMPT_CRATES.contains(&crate_name)
-        && !D2_EXEMPT_FILES.contains(&path);
+    scope.d2 = crate_name != "p3gm" && !D2_EXEMPT_CRATES.contains(&crate_name);
     scope.d4 = D4_ZONES
         .iter()
         .any(|zone| path == *zone || (zone.ends_with('/') && path.starts_with(zone)));
@@ -738,11 +727,11 @@ mod tests {
         assert!(s.d4 && s.d5 && s.d2);
         let s = scope_for("src/lib.rs");
         assert!(s.d5 && !s.d2);
-        // The obs crate is under D2 except its one sanctioned clock file.
+        // Every file of the obs crate is under D2: it reads no clock.
         let s = scope_for("crates/obs/src/lib.rs");
         assert!(s.d2 && s.d5 && !s.d1);
         let s = scope_for("crates/obs/src/time.rs");
-        assert!(!s.d2 && !s.d5 && s.is_empty());
+        assert!(s.d2 && !s.d5);
         assert!(scope_for("tests/conformance.rs").is_empty());
         assert!(scope_for("crates/linalg/benches/kernels.rs").is_empty());
         assert!(scope_for("vendor/rand/src/lib.rs").is_empty());

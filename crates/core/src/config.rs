@@ -1,6 +1,6 @@
 //! Hyper-parameter configuration for the generative models.
 
-use crate::lot::steps_per_epoch;
+use crate::lot::{sampling_probability, steps_per_epoch};
 use crate::{CoreError, Result};
 
 /// How the encoder variance is handled in the Decoding Phase.
@@ -248,7 +248,7 @@ impl PgmConfig {
 
     /// Sampling probability `q = B/N` used by the privacy accountant.
     pub fn sampling_probability(&self, n: usize) -> f64 {
-        (self.batch_size as f64 / n.max(1) as f64).min(1.0)
+        sampling_probability(n, self.batch_size)
     }
 
     /// The (ε, δ)-DP guarantee of running this configuration on `n`
@@ -373,9 +373,9 @@ impl VaeConfig {
         steps_per_epoch(n, self.batch_size) * self.epochs
     }
 
-    /// Sampling probability `q = B/N`.
+    /// Sampling probability `q = B/N` used by the privacy accountant.
     pub fn sampling_probability(&self, n: usize) -> f64 {
-        (self.batch_size as f64 / n.max(1) as f64).min(1.0)
+        sampling_probability(n, self.batch_size)
     }
 }
 
@@ -612,6 +612,7 @@ mod tests {
 
     #[test]
     fn sgd_steps_and_sampling_probability() {
+        use rand::{rngs::StdRng, SeedableRng};
         let cfg = PgmConfig {
             epochs: 5,
             batch_size: 32,
@@ -620,7 +621,31 @@ mod tests {
         assert_eq!(cfg.sgd_steps(320), 50);
         assert_eq!(cfg.sgd_steps(321), 55);
         assert!((cfg.sampling_probability(320) - 0.1).abs() < 1e-12);
-        assert_eq!(cfg.sampling_probability(10), 1.0);
+        // A full-batch lot (batch_size >= n) is q = 1, and the accountant
+        // stamps it rather than erroring after training already ran.
+        for n in [10, 32] {
+            assert_eq!(cfg.sampling_probability(n), 1.0);
+            let spec = cfg
+                .privacy_spec(n)
+                .expect("a full-batch PGM fit is stamped");
+            assert!(spec.epsilon.is_finite() && spec.epsilon > 0.0);
+        }
+        let vae_cfg = VaeConfig {
+            latent_dim: 2,
+            hidden_dim: 8,
+            batch_size: 32,
+            sigma_s: 1.0,
+            ..VaeConfig::default()
+        };
+        let mut rng = StdRng::seed_from_u64(0);
+        let vae = crate::Vae::new(&mut rng, 4, vae_cfg.clone()).unwrap();
+        for n in [10, 32] {
+            assert_eq!(vae_cfg.sampling_probability(n), 1.0);
+            let spec = vae
+                .privacy_spec(n)
+                .expect("a full-batch DP-VAE fit is stamped");
+            assert!(spec.epsilon.is_finite() && spec.epsilon > 0.0);
+        }
     }
 
     /// The steps a fit takes are the steps the accountant charges, on lots

@@ -19,13 +19,6 @@ pub struct EpochStats {
     pub steps: usize,
 }
 
-impl EpochStats {
-    /// The (negative) ELBO estimate: reconstruction loss plus KL.
-    pub fn negative_elbo(&self) -> f64 {
-        self.reconstruction_loss + self.kl_loss
-    }
-}
-
 /// The sequence of per-epoch statistics from one training run.
 #[derive(Debug, Clone, Default)]
 pub struct TrainingHistory {
@@ -121,11 +114,5 @@ mod tests {
         assert!(!h.improved());
         h.push(stats(1, 6.0));
         assert!(!h.improved());
-    }
-
-    #[test]
-    fn negative_elbo_is_sum() {
-        let s = stats(0, 4.0);
-        assert_eq!(s.negative_elbo(), 5.0);
     }
 }

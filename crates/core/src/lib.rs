@@ -19,7 +19,8 @@
 //!   ELBO) used by the Figure 7 learning-efficiency experiments.
 //! * [`report`] — [`report::TrainReport`]: what a fit *did* (DP-SGD steps,
 //!   clipped-gradient fraction, EM log-likelihood trajectory, optional
-//!   injected-timer phase times) as pure post-processing telemetry.
+//!   injected-timer phase times). It never feeds back into training, but
+//!   its clip counts and EM trace are computed from private rows.
 //! * [`vae`] — [`vae::Vae`]: end-to-end VAE with optional DP-SGD (DP-VAE).
 //! * [`pgm`] — [`pgm::PhasedGenerativeModel`]: the two-phase model with
 //!   exact or private Encoding Phase and plain or DP-SGD Decoding Phase.

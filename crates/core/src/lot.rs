@@ -126,6 +126,15 @@ pub(crate) fn steps_per_epoch(n: usize, batch_size: usize) -> usize {
     n.div_ceil(batch_size.max(1)).max(1)
 }
 
+/// The sampling probability `q = B / N` the accountant charges DP-SGD at
+/// (`PgmConfig::sampling_probability`, `VaeConfig::sampling_probability`):
+/// the lot [`train_epoch`] draws, `min(B, n)` rows, over `n`. A full-batch
+/// lot (`batch_size >= n`) gives `1.0`, which the accountant charges as
+/// the plain Gaussian mechanism.
+pub(crate) fn sampling_probability(n: usize, batch_size: usize) -> f64 {
+    (batch_size as f64 / n.max(1) as f64).min(1.0)
+}
+
 /// One epoch of training: `⌈n / B⌉` steps on lots of `B = min(batch_size,
 /// n)` rows sampled without replacement, each an Adam update with the
 /// gradient of [`step_gradient`], then the Polyak average installed for

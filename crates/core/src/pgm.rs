@@ -104,8 +104,9 @@ impl PhasedGenerativeModel {
     /// `report`, and with an injected `timer` the projection fit
     /// (`"dp_pca"`, or `"pca"` for PGM) and the mixture fit (`"dp_em"`, or
     /// `"em"`) are recorded as phases. The fitted model is identical — the
-    /// trace is a diagnostic the mixture fit computes anyway
-    /// (post-processing of its own private release, no extra budget).
+    /// trace is a diagnostic the mixture fit computes anyway. It is
+    /// evaluated on the clipped private rows, so the model's privacy stamp
+    /// does not cover it.
     pub fn encode_phase_observed<R: Rng + ?Sized>(
         rng: &mut R,
         data: &Matrix,

@@ -3,19 +3,22 @@
 //!
 //! [`TrainReport`] is filled in by the observed training entry points
 //! ([`crate::PhasedGenerativeModel::fit_with_report`] and
-//! [`crate::PhasedGenerativeModel::train_epoch_observed`]) and exists purely
-//! as post-processing: every number in it is either a deterministic count of
-//! events that happened anyway (steps, clipped rows, EM iterations) or a
-//! value the DP mechanisms already released (the EM log-likelihood
-//! trajectory is computed from the *noised* responsibilities). Nothing here
+//! [`crate::PhasedGenerativeModel::train_epoch_observed`]). Nothing here
 //! feeds back into training or the (ε, δ) accounting, and nothing here is
 //! persisted.
+//!
+//! The report is **not** covered by the model's privacy stamp. The step,
+//! iteration and epoch counts follow from the configuration and the row
+//! count, but the clip counts count private rows, and the EM
+//! log-likelihood trajectory is evaluated on the clipped private rows.
+//! Neither is a function of the DP releases alone, so treat a report as
+//! private data, not as something the stamp lets you publish.
 //!
 //! Phase wall-times are recorded only when the caller injects a
 //! [`TimeSource`]; this crate never reads a clock itself (conform rule D2),
 //! so deterministic callers simply pass `None`.
 
-use p3gm_obs::{MetricsRegistry, TimeSource};
+use p3gm_obs::TimeSource;
 
 /// Counters and diagnostics accumulated over one training run (or a set of
 /// epochs). All counts are bit-identical for any `P3GM_THREADS` setting:
@@ -32,8 +35,8 @@ pub struct TrainReport {
     pub clip_measured_examples: u64,
     /// (DP-)EM iterations run during the Encoding Phase.
     pub em_iterations: u64,
-    /// Per-iteration EM log-likelihood trajectory (a released diagnostic:
-    /// computed from the mechanism's own noised outputs, no extra budget).
+    /// Per-iteration EM mean log-likelihood of the clipped private rows
+    /// under the released mixture: a diagnostic the stamp does not cover.
     pub em_log_likelihood: Vec<f64>,
     /// Decoding-Phase epochs covered by this report.
     pub epochs: u64,
@@ -95,64 +98,6 @@ impl TrainReport {
                 Some((_, total)) => *total += nanos,
                 None => self.phase_nanos.push((phase, nanos)),
             }
-        }
-    }
-
-    /// Export the report into a metrics registry under the
-    /// `p3gm_train_*` family names (see the README's metric table).
-    pub fn record_to(&self, registry: &MetricsRegistry) {
-        registry
-            .counter(
-                "p3gm_train_dp_sgd_steps_total",
-                "DP-SGD optimizer steps taken.",
-                &[],
-            )
-            .add(self.dp_sgd_steps);
-        registry
-            .counter(
-                "p3gm_train_clipped_examples_total",
-                "Per-example gradients clipped to the L2 clip norm.",
-                &[],
-            )
-            .add(self.clipped_examples);
-        registry
-            .counter(
-                "p3gm_train_examples_total",
-                "Per-example gradients that went through the clipping decision.",
-                &[],
-            )
-            .add(self.clip_measured_examples);
-        registry
-            .counter(
-                "p3gm_train_em_iterations_total",
-                "(DP-)EM iterations run during the Encoding Phase.",
-                &[],
-            )
-            .add(self.em_iterations);
-        registry
-            .counter(
-                "p3gm_train_epochs_total",
-                "Decoding-Phase epochs trained.",
-                &[],
-            )
-            .add(self.epochs);
-        if let Some(ll) = self.em_log_likelihood.last() {
-            registry
-                .gauge(
-                    "p3gm_train_em_log_likelihood",
-                    "Final (DP-)EM mean log-likelihood of the Encoding Phase.",
-                    &[],
-                )
-                .set(*ll);
-        }
-        for (phase, nanos) in &self.phase_nanos {
-            registry
-                .gauge(
-                    "p3gm_train_phase_seconds",
-                    "Wall-time of a training phase (injected timer only).",
-                    &[("phase", phase)],
-                )
-                .set(*nanos as f64 * 1e-9);
         }
     }
 
@@ -230,25 +175,6 @@ mod tests {
         assert_eq!(a.dp_sgd_steps, 4);
         assert_eq!(a.em_log_likelihood, vec![-5.0, -5.0]);
         assert_eq!(a.phase_nanos.len(), 2);
-    }
-
-    #[test]
-    fn record_to_exports_counters_and_gauges() {
-        let report = TrainReport {
-            dp_sgd_steps: 7,
-            clipped_examples: 5,
-            clip_measured_examples: 10,
-            em_iterations: 4,
-            em_log_likelihood: vec![-9.0, -6.5],
-            epochs: 2,
-            phase_nanos: vec![("encode", 2_000_000_000)],
-        };
-        let registry = MetricsRegistry::new();
-        report.record_to(&registry);
-        let text = registry.render();
-        assert!(text.contains("p3gm_train_dp_sgd_steps_total 7"));
-        assert!(text.contains("p3gm_train_em_log_likelihood -6.5"));
-        assert!(text.contains("p3gm_train_phase_seconds{phase=\"encode\"} 2"));
     }
 
     #[test]

@@ -133,30 +133,6 @@ impl Dataset {
         }
     }
 
-    /// Stratified subsample of at most `max_per_class` rows per class —
-    /// used to scale experiments down while preserving the class balance.
-    pub fn stratified_subsample<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        max_per_class: usize,
-    ) -> Dataset {
-        let mut keep = Vec::new();
-        for class in 0..self.n_classes {
-            let mut idx: Vec<usize> = self
-                .labels
-                .iter()
-                .enumerate()
-                .filter(|(_, &l)| l == class)
-                .map(|(i, _)| i)
-                .collect();
-            idx.shuffle(rng);
-            idx.truncate(max_per_class);
-            keep.extend(idx);
-        }
-        keep.sort_unstable();
-        self.select(&keep)
-    }
-
     /// The per-class sample counts needed to mirror this dataset's label
     /// ratio in a synthetic dataset of `total` rows (paper §VI: "generate a
     /// dataset so that the label ratio is the same as the real training
@@ -259,18 +235,6 @@ mod tests {
         assert!(tiny.train.n_samples() >= 1);
         let huge = d.train_test_split(&mut rng, 1.0);
         assert!(huge.train.n_samples() >= 1);
-    }
-
-    #[test]
-    fn stratified_subsample_caps_each_class() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let d = toy();
-        let sub = d.stratified_subsample(&mut rng, 2);
-        assert_eq!(sub.n_samples(), 4);
-        assert_eq!(sub.class_counts(), vec![2, 2]);
-        // Larger cap keeps everything.
-        let all = d.stratified_subsample(&mut rng, 100);
-        assert_eq!(all.n_samples(), 6);
     }
 
     #[test]

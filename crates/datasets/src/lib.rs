@@ -56,12 +56,6 @@ impl DatasetKind {
         }
     }
 
-    /// Whether the dataset is an image dataset (10 classes) rather than a
-    /// binary tabular one.
-    pub fn is_image(&self) -> bool {
-        matches!(self, DatasetKind::Mnist | DatasetKind::FashionMnist)
-    }
-
     /// The four binary tabular datasets of Table VI, in the paper's order.
     pub fn tabular_kinds() -> [DatasetKind; 4] {
         [
@@ -80,8 +74,6 @@ mod tests {
     #[test]
     fn names_and_flags() {
         assert_eq!(DatasetKind::KaggleCredit.name(), "Kaggle Credit");
-        assert!(DatasetKind::Mnist.is_image());
-        assert!(!DatasetKind::Adult.is_image());
         assert_eq!(DatasetKind::tabular_kinds().len(), 4);
     }
 }

@@ -150,20 +150,11 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if the indices are out of bounds (consistent with slice
-    /// indexing; use [`Matrix::try_get`] for a checked variant).
+    /// indexing).
     #[inline]
     pub fn get(&self, row: usize, col: usize) -> f64 {
         debug_assert!(row < self.rows && col < self.cols);
         self.data[row * self.cols + col]
-    }
-
-    /// Checked element access.
-    pub fn try_get(&self, row: usize, col: usize) -> Option<f64> {
-        if row < self.rows && col < self.cols {
-            Some(self.data[row * self.cols + col])
-        } else {
-            None
-        }
     }
 
     /// Sets the element at `(row, col)`.
@@ -202,13 +193,6 @@ impl Matrix {
     /// to worker threads).
     pub fn rows_chunks(&self, rows_per_chunk: usize) -> impl Iterator<Item = &[f64]> {
         self.data.chunks(rows_per_chunk.max(1) * self.cols.max(1))
-    }
-
-    /// Returns an iterator over mutable contiguous blocks of
-    /// `rows_per_chunk` rows.
-    pub fn rows_chunks_mut(&mut self, rows_per_chunk: usize) -> impl Iterator<Item = &mut [f64]> {
-        let cols = self.cols.max(1);
-        self.data.chunks_mut(rows_per_chunk.max(1) * cols)
     }
 
     /// Returns the underlying row-major buffer.
@@ -395,11 +379,6 @@ impl Matrix {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, other: &Matrix) -> Result<Matrix> {
-        self.zip_with(other, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         other: &Matrix,
@@ -433,13 +412,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| x * scalar).collect(),
-        }
-    }
-
-    /// Scales every element in place: `self *= scalar`.
-    pub fn scale_inplace(&mut self, scalar: f64) {
-        for x in &mut self.data {
-            *x *= scalar;
         }
     }
 
@@ -851,14 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_bounds() {
-        let m = sample();
-        assert_eq!(m.try_get(0, 0), Some(1.0));
-        assert_eq!(m.try_get(2, 0), None);
-        assert_eq!(m.try_get(0, 3), None);
-    }
-
-    #[test]
     fn from_vec_rejects_bad_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).is_err());
     }
@@ -930,8 +894,6 @@ mod tests {
         assert_eq!(sum.get(1, 2), 12.0);
         let diff = a.sub(&a).unwrap();
         assert_eq!(diff.frobenius_norm(), 0.0);
-        let had = a.hadamard(&a).unwrap();
-        assert_eq!(had.get(0, 2), 9.0);
         assert!(a.add(&Matrix::zeros(1, 1)).is_err());
     }
 
@@ -1015,23 +977,14 @@ mod tests {
         assert_eq!(chunks[0].len(), 6);
         assert_eq!(chunks[2].len(), 3);
         assert_eq!(chunks[1][0], 6.0);
-        let mut m2 = m.clone();
-        for chunk in m2.rows_chunks_mut(2) {
-            for v in chunk.iter_mut() {
-                *v += 1.0;
-            }
-        }
-        assert!(m2.approx_eq(&m.map(|x| x + 1.0), 0.0));
     }
 
     #[test]
-    fn axpy_scale_inplace_and_column_sums() {
+    fn axpy_and_column_sums() {
         let mut a = sample();
         let b = sample();
         a.axpy(2.0, &b).unwrap();
         assert_eq!(a.get(1, 2), 18.0);
-        a.scale_inplace(0.5);
-        assert_eq!(a.get(1, 2), 9.0);
         assert!(a.axpy(1.0, &Matrix::zeros(1, 1)).is_err());
         assert_eq!(sample().column_sums(), vec![5.0, 7.0, 9.0]);
         assert_eq!(Matrix::zeros(0, 2).column_sums(), vec![0.0, 0.0]);

@@ -24,23 +24,6 @@ pub fn column_means(data: &Matrix) -> Result<Vec<f64>> {
     Ok(means)
 }
 
-/// Column-wise population variance of a data matrix.
-pub fn column_variances(data: &Matrix) -> Result<Vec<f64>> {
-    let means = column_means(data)?;
-    let mut vars = vec![0.0; data.cols()];
-    for row in data.row_iter() {
-        for ((v, &x), &m) in vars.iter_mut().zip(row.iter()).zip(means.iter()) {
-            let d = x - m;
-            *v += d * d;
-        }
-    }
-    let n = data.rows() as f64;
-    for v in &mut vars {
-        *v /= n;
-    }
-    Ok(vars)
-}
-
 /// Column-wise minimum and maximum of a data matrix.
 pub fn column_min_max(data: &Matrix) -> Result<(Vec<f64>, Vec<f64>)> {
     if data.rows() == 0 {
@@ -106,20 +89,6 @@ pub fn covariance_matrix(data: &Matrix, means: Option<&[f64]>) -> Result<Matrix>
     Ok(gram.scale(1.0 / data.rows() as f64))
 }
 
-/// Scatter matrix `Xᵀ X / n` without centering.
-///
-/// DP-PCA in the paper perturbs the second-moment matrix of (pre-normalized)
-/// data; when rows are already centred or normalized to the unit ball this is
-/// the quantity whose sensitivity is bounded by 1.
-pub fn scatter_matrix(data: &Matrix) -> Result<Matrix> {
-    if data.rows() == 0 {
-        return Err(LinalgError::Empty {
-            op: "scatter_matrix",
-        });
-    }
-    Ok(data.gram().scale(1.0 / data.rows() as f64))
-}
-
 /// Pearson correlation between two equal-length slices.
 ///
 /// Returns 0.0 when either slice has zero variance.
@@ -167,15 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn means_and_variances() {
-        let d = data();
-        assert_eq!(column_means(&d).unwrap(), vec![4.0, 5.0]);
-        let v = column_variances(&d).unwrap();
-        assert!((v[0] - 5.0).abs() < 1e-12);
-        assert!((v[1] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn min_max() {
         let (lo, hi) = column_min_max(&data()).unwrap();
         assert_eq!(lo, vec![1.0, 2.0]);
@@ -186,6 +146,7 @@ mod tests {
     fn center_zeroes_means() {
         let d = data();
         let means = column_means(&d).unwrap();
+        assert_eq!(means, vec![4.0, 5.0]);
         let c = center(&d, &means).unwrap();
         let new_means = column_means(&c).unwrap();
         assert!(new_means.iter().all(|m| m.abs() < 1e-12));
@@ -213,13 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_matrix_basics() {
-        let d = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]).unwrap();
-        let s = scatter_matrix(&d).unwrap();
-        assert!(s.approx_eq(&Matrix::identity(2).scale(0.5), 1e-12));
-    }
-
-    #[test]
     fn correlation_values() {
         let a = [1.0, 2.0, 3.0];
         assert!((correlation(&a, &[2.0, 4.0, 6.0]).unwrap() - 1.0).abs() < 1e-12);
@@ -235,6 +189,5 @@ mod tests {
         assert!(column_means(&empty).is_err());
         assert!(column_min_max(&empty).is_err());
         assert!(covariance_matrix(&empty, None).is_err());
-        assert!(scatter_matrix(&empty).is_err());
     }
 }

@@ -112,12 +112,6 @@ pub fn norm1(a: &[f64]) -> f64 {
     a.iter().map(|x| x.abs()).sum()
 }
 
-/// Infinity norm (maximum absolute value).
-#[inline]
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, &x| m.max(x.abs()))
-}
-
 /// Squared Euclidean distance between two points.
 #[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
@@ -166,12 +160,6 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
     a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
 }
 
-/// Element-wise product of two slices into a new vector.
-pub fn mul(a: &[f64], b: &[f64]) -> Vec<f64> {
-    debug_assert_eq!(a.len(), b.len(), "mul: length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).collect()
-}
-
 /// Arithmetic mean of a slice. Returns `0.0` for an empty slice.
 pub fn mean(a: &[f64]) -> f64 {
     if a.is_empty() {
@@ -211,13 +199,6 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
         }
     }
     best.map(|(i, _)| i)
-}
-
-/// Index of the minimum element (first occurrence). Returns `None` for an
-/// empty slice or a slice that is all NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    let neg: Vec<f64> = a.iter().map(|&x| -x).collect();
-    argmax(&neg)
 }
 
 /// Clips the L2 norm of `x` to at most `max_norm`, in place, returning the
@@ -268,7 +249,6 @@ mod tests {
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(norm2_squared(&[3.0, 4.0]), 25.0);
         assert_eq!(norm1(&[-1.0, 2.0, -3.0]), 6.0);
-        assert_eq!(norm_inf(&[-1.0, 2.0, -3.0]), 3.0);
     }
 
     #[test]
@@ -278,7 +258,7 @@ mod tests {
     }
 
     #[test]
-    fn axpy_scale_add_sub_mul() {
+    fn axpy_scale_add_sub() {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[1.0, 2.0], &mut y);
         assert_eq!(y, vec![3.0, 5.0]);
@@ -286,7 +266,6 @@ mod tests {
         assert_eq!(y, vec![1.5, 2.5]);
         assert_eq!(add(&[1.0], &[2.0]), vec![3.0]);
         assert_eq!(sub(&[1.0], &[2.0]), vec![-1.0]);
-        assert_eq!(mul(&[2.0], &[3.0]), vec![6.0]);
     }
 
     #[test]
@@ -299,9 +278,8 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin() {
+    fn argmax_skips_nan() {
         assert_eq!(argmax(&[1.0, 5.0, 3.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 5.0, 3.0]), Some(0));
         assert_eq!(argmax(&[]), None);
         assert_eq!(argmax(&[f64::NAN, 2.0]), Some(1));
         assert_eq!(argmax(&[f64::NAN]), None);

@@ -65,9 +65,10 @@ impl Default for DpEmConfig {
 pub struct DpEmResult {
     /// The fitted (privatized) mixture model.
     pub model: Gmm,
-    /// Mean log-likelihood of the clipped data after each iteration
-    /// (computed for diagnostics; itself a post-processing of the private
-    /// model, so it costs no extra budget).
+    /// Mean log-likelihood of the clipped data after each iteration, a
+    /// diagnostic. It is evaluated on the private rows, not derived from
+    /// the noised releases alone, so the privacy charge of the fit does not
+    /// cover it.
     pub log_likelihood_trace: Vec<f64>,
     /// The number of iterations performed (equals the configured value).
     pub iterations: usize,

@@ -13,8 +13,8 @@
 //! ([`GradientNoise::apply`]). [`DpSgdConfig::step`] runs the
 //! same mechanism on a materialized `B x P` batch (the reference). The
 //! privacy *accounting* for the resulting training run lives in
-//! `p3gm-privacy::rdp` — the trainer here only reports the (steps,
-//! sampling-rate, noise) triple the accountant needs.
+//! `p3gm-privacy::rdp`; `p3gm-core`'s `lot` module defines the step count
+//! and sampling rate it charges.
 
 use crate::mlp::BatchGradients;
 use crate::optimizer::Adam;
@@ -52,16 +52,6 @@ impl DpSgdConfig {
     /// non-negative and finite, `B` positive.
     pub fn validate(&self) -> Result<(), PrivacyError> {
         validate_dp_sgd(self.clip_norm, self.noise_multiplier, self.batch_size)
-    }
-
-    /// The sampling probability `q = B / N` used by the privacy accountant
-    /// for a dataset of `n` records.
-    ///
-    /// Clamped to `1.0` when `batch_size >= n` (a full-batch lot); the
-    /// accountant accepts that boundary and charges the plain
-    /// Gaussian-mechanism RDP curve for it.
-    pub fn sampling_probability(&self, n: usize) -> f64 {
-        (self.batch_size as f64 / n.max(1) as f64).min(1.0)
     }
 
     /// Privatizes a batch of per-example gradients (`B x P`, one flat
@@ -208,38 +198,6 @@ mod tests {
                 assert_eq!(params, vec![0.0; 2], "a rejected step must not move");
             }
         }
-    }
-
-    #[test]
-    fn sampling_probability_clamped() {
-        let cfg = DpSgdConfig {
-            batch_size: 100,
-            ..Default::default()
-        };
-        assert!((cfg.sampling_probability(1000) - 0.1).abs() < 1e-12);
-        assert_eq!(cfg.sampling_probability(50), 1.0);
-    }
-
-    #[test]
-    fn full_batch_configuration_is_accountable() {
-        // batch_size >= n clamps q to 1.0; the accountant must accept the
-        // clamped value instead of erroring after training already ran.
-        let cfg = DpSgdConfig {
-            batch_size: 100,
-            ..Default::default()
-        };
-        let q = cfg.sampling_probability(50);
-        assert_eq!(q, 1.0);
-        let mut acc = p3gm_privacy::RdpAccountant::default();
-        acc.add_dp_sgd(
-            10,
-            q,
-            cfg.noise_multiplier,
-            p3gm_privacy::rdp::DpSgdBound::PaperEq4,
-        )
-        .unwrap();
-        let spec = acc.to_dp(1e-5).unwrap();
-        assert!(spec.epsilon.is_finite() && spec.epsilon > 0.0);
     }
 
     #[test]

@@ -3,21 +3,18 @@
 //! This crate is std-only and holds no opinion about *what* is measured:
 //! it provides atomic [`Counter`]s, [`Gauge`]s, fixed-bucket [`Histogram`]s,
 //! a [`MetricsRegistry`] that renders the Prometheus text exposition format
-//! with a deterministic (sorted) merge order, and a lightweight span API
-//! ([`Histogram::start_span`]) whose timing source is injectable via
-//! [`TimeSource`].
+//! with a deterministic (sorted) merge order, the [`TimeSource`] trait
+//! through which callers inject a clock, and an [`AccessLogger`].
 //!
 //! # Determinism contract
 //!
-//! Nothing in this module reads a clock. The only place in the crate that
-//! touches `std::time` is [`time::WallClock`], which is the single file
-//! allowlisted by `p3gm-conform` rule D2. Numeric crates record *what
-//! happened* — iteration counts, clip events, eviction decisions — through
-//! counters, and may time phases only through a caller-injected
-//! [`TimeSource`] (a [`ManualClock`] in tests keeps those paths
-//! deterministic too). Counter values are therefore bit-identical for any
-//! `P3GM_THREADS` setting; only wall-clock-fed histogram *bucket placement*
-//! varies between runs.
+//! Nothing in this crate reads a clock, and `p3gm-conform` rule D2 keeps
+//! every file of it that way. Numeric crates record *what happened* —
+//! iteration counts, clip events, eviction decisions — through counters,
+//! and may time phases only through a caller-injected [`TimeSource`] (a
+//! [`ManualClock`] in tests keeps those paths deterministic too). Counter
+//! values are therefore bit-identical for any `P3GM_THREADS` setting; only
+//! wall-clock-fed histogram *bucket placement* varies between runs.
 //!
 //! Telemetry is pure post-processing of already-released values: nothing
 //! recorded here feeds back into sampling, training, or the (ε, δ)
@@ -26,8 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod time;
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -35,11 +30,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// An injectable monotonic time source for span timing.
+/// An injectable monotonic time source for phase timing.
 ///
-/// Production code passes [`time::WallClock`]; tests pass [`ManualClock`]
-/// so that timing-shaped code paths stay deterministic. The contract is
-/// monotonicity, not any particular epoch.
+/// Callers that time real work implement it over their own clock; tests
+/// pass [`ManualClock`] so that timing-shaped code paths stay
+/// deterministic. The contract is monotonicity, not any particular epoch.
 pub trait TimeSource: Send + Sync {
     /// Current time in nanoseconds since an arbitrary fixed origin.
     fn now_nanos(&self) -> u64;
@@ -242,39 +237,6 @@ impl Histogram {
             out.push((bound, acc));
         }
         out
-    }
-
-    /// Begin a span timed by `clock`; the elapsed seconds are observed
-    /// into this histogram when the returned guard drops.
-    pub fn start_span<'a>(&self, clock: &'a dyn TimeSource) -> Span<'a> {
-        Span {
-            hist: self.clone(),
-            clock,
-            start: clock.now_nanos(),
-        }
-    }
-}
-
-/// RAII guard from [`Histogram::start_span`]: records elapsed seconds on
-/// drop. The clock is whatever the caller injected, so numeric crates can
-/// use spans without ever reading a real clock.
-pub struct Span<'a> {
-    hist: Histogram,
-    clock: &'a dyn TimeSource,
-    start: u64,
-}
-
-impl Span<'_> {
-    /// Elapsed nanoseconds so far (saturating; `TimeSource` is assumed
-    /// monotone but we never trust it enough to underflow).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.clock.now_nanos().saturating_sub(self.start)
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        self.hist.observe(self.elapsed_nanos() as f64 * 1e-9);
     }
 }
 
@@ -541,21 +503,14 @@ pub struct ObsConfig {
     pub metrics: bool,
     /// Access log destination; [`AccessLogTarget::Off`] by default.
     pub access_log: AccessLogTarget,
-    /// Write every Nth access-log line (1 = every line, the default).
-    /// Under thousands of mostly-idle keep-alive connections the access
-    /// log becomes the per-request hot path's main write amplification;
-    /// sampling keeps it observable without that cost. Values of 0 are
-    /// treated as 1.
-    pub log_sample_every_n: u64,
 }
 
 impl Default for ObsConfig {
-    /// Everything off, unsampled logging (were anything to be logged).
+    /// Everything off.
     fn default() -> Self {
         Self {
             metrics: false,
             access_log: AccessLogTarget::Off,
-            log_sample_every_n: 1,
         }
     }
 }
@@ -579,13 +534,6 @@ impl ObsConfig {
         self.access_log = target;
         self
     }
-
-    /// Builder-style access-log sampling override: write every Nth line.
-    /// `0` is normalized to `1` (unsampled).
-    pub fn with_log_sampling(mut self, every_n: u64) -> Self {
-        self.log_sample_every_n = every_n.max(1);
-        self
-    }
 }
 
 /// A line-oriented access logger over a configured target. Writes are
@@ -594,11 +542,6 @@ impl ObsConfig {
 pub struct AccessLogger {
     sink: Mutex<Box<dyn std::io::Write + Send>>,
     errors: Counter,
-    /// Write every Nth line (1 = every line); see
-    /// [`ObsConfig::log_sample_every_n`].
-    every: u64,
-    /// Lines offered to [`AccessLogger::log`], written or sampled away.
-    seen: AtomicU64,
 }
 
 impl std::fmt::Debug for AccessLogger {
@@ -608,15 +551,8 @@ impl std::fmt::Debug for AccessLogger {
 }
 
 impl AccessLogger {
-    /// Open the configured target, unsampled. `Ok(None)` when logging is
-    /// off.
+    /// Open the configured target. `Ok(None)` when logging is off.
     pub fn open(target: &AccessLogTarget) -> std::io::Result<Option<Self>> {
-        Self::open_sampled(target, 1)
-    }
-
-    /// Open the configured target writing every `every_n`th line (`0` and
-    /// `1` both mean every line). `Ok(None)` when logging is off.
-    pub fn open_sampled(target: &AccessLogTarget, every_n: u64) -> std::io::Result<Option<Self>> {
         let sink: Box<dyn std::io::Write + Send> = match target {
             AccessLogTarget::Off => return Ok(None),
             AccessLogTarget::Stdout => Box::new(std::io::stdout()),
@@ -631,24 +567,13 @@ impl AccessLogger {
         Ok(Some(Self {
             sink: Mutex::new(sink),
             errors: Counter::new(),
-            every: every_n.max(1),
-            seen: AtomicU64::new(0),
         }))
     }
 
-    /// Write one line (a newline is appended), subject to sampling: with
-    /// `every_n > 1` only every Nth offered line (starting with the
-    /// first) is written. I/O errors increment
+    /// Write one line (a newline is appended). I/O errors increment
     /// [`error_count`](AccessLogger::error_count) and are otherwise
     /// swallowed: logging must never fail a request.
     pub fn log(&self, line: &str) {
-        if !self
-            .seen
-            .fetch_add(1, Ordering::Relaxed)
-            .is_multiple_of(self.every)
-        {
-            return;
-        }
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         if writeln!(sink, "{line}")
             .and_then(|()| sink.flush())
@@ -718,21 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn span_records_into_histogram_via_manual_clock() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("p3gm_phase_seconds", "help", &[0.5, 2.0], &[]);
-        let clock = ManualClock::new();
-        {
-            let span = h.start_span(&clock);
-            clock.advance(1_000_000_000);
-            assert_eq!(span.elapsed_nanos(), 1_000_000_000);
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), 1.0);
-        assert_eq!(h.cumulative_buckets()[1], (2.0, 1));
-    }
-
-    #[test]
     fn value_formatting() {
         assert_eq!(format_value(f64::INFINITY), "+Inf");
         assert_eq!(format_value(f64::NEG_INFINITY), "-Inf");
@@ -744,49 +654,5 @@ mod tests {
     #[test]
     fn access_logger_off_is_none() {
         assert!(AccessLogger::open(&AccessLogTarget::Off).unwrap().is_none());
-        assert!(AccessLogger::open_sampled(&AccessLogTarget::Off, 5)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
-    fn obs_config_sampling_defaults_and_normalization() {
-        assert_eq!(ObsConfig::default().log_sample_every_n, 1);
-        assert_eq!(ObsConfig::enabled().log_sample_every_n, 1);
-        // 0 would drop every line via `x % 0` panic; it normalizes to 1.
-        assert_eq!(
-            ObsConfig::enabled().with_log_sampling(0).log_sample_every_n,
-            1
-        );
-        assert_eq!(
-            ObsConfig::enabled()
-                .with_log_sampling(10)
-                .log_sample_every_n,
-            10
-        );
-    }
-
-    #[test]
-    fn access_log_sampling_writes_every_nth_line() {
-        let dir = std::env::temp_dir().join(format!(
-            "p3gm_obs_sample_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("access.log");
-        let target = AccessLogTarget::File(path.clone());
-        {
-            let log = AccessLogger::open_sampled(&target, 3).unwrap().unwrap();
-            for i in 0..10 {
-                log.log(&format!("line {i}"));
-            }
-            assert_eq!(log.error_count(), 0);
-        }
-        let written = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = written.lines().collect();
-        // Lines 0, 3, 6, 9: the first line always writes, then every 3rd.
-        assert_eq!(lines, vec!["line 0", "line 3", "line 6", "line 9"]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -9,79 +9,6 @@
 use crate::rdp::RdpAccountant;
 use crate::{PrivacyError, Result};
 
-/// How the total privacy budget is split across P3GM's three components.
-///
-/// The fractions describe the *target ε* attributed to each stage before
-/// joint RDP accounting; they must sum to 1. The defaults mirror the paper's
-/// setup: a small fixed ε_p for DP-PCA and the remainder split between DP-EM
-/// and DP-SGD.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BudgetSplit {
-    /// Fraction of ε given to DP-PCA.
-    pub pca_fraction: f64,
-    /// Fraction of ε given to DP-EM.
-    pub em_fraction: f64,
-    /// Fraction of ε given to DP-SGD.
-    pub sgd_fraction: f64,
-}
-
-impl Default for BudgetSplit {
-    fn default() -> Self {
-        // Paper: eps_p = 0.1 out of eps = 1.0; the rest is dominated by
-        // DP-SGD with a modest DP-EM share.
-        BudgetSplit {
-            pca_fraction: 0.1,
-            em_fraction: 0.2,
-            sgd_fraction: 0.7,
-        }
-    }
-}
-
-impl BudgetSplit {
-    /// Validates that the fractions are positive and sum to 1 (±1e-9).
-    pub fn validate(&self) -> Result<()> {
-        let sum = self.pca_fraction + self.em_fraction + self.sgd_fraction;
-        if self.pca_fraction < 0.0
-            || self.em_fraction < 0.0
-            || self.sgd_fraction <= 0.0
-            || (sum - 1.0).abs() > 1e-9
-        {
-            return Err(PrivacyError::InvalidParameter {
-                msg: format!(
-                    "budget fractions must be non-negative and sum to 1, got {self:?} (sum {sum})"
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Calibrates the noise standard deviation of a plain Gaussian mechanism
-/// (sensitivity `delta_f`, composed `steps` times) so the (ε, δ)-DP cost,
-/// accounted with RDP, is at most `target_eps`.
-///
-/// Returns the smallest σ found by bisection (relative tolerance 1e-4).
-pub fn calibrate_gaussian_sigma(
-    target_eps: f64,
-    delta: f64,
-    delta_f: f64,
-    steps: usize,
-) -> Result<f64> {
-    if target_eps <= 0.0 {
-        return Err(PrivacyError::InvalidParameter {
-            msg: format!("target epsilon must be positive, got {target_eps}"),
-        });
-    }
-    let eps_of = |sigma: f64| -> Result<f64> {
-        let mut acc = RdpAccountant::default();
-        for _ in 0..steps.max(1) {
-            acc.add_gaussian(delta_f, sigma)?;
-        }
-        Ok(acc.to_dp(delta)?.epsilon)
-    };
-    bisect_sigma(target_eps, eps_of)
-}
-
 /// Calibrates the DP-SGD noise multiplier σ_s so that the *whole* P3GM
 /// pipeline — DP-PCA at `eps_p`, `t_e` DP-EM steps at `sigma_e` with `k`
 /// components, and `t_s` DP-SGD steps at sampling rate `q` — satisfies
@@ -181,25 +108,6 @@ mod tests {
     const DELTA: f64 = 1e-5;
 
     #[test]
-    fn gaussian_calibration_round_trips() {
-        let sigma = calibrate_gaussian_sigma(1.0, DELTA, 1.0, 1).unwrap();
-        let mut acc = RdpAccountant::default();
-        acc.add_gaussian(1.0, sigma).unwrap();
-        let eps = acc.to_dp(DELTA).unwrap().epsilon;
-        assert!(eps <= 1.0 + 1e-6);
-        assert!(eps > 0.9, "calibration should be tight, got {eps}");
-        // The classic analytic-Gaussian ballpark for (1, 1e-5) is sigma ≈ 3–5.
-        assert!(sigma > 2.0 && sigma < 6.0, "sigma {sigma}");
-    }
-
-    #[test]
-    fn gaussian_calibration_more_steps_needs_more_noise() {
-        let one = calibrate_gaussian_sigma(1.0, DELTA, 1.0, 1).unwrap();
-        let ten = calibrate_gaussian_sigma(1.0, DELTA, 1.0, 10).unwrap();
-        assert!(ten > one);
-    }
-
-    #[test]
     fn dpsgd_calibration_round_trips() {
         let (eps_p, t_e, sigma_e, k) = (0.1, 20, 300.0, 3);
         let (t_s, q) = (500, 0.02);
@@ -237,26 +145,8 @@ mod tests {
 
     #[test]
     fn invalid_targets_rejected() {
-        assert!(calibrate_gaussian_sigma(0.0, DELTA, 1.0, 1).is_err());
         assert!(calibrate_dpsgd_sigma(-1.0, DELTA, 0.1, 1, 1.0, 1, 10, 0.1).is_err());
         assert!(calibrate_dpsgd_sigma(1.0, DELTA, 0.1, 1, 1.0, 1, 0, 0.1).is_err());
         assert!(calibrate_dpem_sigma(1.0, DELTA, 0, 3).is_err());
-    }
-
-    #[test]
-    fn budget_split_validation() {
-        assert!(BudgetSplit::default().validate().is_ok());
-        let bad = BudgetSplit {
-            pca_fraction: 0.5,
-            em_fraction: 0.5,
-            sgd_fraction: 0.5,
-        };
-        assert!(bad.validate().is_err());
-        let negative = BudgetSplit {
-            pca_fraction: -0.1,
-            em_fraction: 0.4,
-            sgd_fraction: 0.7,
-        };
-        assert!(negative.validate().is_err());
     }
 }

@@ -35,7 +35,7 @@ pub mod rdp;
 pub mod sampling;
 pub mod zcdp;
 
-pub use calibrate::{calibrate_dpsgd_sigma, calibrate_gaussian_sigma, BudgetSplit};
+pub use calibrate::calibrate_dpsgd_sigma;
 pub use mechanisms::{
     clip_and_sum_gradients, clip_and_sum_gradients_counted, clip_factor, draw_gradient_noise,
     exponential_mechanism, privatize_gradient_sum, validate_dp_sgd, wishart_noise, GradientNoise,

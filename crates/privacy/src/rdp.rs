@@ -189,8 +189,9 @@ impl RdpAccountant {
     /// Adds `steps` iterations of DP-SGD with sampling probability `q` and
     /// noise multiplier `sigma`, using the selected per-step bound.
     ///
-    /// `q = 1` (a full-batch lot, which `DpSgdConfig::sampling_probability`
-    /// produces whenever `batch_size >= n`) is legal: without subsampling
+    /// `q = 1` (a full-batch lot, which `p3gm-core`'s trainer draws, and
+    /// whose sampling probability it reports, whenever `batch_size >= n`)
+    /// is legal: without subsampling
     /// each step is a plain Gaussian mechanism on the clipped gradient sum,
     /// so its exact RDP curve `α/(2σ²)` is charged instead of a subsampling
     /// bound (both Eq. (4) and the sampled-Gaussian expansion assume

@@ -13,8 +13,8 @@
 //! The ledger's state is the part an attacker (or an accidental restart)
 //! must not be able to reset, so it persists through the `p3gm-store`
 //! codec: a charge only reports success after it is durably on disk
-//! (fsynced temp file, atomic rename, best-effort directory sync; a
-//! failed persist rolls the in-memory balance back), so a crash mid-write
+//! (fsynced temp file, atomic rename, fsynced directory; a failed
+//! persist rolls the in-memory balance back), so a crash mid-write
 //! leaves the previous state intact and can lose an unserved charge but
 //! never a served one. Restarting the server on the same ledger file
 //! resumes from the spent budget, not from zero.
@@ -246,7 +246,9 @@ fn decode_entries(bytes: &[u8]) -> Result<BTreeMap<String, LedgerEntry>, LedgerE
 /// Writes the encoded state to `path` atomically: temp file in the same
 /// directory (fsynced before the rename so the swap never installs
 /// unwritten data after a power loss), then rename over the target, then
-/// best-effort fsync of the directory to make the rename itself durable.
+/// fsync of the directory to make the rename itself durable. Until that
+/// last fsync succeeds a crash can bring the old file back, so its failure
+/// fails the persist too.
 fn persist(path: &Path, entries: &BTreeMap<String, LedgerEntry>) -> Result<(), LedgerError> {
     use std::io::Write as _;
     let bytes = encode_entries(entries);
@@ -260,12 +262,25 @@ fn persist(path: &Path, entries: &BTreeMap<String, LedgerEntry>) -> Result<(), L
     drop(file);
     std::fs::rename(&tmp, path)
         .map_err(|e| LedgerError::Io(format!("{} -> {}: {e}", tmp.display(), path.display())))?;
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            let _ = dir.sync_all();
-        }
+    sync_dir(parent_dir(path))
+}
+
+/// The directory holding `path`: its parent, or `.` for a bare file name
+/// (whose parent is the empty path).
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
     }
-    Ok(())
+}
+
+/// Fsyncs the directory `dir`, which makes a rename within it durable.
+fn sync_dir(dir: &Path) -> Result<(), LedgerError> {
+    let io_err = |e: std::io::Error| LedgerError::Io(format!("{}: {e}", dir.display()));
+    std::fs::File::open(dir)
+        .map_err(io_err)?
+        .sync_all()
+        .map_err(io_err)
 }
 
 #[cfg(test)]
@@ -277,6 +292,16 @@ mod tests {
             std::env::temp_dir().join(format!("p3gm_ledger_test_{name}_{}", std::process::id()));
         let _ = std::fs::create_dir_all(&dir);
         dir.join("ledger.p3gm")
+    }
+
+    #[test]
+    fn directory_sync_fails_on_a_missing_directory_and_syncs_dot_for_a_bare_name() {
+        let missing = temp_path("dir_sync").with_file_name("missing");
+        let ledger = missing.join("ledger.p3gm");
+        assert_eq!(parent_dir(&ledger), missing.as_path());
+        assert!(matches!(sync_dir(&missing), Err(LedgerError::Io(_))));
+        assert_eq!(parent_dir(Path::new("ledger.p3gm")), Path::new("."));
+        assert_eq!(sync_dir(Path::new(".")), Ok(()));
     }
 
     #[test]

@@ -462,8 +462,7 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
         None => BudgetLedger::in_memory(config.budget_epsilon),
     };
     let metrics = config.obs.metrics.then(ServerMetrics::new);
-    let access_log =
-        AccessLogger::open_sampled(&config.obs.access_log, config.obs.log_sample_every_n)?;
+    let access_log = AccessLogger::open(&config.obs.access_log)?;
     let service = Arc::new(Service {
         registry,
         ledger: Mutex::new(ledger),

@@ -42,7 +42,7 @@ use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::http::{
     HttpError, Limits, Method, Request, RequestReader, ResponseWriter, Version, WriteProgress,
@@ -50,7 +50,6 @@ use crate::http::{
 use crate::metrics::InFlightGuard;
 use crate::sys::{poll_fds, PollFd, WakeHandle, Waker, POLLIN, POLLOUT};
 use crate::{error_response, route, route_label, ConnConfig, Service};
-use p3gm_obs::time::unix_millis;
 
 /// Synthetic poll-set id for the waker pipe.
 const WAKER_ID: u64 = u64::MAX;
@@ -73,6 +72,15 @@ const ACCEPT_RETRY: Duration = Duration::from_millis(10);
 /// disables a configured timeout.
 fn deadline_after(timeout: Duration) -> Option<Instant> {
     Instant::now().checked_add(timeout)
+}
+
+/// Milliseconds since the Unix epoch, for timestamping access log lines.
+/// Returns 0 if the system clock is before the epoch.
+fn unix_millis() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
 }
 
 /// A `TcpStream` shared between the reactor (reads, polls, closes) and
@@ -909,6 +917,11 @@ mod tests {
             bytes_in,
             read_marker: 0,
         }
+    }
+
+    #[test]
+    fn unix_millis_is_past_2020() {
+        assert!(unix_millis() > 1_577_836_800_000);
     }
 
     #[test]

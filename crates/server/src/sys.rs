@@ -18,8 +18,7 @@
 //! The confinement is machine-checked: conform rule D5 pairs this file
 //! with the crate root's `#![deny(unsafe_code)]` — any `unsafe` token in
 //! a *different* `crates/server` file is a D5 violation (see
-//! `p3gm_conform::rules::D5_SHIM_EXEMPT`), mirroring how rule D2
-//! confines wall-clock reads to `crates/obs/src/time.rs`.
+//! `p3gm_conform::rules::D5_SHIM_EXEMPT`).
 #![allow(unsafe_code)]
 
 use std::io::{Read, Write};

@@ -77,8 +77,9 @@ fn main() {
     let snapshot = SynthesisSnapshot::capture(model).with_synthesizer(synthesizer);
     let stamp = *snapshot.privacy_stamp().expect("private training stamps");
     println!("trained: certified {stamp}");
-    // What the fit *did*, as deterministic telemetry (pure
-    // post-processing — none of it fed back into training or (ε, δ)).
+    // What the fit *did*, as deterministic telemetry. None of it fed back
+    // into training or (ε, δ), but the clip counts and the EM trace are
+    // computed from the private rows: the stamp does not cover them.
     print!("{}", report.render());
 
     // 2. The model directory is the server's unit of deployment: one

@@ -12,8 +12,8 @@
 //!   (Unix only; model registry with hot reload, privacy budget ledger,
 //!   strict request parsing).
 //! * [`obs`] — deterministic observability core (atomic counters, gauges,
-//!   fixed-bucket histograms, Prometheus text exposition, injectable-clock
-//!   spans); telemetry is post-processing and never part of DP state.
+//!   fixed-bucket histograms, Prometheus text exposition, an injectable
+//!   clock trait, access logs); telemetry is never part of DP state.
 //! * [`parallel`] — deterministic std-only data parallelism (one scoped
 //!   dispatch per kernel call, ordered map-reduce, `P3GM_THREADS` override).
 //! * [`linalg`] — dense matrices, symmetric (tridiagonal QL) eigendecomposition, Cholesky.
@@ -63,7 +63,8 @@ pub use p3gm_store as store;
 /// HTTP synthesis service (model registry, hot reload, budget ledger).
 pub use p3gm_server as server;
 
-/// Deterministic metrics, Prometheus exposition, and injectable-clock spans.
+/// Deterministic metrics, Prometheus exposition, an injectable clock trait
+/// and access logs.
 pub use p3gm_obs as obs;
 
 /// Deterministic data-parallel execution layer.
