@@ -518,16 +518,6 @@ impl Response {
         }
     }
 
-    /// A CSV response.
-    pub fn csv(body: String) -> Response {
-        Response {
-            status: 200,
-            content_type: "text/csv",
-            extra_headers: Vec::new(),
-            body: ResponseBody::Buffered(body.into_bytes()),
-        }
-    }
-
     /// A 200 response streaming `source`'s blocks with chunked
     /// `Transfer-Encoding`.
     pub fn chunked(content_type: &'static str, source: ChunkSource) -> Response {
@@ -788,6 +778,7 @@ pub fn reason_phrase(status: u16) -> &'static str {
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
+        503 => "Service Unavailable",
         505 => "HTTP Version Not Supported",
         _ => "Response",
     }
@@ -1260,6 +1251,28 @@ mod tests {
         // The request-timeout path is a typed 408.
         assert_eq!(HttpError::Io(std::io::ErrorKind::TimedOut).status(), 408);
         assert_eq!(HttpError::Io(std::io::ErrorKind::WouldBlock).status(), 408);
+    }
+
+    #[test]
+    fn every_emitted_status_has_its_reason_phrase() {
+        // 413 keeps RFC 7231's phrase, which RFC 9110 renamed "Content
+        // Too Large"; 429 and 431 come from RFC 6585.
+        for (status, phrase) in [
+            (200, "OK"),
+            (400, "Bad Request"),
+            (404, "Not Found"),
+            (405, "Method Not Allowed"),
+            (408, "Request Timeout"),
+            (413, "Payload Too Large"),
+            (429, "Too Many Requests"),
+            (431, "Request Header Fields Too Large"),
+            (500, "Internal Server Error"),
+            (501, "Not Implemented"),
+            (503, "Service Unavailable"),
+            (505, "HTTP Version Not Supported"),
+        ] {
+            assert_eq!(reason_phrase(status), phrase, "{status}");
+        }
     }
 
     #[test]

@@ -30,9 +30,11 @@
 //!   generates rows through the core's random-access sampler
 //!   (`SynthesisSnapshot::sample_rows`) and streams them as RFC 7230
 //!   chunked `Transfer-Encoding`, so first-byte latency and peak memory
-//!   are bounded by the chunk size, not `n` — while the de-chunked body
-//!   stays byte-identical per (model, seed, n) to the buffered body an
-//!   HTTP/1.0 client receives and to in-process `sample(seed, n)`;
+//!   are bounded by the chunk size, not `n`. Every sample body, JSON or
+//!   CSV, plain or labelled, comes from one chunk writer; labelled and
+//!   HTTP/1.0 bodies are that stream drained into a `Content-Length`
+//!   body, so the de-chunked bytes per (model, seed, n) never depend on
+//!   the framing and match in-process `sample(seed, n)`;
 //! * a **privacy budget ledger** ([`ledger`]) tracking cumulative ε per
 //!   model, refusing requests with 429 once a configurable budget is
 //!   exhausted, persisted through the `p3gm-store` codec so restarts
@@ -75,7 +77,7 @@
 //!
 //! Sampling is deterministic per `(model, seed, n)`: every delivery path
 //! consumes the core's canonical per-seed-block sample stream, and the
-//! serializers are deterministic — the same request always yields the
+//! body writer is deterministic — the same request always yields the
 //! same de-framed bytes, from any replica, under any concurrency, chunk
 //! framing or thread count. The varying budget state travels in
 //! `x-p3gm-epsilon-*` response headers, never in the body.
@@ -100,14 +102,15 @@ mod reactor;
 pub mod registry;
 mod sys;
 
-use http::{Limits, Method, Request, Response, ResponseBody};
+use http::{Limits, Method, Request, Response};
 use json::Json;
 use ledger::{BudgetLedger, LedgerError};
 use metrics::ServerMetrics;
 use p3gm_linalg::Matrix;
 use p3gm_obs::{AccessLogger, ObsConfig};
 use p3gm_privacy::rdp::PrivacySpec;
-use registry::{LoadedModel, Registry, RegistryConfig, RegistryError};
+use registry::{Registry, RegistryConfig, RegistryError};
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -375,16 +378,6 @@ impl Service {
     }
 }
 
-/// The per-connection pacing knobs, split out of [`ServerConfig`] so the
-/// connection state machine takes one small copy.
-#[derive(Debug, Clone, Copy)]
-struct ConnConfig {
-    io_timeout: Duration,
-    request_read_timeout: Duration,
-    keep_alive_timeout: Duration,
-    max_requests_per_connection: usize,
-}
-
 /// A running server. Dropping the handle without calling
 /// [`ServerHandle::shutdown`] detaches the reactor (it keeps serving
 /// until the process exits).
@@ -474,24 +467,13 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, ServerError> {
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let conn_config = ConnConfig {
-        io_timeout: config.io_timeout,
-        request_read_timeout: config.request_read_timeout,
-        keep_alive_timeout: config.keep_alive_timeout,
-        max_requests_per_connection: config.max_requests_per_connection.max(1),
-    };
 
     let waker = sys::Waker::new()?;
     let wake = waker.handle();
-    let opts = reactor::ReactorOptions {
-        executors: config.threads,
-        limits: config.limits,
-        conn: conn_config,
-    };
     let reactor_service = Arc::clone(&service);
     let reactor_stop = Arc::clone(&stop);
     let reactor = std::thread::spawn(move || {
-        reactor::run(listener, reactor_service, reactor_stop, waker, opts);
+        reactor::run(listener, reactor_service, reactor_stop, waker, config);
     });
     Ok(ServerHandle {
         addr,
@@ -509,63 +491,49 @@ fn error_response(status: u16, message: &str) -> Response {
     )
 }
 
-/// The bounded route pattern a request's metrics are labelled with.
-/// Model names collapse to `{name}` so one misbehaving client cannot
-/// inflate the label space (series cardinality stays fixed).
-fn route_label(request: &Request) -> &'static str {
+/// The endpoint table: dispatches one parsed request to its handler and
+/// returns the bounded route pattern its metrics are labelled with. Model
+/// names collapse to `{name}` so one misbehaving client cannot inflate
+/// the label space (series cardinality stays fixed). A known path with
+/// the wrong method is 405, an unknown path 404.
+fn route(service: &Service, request: &Request) -> (&'static str, Response) {
     let segments: Vec<&str> = request
         .target
         .split('/')
         .filter(|s| !s.is_empty())
         .collect();
-    match segments.as_slice() {
-        [] => "/",
-        ["healthz"] => "/healthz",
-        ["metrics"] => "/metrics",
-        ["models"] => "/models",
-        ["models", _] => "/models/{name}",
-        ["models", _, "sample"] => "/models/{name}/sample",
-        ["stats"] => "/stats",
-        ["reload"] => "/reload",
-        _ => "other",
-    }
+    let get = request.method == Method::Get;
+    let post = request.method == Method::Post;
+    let (label, response) = match segments.as_slice() {
+        [] => ("/", get.then(overview)),
+        ["healthz"] => ("/healthz", get.then(|| healthz(service))),
+        ["metrics"] => ("/metrics", get.then(|| metrics_endpoint(service))),
+        ["models"] => ("/models", get.then(|| list_models(service))),
+        ["models", name] => ("/models/{name}", get.then(|| model_detail(service, name))),
+        ["models", name, "sample"] => (
+            "/models/{name}/sample",
+            post.then(|| sample(service, name, &request.body)),
+        ),
+        ["stats"] => ("/stats", get.then(|| stats(service))),
+        ["reload"] => ("/reload", post.then(|| reload(service))),
+        _ => return ("other", error_response(404, "no such endpoint")),
+    };
+    let response =
+        response.unwrap_or_else(|| error_response(405, "method not allowed for this path"));
+    (label, response)
 }
 
-/// Dispatches one parsed request to its handler.
-fn route(service: &Service, request: &Request) -> Response {
-    let segments: Vec<&str> = request
-        .target
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
-    match (request.method, segments.as_slice()) {
-        (Method::Get, []) => overview(),
-        (Method::Get, ["healthz"]) => Response::json(
-            200,
-            &Json::Obj(vec![
-                ("status".to_string(), Json::str("ok")),
-                (
-                    "models".to_string(),
-                    Json::Num(service.registry.len() as f64),
-                ),
-            ]),
-        ),
-        (Method::Get, ["models"]) => list_models(service),
-        (Method::Get, ["models", name]) => model_detail(service, name),
-        (Method::Get, ["stats"]) => stats(service),
-        (Method::Get, ["metrics"]) => metrics_endpoint(service),
-        (Method::Post, ["models", name, "sample"]) => sample(service, name, &request.body),
-        (Method::Post, ["reload"]) => reload(service),
-        // Known paths with the wrong method are 405, unknown paths 404.
-        (
-            _,
-            [] | ["healthz"] | ["models"] | ["models", _] | ["stats"] | ["metrics"] | ["reload"],
-        )
-        | (Method::Get, ["models", _, "sample"]) => {
-            error_response(405, "method not allowed for this path")
-        }
-        _ => error_response(404, "no such endpoint"),
-    }
+fn healthz(service: &Service) -> Response {
+    Response::json(
+        200,
+        &Json::Obj(vec![
+            ("status".to_string(), Json::str("ok")),
+            (
+                "models".to_string(),
+                Json::Num(service.registry.len() as f64),
+            ),
+        ]),
+    )
 }
 
 fn overview() -> Response {
@@ -699,10 +667,10 @@ fn stats(service: &Service) -> Response {
 }
 
 /// `GET /metrics`: refreshes the scrape-time snapshots (registry
-/// residency, per-model budget gauges, thread-pool counters) and renders
-/// the whole registry as Prometheus text exposition v0.0.4. Answers 404
-/// when metrics are disabled so scrapers fail loudly instead of reading
-/// an empty page.
+/// residency, per-model budget gauges, thread-pool counters, dropped
+/// access-log lines) and renders the whole registry as Prometheus text
+/// exposition v0.0.4. Answers 404 when metrics are disabled so scrapers
+/// fail loudly instead of reading an empty page.
 fn metrics_endpoint(service: &Service) -> Response {
     let Some(m) = &service.metrics else {
         return error_response(404, "metrics are disabled on this server");
@@ -710,6 +678,9 @@ fn metrics_endpoint(service: &Service) -> Response {
     // The shared snapshot path also mirrors registry stats into `m`.
     let _ = service.registry_snapshot();
     m.export_pool_stats();
+    if let Some(log) = &service.access_log {
+        m.export_access_log_errors(log.error_count());
+    }
     {
         let ledger = service
             .ledger
@@ -858,13 +829,12 @@ fn parse_sample_spec(body: &[u8], max_rows: usize) -> Result<SampleSpec, String>
     })
 }
 
-/// The synthesis executor: charges the ledger exactly once, then either
-/// streams the rows as chunked `Transfer-Encoding` (plain sampling — the
-/// rows are generated chunk by chunk as the socket drains, so first-byte
-/// latency and peak memory are bounded by the chunk size, not `n`) or
-/// serializes a buffered body (labelled synthesis). De-chunking a
-/// streamed body yields exactly the bytes the buffered serializer would
-/// have produced.
+/// The synthesis executor: charges the ledger exactly once, then writes
+/// the rows through [`rows_body`]. Plain sampling streams it as chunked
+/// `Transfer-Encoding` (the rows are generated chunk by chunk as the
+/// socket drains, so first-byte latency and peak memory are bounded by
+/// the chunk size, not `n`); labelled synthesis drains it into a buffered
+/// body.
 fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
     // First touch of a cold model decodes it here (single-flight with
     // any concurrent request); the typed failure surface maps to HTTP:
@@ -949,9 +919,16 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
     };
 
     let response = match &spec.labels {
-        None => stream_rows(model.clone(), name, &spec),
+        None => {
+            let (model, seed) = (Arc::clone(&model), spec.seed);
+            rows_body(name, &spec, None, move |start, rows| {
+                model.snapshot().sample_rows(seed, start, rows)
+            })
+        }
         Some(counts) => match snapshot.synthesize_labelled(spec.seed, counts) {
-            Ok((rows, labels)) => render_rows(name, &spec, &rows, Some(&labels)),
+            Ok((rows, labels)) => {
+                rows_body(name, &spec, Some(labels), finished_rows(rows)).into_buffered()
+            }
             // Client-rejectable conditions were all checked before the
             // charge; anything left is an internal failure.
             Err(e) => return error_response(500, &format!("labelled synthesis failed: {e}")),
@@ -967,154 +944,123 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
         )
 }
 
-/// One row as a compact JSON array, through the same shortest-round-trip
-/// `f64` formatting as [`Json`]'s serializer — the streamed body must be
-/// byte-identical to what the buffered serializer would produce.
-fn json_row(out: &mut String, row: &[f64]) {
-    out.push('[');
-    let mut first = true;
-    for &v in row {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&Json::Num(v).to_string());
-    }
-    out.push(']');
-}
-
-/// One row as a CSV line (newline included), optionally with the label
-/// appended as the last column.
-fn csv_row(out: &mut String, row: &[f64], label: Option<usize>) {
-    let mut first = true;
-    for v in row {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&v.to_string());
-    }
-    if let Some(label) = label {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(&label.to_string());
-    }
-    out.push('\n');
-}
-
-/// The JSON body prefix up to (and including) the opening `[` of the
-/// rows array — shared by the streamed and buffered serializers.
-fn json_body_prefix(name: &str, seed: u64, n: usize) -> String {
-    format!(
-        "{{\"model\":{},\"seed\":{},\"n\":{},\"rows\":[",
-        Json::str(name),
-        Json::Num(seed as f64),
-        Json::Num(n as f64),
-    )
-}
-
-/// A chunked streaming response for a plain (unlabelled) sampling
-/// request: each chunk serializes up to [`STREAM_CHUNK_ROWS`] rows that
-/// are generated — via `SynthesisSnapshot::sample_rows` — only when the
-/// previous chunk has been handed to the socket. The `Arc` keeps the model alive
-/// for the stream's whole lifetime, so a hot reload mid-stream never
-/// yanks the snapshot out from under the response.
-fn stream_rows(model: Arc<LoadedModel>, name: &str, spec: &SampleSpec) -> Response {
-    let content_type = if spec.csv {
-        "text/csv"
-    } else {
-        "application/json"
-    };
-    let (seed, n, csv) = (spec.seed, spec.n, spec.csv);
-    let prefix = if csv {
-        String::new()
-    } else {
-        json_body_prefix(name, seed, n)
-    };
-    // Stream state: Some(prefix) until the prefix chunk is emitted, then
-    // row chunks tracked by `next_row`, then the suffix, then None.
-    let mut prefix = Some(prefix);
-    let mut next_row = 0usize;
-    let mut suffix_pending = !csv;
+/// The one writer of every sample body, plain or labelled, JSON or CSV:
+/// a chunk source that yields the JSON head (up to the opening `[` of the
+/// rows array; CSV has none), then blocks of up to [`STREAM_CHUNK_ROWS`]
+/// rows `[start, start + len)` taken from `window(start, len)` only when
+/// the previous block has been handed on, then the JSON tail with any
+/// `labels`. Plain sampling streams it with `window` =
+/// `SynthesisSnapshot::sample_rows` (the window's `Arc` keeps the model
+/// alive for the stream's whole lifetime, so a hot reload mid-stream never
+/// yanks the snapshot out from under the response); labelled synthesis
+/// and HTTP/1.0 clients get the same blocks drained into one buffered
+/// body, so the bytes never depend on how the body is framed.
+fn rows_body(
+    name: &str,
+    spec: &SampleSpec,
+    labels: Option<Vec<usize>>,
+    mut window: impl FnMut(usize, usize) -> Matrix + Send + 'static,
+) -> Response {
+    let (n, csv) = (spec.n, spec.csv);
+    let mut head = (!csv).then(|| {
+        format!(
+            "{{\"model\":{},\"seed\":{},\"n\":{},\"rows\":[",
+            Json::str(name),
+            Json::Num(spec.seed as f64),
+            Json::Num(n as f64),
+        )
+    });
+    let mut tail = !csv;
+    let mut next_row = 0;
     let source = move || {
-        if let Some(p) = prefix.take() {
-            return Some(p.into_bytes());
+        if let Some(head) = head.take() {
+            return Some(head.into_bytes());
         }
+        let mut out = String::new();
         if next_row < n {
-            let rows = STREAM_CHUNK_ROWS.min(n - next_row);
-            let chunk = model.snapshot().sample_rows(seed, next_row, rows);
-            let mut out = String::new();
-            for (i, row) in chunk.row_iter().enumerate() {
-                if csv {
-                    csv_row(&mut out, row, None);
-                } else {
-                    if next_row + i > 0 {
+            let len = STREAM_CHUNK_ROWS.min(n - next_row);
+            for (i, row) in window(next_row, len).row_iter().enumerate() {
+                write_row(&mut out, row, next_row + i, labels.as_deref(), csv);
+            }
+            next_row += len;
+        } else if std::mem::take(&mut tail) {
+            out.push(']');
+            if let Some(labels) = &labels {
+                out.push_str(",\"labels\":[");
+                for (i, &label) in labels.iter().enumerate() {
+                    if i > 0 {
                         out.push(',');
                     }
-                    json_row(&mut out, row);
+                    let _ = write!(out, "{}", Json::Num(label as f64));
                 }
+                out.push(']');
             }
-            next_row += rows;
-            return Some(out.into_bytes());
+            out.push('}');
+        } else {
+            return None;
         }
-        if suffix_pending {
-            suffix_pending = false;
-            return Some(b"]}".to_vec());
-        }
-        None
+        Some(out.into_bytes())
     };
+    let content_type = if csv { "text/csv" } else { "application/json" };
     Response::chunked(content_type, Box::new(source))
 }
 
-/// Serializes sampled rows deterministically into a buffered body. JSON
-/// and CSV both print values through Rust's shortest-round-trip `f64`
-/// formatting, so equal samples are equal bytes and parsing a value back
-/// yields the identical bit pattern. De-chunking a streamed response
-/// yields exactly these bytes for the same rows.
-fn render_rows(name: &str, spec: &SampleSpec, rows: &Matrix, labels: Option<&[usize]>) -> Response {
-    if spec.csv {
-        let mut out = String::new();
-        for (i, row) in rows.row_iter().enumerate() {
-            csv_row(
-                &mut out,
-                row,
-                labels.map(|l| l.get(i).copied().unwrap_or(0)),
-            );
-        }
-        Response::csv(out)
-    } else {
-        let mut out = json_body_prefix(name, spec.seed, rows.rows());
-        for (i, row) in rows.row_iter().enumerate() {
-            if i > 0 {
+/// Writes row `index` of a sample body into `out`: a CSV line whose last
+/// column is the row's label, if any, or a JSON array, comma-led after the
+/// first row (JSON carries its labels in the tail). Each value is
+/// `write!`n in place, so it prints the bytes `f64`'s `Display` (CSV) or
+/// `Json::Num`'s (JSON) gives, without allocating a `String` for it.
+fn write_row(out: &mut String, row: &[f64], index: usize, labels: Option<&[usize]>, csv: bool) {
+    if csv {
+        for (j, v) in row.iter().enumerate() {
+            if j > 0 {
                 out.push(',');
             }
-            json_row(&mut out, row);
+            let _ = write!(out, "{v}");
+        }
+        if let Some(labels) = labels {
+            if !row.is_empty() {
+                out.push(',');
+            }
+            let _ = write!(out, "{}", labels.get(index).copied().unwrap_or(0));
+        }
+        out.push('\n');
+    } else {
+        if index > 0 {
+            out.push(',');
+        }
+        out.push('[');
+        for (j, &v) in row.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}", Json::Num(v));
         }
         out.push(']');
-        if let Some(labels) = labels {
-            out.push_str(",\"labels\":[");
-            for (i, &l) in labels.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&Json::Num(l as f64).to_string());
-            }
-            out.push(']');
-        }
-        out.push('}');
-        Response {
-            status: 200,
-            content_type: "application/json",
-            extra_headers: Vec::new(),
-            body: ResponseBody::Buffered(out.into_bytes()),
-        }
     }
+}
+
+/// The [`rows_body`] window over rows that are already synthesized.
+fn finished_rows(rows: Matrix) -> impl FnMut(usize, usize) -> Matrix + Send + 'static {
+    move |start, len| Matrix::from_fn(len, rows.cols(), |i, j| rows.get(start + i, j))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `rows` written the way labelled synthesis writes them: through
+    /// [`rows_body`] over its finished rows, drained into one buffer.
+    fn render_rows(
+        name: &str,
+        spec: &SampleSpec,
+        rows: &Matrix,
+        labels: Option<&[usize]>,
+    ) -> Response {
+        let labels = labels.map(<[usize]>::to_vec);
+        rows_body(name, spec, labels, finished_rows(rows.clone())).into_buffered()
+    }
 
     #[test]
     fn sample_spec_validation() {
@@ -1246,5 +1192,99 @@ mod tests {
             ),
         ]);
         assert_eq!(String::from_utf8(body).unwrap(), tree.to_string());
+    }
+
+    /// SplitMix64: expands one generated seed into every bit pattern a
+    /// case needs.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// An arbitrary finite `f64`: one in eight is an edge value (±0, the
+    /// smallest and largest subnormals, ±2^53), the rest are raw bit
+    /// patterns with infinities and NaNs folded back to finite exponents.
+    fn finite_value(bits: u64) -> f64 {
+        let edges = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
+            9_007_199_254_740_992.0,
+            -9_007_199_254_740_992.0,
+        ];
+        if bits.is_multiple_of(8) {
+            return edges[(bits >> 3) as usize % edges.len()];
+        }
+        let v = f64::from_bits(bits);
+        if v.is_finite() {
+            v
+        } else {
+            f64::from_bits(bits ^ (1 << 62))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The one writer against std: over arbitrary finite values, 1–40
+        /// columns and bodies that cross the 512- and 1024-row chunk
+        /// boundaries, the JSON body is the `Json` tree's serialization,
+        /// the CSV body is every value's `Display` joined by commas with
+        /// the label last, and the body streamed through the reactor's
+        /// writer de-chunks to the drained bytes.
+        #[test]
+        fn sample_bodies_match_the_std_oracle(
+            seed in any::<u64>(),
+            cols in 1usize..41,
+            n in 0usize..1100,
+            labelled in any::<bool>(),
+            csv in any::<bool>(),
+        ) {
+            let mut state = seed;
+            let rows = Matrix::from_fn(n, cols, |_, _| finite_value(splitmix(&mut state)));
+            let labels: Option<Vec<usize>> =
+                labelled.then(|| (0..n).map(|_| (splitmix(&mut state) % 7) as usize).collect());
+            let spec = SampleSpec { seed, n, labels: None, csv };
+            let body = || rows_body("m\"x", &spec, labels.clone(), finished_rows(rows.clone()));
+
+            let mut wire = Vec::new();
+            let progress = http::ResponseWriter::new(body(), true).write_some(&mut wire).unwrap();
+            prop_assert_eq!(progress, http::WriteProgress::Complete);
+            let streamed = http::ResponseReader::new(wire.as_slice()).next_response().unwrap();
+            prop_assert!(streamed.chunked);
+            let buffered = body().into_buffered().into_body_bytes();
+            prop_assert_eq!(&streamed.body, &buffered);
+
+            let want = if csv {
+                let mut want = String::new();
+                for (i, row) in rows.row_iter().enumerate() {
+                    let mut fields: Vec<String> = row.iter().map(f64::to_string).collect();
+                    if let Some(labels) = &labels {
+                        fields.push(labels[i].to_string());
+                    }
+                    want.push_str(&fields.join(","));
+                    want.push('\n');
+                }
+                want
+            } else {
+                let num_arr = |values: &[f64]| Json::Arr(values.iter().map(|&v| Json::Num(v)).collect());
+                let mut members = vec![
+                    ("model".to_string(), Json::str("m\"x")),
+                    ("seed".to_string(), Json::Num(seed as f64)),
+                    ("n".to_string(), Json::Num(n as f64)),
+                    ("rows".to_string(), Json::Arr(rows.row_iter().map(num_arr).collect())),
+                ];
+                if let Some(labels) = &labels {
+                    let labels: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
+                    members.push(("labels".to_string(), num_arr(&labels)));
+                }
+                Json::Obj(members).to_string()
+            };
+            prop_assert_eq!(String::from_utf8(buffered).unwrap(), want);
+        }
     }
 }

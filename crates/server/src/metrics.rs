@@ -140,7 +140,9 @@ impl ServerMetrics {
     /// Wrap a chunked response body so the stream reports its first-byte
     /// latency (from `parsed_at`, the instant the request was parsed — the
     /// same origin as the request-duration histogram) and its produced
-    /// bytes. Buffered bodies pass through untouched.
+    /// bytes. The first byte is the first non-empty block, the first one
+    /// [`crate::http::ResponseWriter`] puts on the wire. Buffered bodies
+    /// pass through untouched.
     pub(crate) fn instrument_stream(&self, response: &mut Response, parsed_at: Instant) {
         let body = std::mem::replace(&mut response.body, ResponseBody::Buffered(Vec::new()));
         match body {
@@ -152,7 +154,7 @@ impl ServerMetrics {
                 response.body = ResponseBody::Chunked(Box::new(move || {
                     let block = source();
                     if let Some(block) = &block {
-                        if first {
+                        if first && !block.is_empty() {
                             first = false;
                             first_byte.observe(parsed_at.elapsed().as_secs_f64());
                         }
@@ -255,6 +257,18 @@ impl ServerMetrics {
             .store(pool.dispatches_total);
     }
 
+    /// Mirror the access log's count of lines its sink failed to take
+    /// (scrape-time snapshot).
+    pub(crate) fn export_access_log_errors(&self, errors: u64) {
+        self.registry
+            .counter(
+                "p3gm_access_log_errors_total",
+                "Access-log lines dropped because the log sink failed to take them.",
+                &[],
+            )
+            .store(errors);
+    }
+
     /// Set the per-model ledger gauges from one ledger lock (spent is
     /// always exported; remaining only when a budget ceiling is set).
     pub(crate) fn export_ledger(&self, model: &str, spent: f64, remaining: Option<f64>) {
@@ -304,6 +318,7 @@ impl Drop for InFlightGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::{ResponseWriter, WriteProgress};
 
     #[test]
     fn request_observation_renders_expected_series() {
@@ -333,6 +348,33 @@ mod tests {
         assert_eq!(body, b"hello world");
         assert_eq!(m.stream_bytes.get(), 11);
         assert_eq!(m.stream_first_byte.count(), 1);
+    }
+
+    #[test]
+    fn stream_first_byte_waits_for_the_first_non_empty_block() {
+        let m = ServerMetrics::new();
+        let mut calls = 0;
+        let source: crate::http::ChunkSource = Box::new(move || {
+            calls += 1;
+            match calls {
+                1 => Some(Vec::new()),
+                2 => {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                    Some(b"0.5,1\n".to_vec())
+                }
+                _ => None,
+            }
+        });
+        let mut response = Response::chunked("text/csv", source);
+        m.instrument_stream(&mut response, Instant::now());
+        let mut wire = Vec::new();
+        let progress = ResponseWriter::new(response, true)
+            .write_some(&mut wire)
+            .unwrap();
+        assert_eq!(progress, WriteProgress::Complete);
+        assert_eq!(m.stream_first_byte.count(), 1);
+        let sum = m.stream_first_byte.sum();
+        assert!(sum >= 0.03, "first byte observed {sum} s after parse");
     }
 
     #[test]

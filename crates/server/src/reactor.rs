@@ -45,11 +45,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::http::{
-    HttpError, Limits, Method, Request, RequestReader, ResponseWriter, Version, WriteProgress,
+    HttpError, Method, Request, RequestReader, ResponseWriter, Version, WriteProgress,
 };
 use crate::metrics::InFlightGuard;
 use crate::sys::{poll_fds, PollFd, WakeHandle, Waker, POLLIN, POLLOUT};
-use crate::{error_response, route, route_label, ConnConfig, Service};
+use crate::{error_response, route, ServerConfig, Service};
 
 /// Synthetic poll-set id for the waker pipe.
 const WAKER_ID: u64 = u64::MAX;
@@ -201,13 +201,12 @@ fn run_request(service: &Service, job: RequestJob) -> Done {
         stream,
     } = job;
     let guard = service.metrics.as_ref().map(|m| m.begin_request(reused));
-    let mut response = route(service, &request);
+    let (label, mut response) = route(service, &request);
     if request.version == Version::Http10 {
         response = response.into_buffered();
     }
     let seconds = parsed_at.elapsed().as_secs_f64();
     let status = response.status;
-    let label = route_label(&request);
     if let Some(metrics) = service.metrics.as_ref() {
         metrics.observe_request(label, status, seconds);
         metrics.instrument_stream(&mut response, parsed_at);
@@ -379,21 +378,15 @@ impl Slab {
     }
 }
 
-/// Reactor construction knobs, filled from `ServerConfig` by `start()`.
-pub(crate) struct ReactorOptions {
-    pub(crate) executors: usize,
-    pub(crate) limits: Limits,
-    pub(crate) conn: ConnConfig,
-}
-
-/// Runs the reactor until `stop` is observed and every connection has
-/// retired. Blocks the calling thread; `start()` spawns it.
+/// Runs the reactor, with `config`'s executor count, input limits and
+/// connection deadlines, until `stop` is observed and every connection
+/// has retired. Blocks the calling thread; `start()` spawns it.
 pub(crate) fn run(
     listener: TcpListener,
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
     waker: Waker,
-    opts: ReactorOptions,
+    config: ServerConfig,
 ) {
     if listener.set_nonblocking(true).is_err() {
         return;
@@ -401,8 +394,8 @@ pub(crate) fn run(
     let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
     let (done_tx, done_rx) = std::sync::mpsc::channel::<Done>();
-    let mut pool = Vec::with_capacity(opts.executors);
-    for _ in 0..opts.executors {
+    let mut pool = Vec::with_capacity(config.threads);
+    for _ in 0..config.threads {
         let service = Arc::clone(&service);
         let jobs = Arc::clone(&job_rx);
         let done = done_tx.clone();
@@ -415,8 +408,7 @@ pub(crate) fn run(
     let reactor = Reactor {
         service,
         stop,
-        limits: opts.limits,
-        cfg: opts.conn,
+        config,
         slab: Slab::new(),
         job_tx: Some(job_tx),
         done_rx,
@@ -434,8 +426,7 @@ pub(crate) fn run(
 struct Reactor {
     service: Arc<Service>,
     stop: Arc<AtomicBool>,
-    limits: Limits,
-    cfg: ConnConfig,
+    config: ServerConfig,
     slab: Slab,
     job_tx: Option<Sender<Job>>,
     done_rx: Receiver<Done>,
@@ -559,7 +550,7 @@ impl Reactor {
                         reader: RequestReader::new(shared),
                         served: 0,
                         state: State::Idle,
-                        deadline: deadline_after(self.cfg.keep_alive_timeout),
+                        deadline: deadline_after(self.config.keep_alive_timeout),
                         bytes_in,
                         read_marker: 0,
                     };
@@ -587,7 +578,7 @@ impl Reactor {
             Some(conn) => match &conn.state {
                 State::Idle => {
                     conn.state = State::Reading;
-                    conn.deadline = deadline_after(self.cfg.request_read_timeout);
+                    conn.deadline = deadline_after(self.config.request_read_timeout);
                     Act::Parse
                 }
                 State::Reading => Act::Parse,
@@ -612,7 +603,7 @@ impl Reactor {
         let Some(conn) = self.slab.get_mut(id) else {
             return;
         };
-        let parsed = conn.reader.next_request(&self.limits);
+        let parsed = conn.reader.next_request(&self.config.limits);
         match parsed {
             Ok(request) => self.dispatch(id, request),
             Err(HttpError::Io(ErrorKind::WouldBlock | ErrorKind::Interrupted)) => {
@@ -639,7 +630,7 @@ impl Reactor {
         };
         conn.served += 1;
         let keep = request.keep_alive()
-            && conn.served < self.cfg.max_requests_per_connection
+            && conn.served < self.config.max_requests_per_connection
             && !self.stop.load(Ordering::SeqCst);
         let reused = conn.served > 1;
         let job = Job::Request(RequestJob {
@@ -735,7 +726,7 @@ impl Reactor {
             Done::Blocked { conn_id, write } => {
                 if let Some(conn) = self.slab.get_mut(conn_id) {
                     conn.state = State::WritePending(Some(write));
-                    conn.deadline = deadline_after(self.cfg.io_timeout);
+                    conn.deadline = deadline_after(self.config.io_timeout);
                 }
             }
             Done::Finished {
@@ -784,11 +775,11 @@ impl Reactor {
                     // Pipelined bytes already in the carry never raise
                     // POLLIN — parse immediately.
                     conn.state = State::Reading;
-                    conn.deadline = deadline_after(self.cfg.request_read_timeout);
+                    conn.deadline = deadline_after(self.config.request_read_timeout);
                     true
                 } else {
                     conn.state = State::Idle;
-                    conn.deadline = deadline_after(self.cfg.keep_alive_timeout);
+                    conn.deadline = deadline_after(self.config.keep_alive_timeout);
                     false
                 }
             }

@@ -1258,3 +1258,104 @@ fn budget_headers_agree_under_concurrent_charges() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The `p3gm_requests_total` series of one `/metrics` exposition, keyed by
+/// `(route, status)`.
+fn request_counts(exposition: &str) -> std::collections::BTreeMap<(String, String), u64> {
+    exposition
+        .lines()
+        .filter_map(|line| {
+            let rest = line.strip_prefix("p3gm_requests_total{route=\"")?;
+            let (route, rest) = rest.split_once("\",status=\"")?;
+            let (status, count) = rest.split_once("\"} ")?;
+            Some(((route.to_string(), status.to_string()), count.parse().ok()?))
+        })
+        .collect()
+}
+
+/// One endpoint table decides both a request's status and the route label
+/// it is counted under: each `(method, target)` pair moves exactly its
+/// own `p3gm_requests_total` series by one, besides the previous scrape's
+/// own `/metrics` count.
+#[test]
+fn each_request_is_counted_under_its_route_label_and_status() {
+    let dir = model_dir("route_labels", &["m"]);
+    let server = start(
+        ServerConfig::builder(&dir)
+            .threads(1)
+            .ledger_path(None)
+            .build(),
+    )
+    .unwrap();
+    let addr = server.addr();
+    // (target, route label, GET status, POST status).
+    let table = [
+        ("/", "/", 200, 405),
+        ("/healthz", "/healthz", 200, 405),
+        ("/metrics", "/metrics", 200, 405),
+        ("/models", "/models", 200, 405),
+        ("/models/m", "/models/{name}", 200, 405),
+        ("/models/m/sample", "/models/{name}/sample", 405, 400),
+        ("/stats", "/stats", 200, 405),
+        ("/reload", "/reload", 405, 200),
+        ("/nope", "other", 404, 404),
+        ("/models/m/sample/x", "other", 404, 404),
+        ("//models//m//", "/models/{name}", 200, 405),
+    ];
+    let scrape = || {
+        let (status, _, text) = request(addr, "GET", "/metrics", "");
+        assert_eq!(status, 200);
+        request_counts(&text)
+    };
+    let mut before = scrape();
+    for (target, label, get_status, post_status) in table {
+        for (method, want_status) in [("GET", get_status), ("POST", post_status)] {
+            let (status, _, body) = request(addr, method, target, "");
+            assert_eq!(status, want_status, "{method} {target}: {body}");
+            let mut want = before.clone();
+            for (route, status) in [("/metrics", 200), (label, want_status)] {
+                *want
+                    .entry((route.to_string(), status.to_string()))
+                    .or_insert(0) += 1;
+            }
+            let after = scrape();
+            assert_eq!(after, want, "{method} {target}");
+            before = after;
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A log line the sink fails to take is counted, and the count reaches
+/// `/metrics` (single executor: the `/healthz` line is attempted before
+/// the scrape is served).
+#[test]
+fn dropped_access_log_lines_are_exported() {
+    use p3gm::obs::{AccessLogTarget, ObsConfig};
+
+    let full = PathBuf::from("/dev/full");
+    if !full.exists() {
+        eprintln!("skipped: no /dev/full on this platform");
+        return;
+    }
+    let dir = model_dir("access_log_errors", &[]);
+    let server = start(
+        ServerConfig::builder(&dir)
+            .threads(1)
+            .ledger_path(None)
+            .obs(ObsConfig::enabled().with_access_log(AccessLogTarget::File(full)))
+            .build(),
+    )
+    .unwrap();
+    let (status, _, _) = request(server.addr(), "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let (status, _, text) = request(server.addr(), "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    assert!(
+        text.lines().any(|l| l == "p3gm_access_log_errors_total 1"),
+        "{text}"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
