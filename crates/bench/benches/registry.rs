@@ -123,10 +123,7 @@ fn bench_registry(c: &mut Criterion) {
         let name = format!("tenant-{i:04}");
         let budgeted = lazy.get(&name).expect("budgeted get");
         let full = eager.get(&name).expect("eager get");
-        let (a, b) = (
-            budgeted.snapshot().sample_rows(9, 0, 32),
-            full.snapshot().sample_rows(9, 0, 32),
-        );
+        let (a, b) = (budgeted.sample_rows(9, 0, 32), full.sample_rows(9, 0, 32));
         assert_eq!(a.as_slice(), b.as_slice(), "bytes must match for {name}");
     }
     let stats = lazy.stats();

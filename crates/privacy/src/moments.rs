@@ -19,6 +19,8 @@
 //! integer orders, which is tighter and is used as an ablation in the
 //! Figure 6 bench.
 
+use p3gm_linalg::vector::log_sum_exp;
+
 /// Moments bound for one DP-EM iteration, paper Eq. (3).
 ///
 /// `MA_DP-EM(α) ≤ (2K + 1)(α² + α) / (2 σ_e²)` where `K` is the number of
@@ -189,15 +191,6 @@ fn log_add_exp(a: f64, b: f64) -> f64 {
         return hi;
     }
     hi + (lo - hi).exp().ln_1p()
-}
-
-/// Numerically stable log-sum-exp.
-fn log_sum_exp(values: &[f64]) -> f64 {
-    let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-    if !max.is_finite() {
-        return max;
-    }
-    max + values.iter().map(|v| (v - max).exp()).sum::<f64>().ln()
 }
 
 #[cfg(test)]

@@ -15,17 +15,22 @@
 //! *sequence* of requests from one stream, carrying bytes that arrive
 //! past one request's body over to the next (HTTP/1.1 keep-alive and
 //! pipelining), and [`Request::keep_alive`] implements the `Connection`
-//! header semantics of RFC 7230 §6.3. Responses are either fully
+//! header semantics of RFC 7230 §6.3. The reader also tells whether a
+//! client that closes was between requests
+//! ([`RequestReader::between_requests`]). Responses are either fully
 //! buffered with an exact `Content-Length` or streamed with RFC 7230
-//! §4.1 chunked `Transfer-Encoding` ([`ResponseBody`]).
+//! §4.1 chunked `Transfer-Encoding` ([`ResponseBody`]), and one head
+//! writer and one chunk framer write them, whether in one blocking call
+//! ([`Response::write_to`]) or resumably ([`ResponseWriter`]).
 //!
 //! [`read_request`] and [`RequestReader`] are generic over [`Read`] so
 //! the proptest suite can drive them with arbitrary in-memory bytes —
 //! the same code path the TCP socket uses. [`ResponseReader`] is the
 //! matching minimal *client* (used by the benches, examples and
 //! integration tests): it parses one response per call, de-chunking
-//! streamed bodies, without reading past the response's end — which is
-//! what lets a client reuse a keep-alive connection.
+//! streamed bodies, and keeps bytes read past a response's end for the
+//! next call — which is what lets one reader serve a keep-alive
+//! connection.
 
 use std::io::{Read, Write};
 
@@ -76,10 +81,7 @@ pub struct Request {
 impl Request {
     /// The value of the first header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 
     /// Whether this request asks for the connection to stay open after
@@ -106,6 +108,16 @@ impl Request {
             Version::Http10 => keep && !close,
         }
     }
+}
+
+/// The value of the first header in `headers` with the given (lowercase)
+/// name: the one lookup behind [`Request::header`] and
+/// [`ClientResponse::header`].
+fn find_header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| v.as_str())
 }
 
 /// Hard input limits enforced while reading a request.
@@ -222,6 +234,9 @@ impl std::error::Error for HttpError {}
 pub struct RequestReader<R> {
     reader: R,
     carry: Vec<u8>,
+    /// Whether any byte of the next request has been read or carried
+    /// over ([`RequestReader::between_requests`]).
+    started: bool,
 }
 
 impl<R> RequestReader<R> {
@@ -230,25 +245,44 @@ impl<R> RequestReader<R> {
         RequestReader {
             reader,
             carry: Vec::new(),
+            started: false,
         }
     }
 
-    /// Whether bytes of a (possibly pipelined) next request are already
-    /// buffered — if so, the next [`RequestReader::next_request`] makes
-    /// progress without touching the underlying reader.
-    pub fn has_buffered(&self) -> bool {
-        !self.carry.is_empty()
+    /// Whether no byte of the next request has arrived: none carried
+    /// past the last request returned and none read since, an empty line
+    /// the parser skips included. A peer closing now has sent nothing to
+    /// answer.
+    pub fn between_requests(&self) -> bool {
+        !self.started
     }
 }
 
 impl<R: Read> RequestReader<R> {
+    /// Reads once from the underlying reader, at most `max` bytes, into
+    /// the carry buffer; the peer closing first leaves the request
+    /// [`HttpError::Incomplete`].
+    fn read_more(&mut self, max: usize) -> Result<(), HttpError> {
+        let mut tmp = [0u8; 1024];
+        let want = max.min(tmp.len());
+        let n = self
+            .reader
+            .read(&mut tmp[..want])
+            .map_err(|e| HttpError::Io(e.kind()))?;
+        if n == 0 {
+            return Err(HttpError::Incomplete);
+        }
+        self.started = true;
+        self.carry.extend_from_slice(&tmp[..n]);
+        Ok(())
+    }
+
     /// Reads and parses the next request on the connection. Returns a
     /// typed [`HttpError`] on any malformed, oversized, truncated or
     /// unsupported input — never panics. After an error the carried
     /// buffer is unreliable (framing is lost); the connection must be
     /// closed.
     pub fn next_request(&mut self, limits: &Limits) -> Result<Request, HttpError> {
-        let mut tmp = [0u8; 1024];
         // Read until the blank line terminating the head, bounded by
         // max_head_bytes (+3 so a terminator straddling the cap parses).
         let head_end = loop {
@@ -267,21 +301,14 @@ impl<R: Read> RequestReader<R> {
             if self.carry.len() > limits.max_head_bytes.saturating_add(3) {
                 return Err(HttpError::HeadTooLarge);
             }
-            let n = self
-                .reader
-                .read(&mut tmp)
-                .map_err(|e| HttpError::Io(e.kind()))?;
-            if n == 0 {
-                return Err(HttpError::Incomplete);
-            }
-            self.carry.extend_from_slice(&tmp[..n]);
+            self.read_more(usize::MAX)?;
         };
-        let (method, target, version, headers) = parse_head(&self.carry[..head_end], limits)?;
+        let mut request = parse_head(&self.carry[..head_end], limits)?;
 
-        if headers.iter().any(|(n, _)| n == "transfer-encoding") {
+        if request.header("transfer-encoding").is_some() {
             return Err(HttpError::UnsupportedTransferEncoding);
         }
-        let content_length = content_length(&headers)?;
+        let content_length = content_length(&request.headers)?;
         if content_length > limits.max_body_bytes {
             return Err(HttpError::BodyTooLarge);
         }
@@ -295,27 +322,13 @@ impl<R: Read> RequestReader<R> {
             .checked_add(content_length)
             .ok_or(HttpError::BodyTooLarge)?;
         while self.carry.len() < frame_end {
-            let want = (frame_end - self.carry.len()).min(tmp.len());
-            let n = self
-                .reader
-                .read(&mut tmp[..want])
-                .map_err(|e| HttpError::Io(e.kind()))?;
-            if n == 0 {
-                return Err(HttpError::Incomplete);
-            }
-            self.carry.extend_from_slice(&tmp[..n]);
+            self.read_more(frame_end - self.carry.len())?;
         }
         let rest = self.carry.split_off(frame_end);
         let frame = std::mem::replace(&mut self.carry, rest);
-        let body = frame.get(body_start..).unwrap_or(&[]).to_vec();
-
-        Ok(Request {
-            method,
-            target,
-            version,
-            headers,
-            body,
-        })
+        request.body = frame.get(body_start..).unwrap_or(&[]).to_vec();
+        self.started = !self.carry.is_empty();
+        Ok(request)
     }
 }
 
@@ -332,12 +345,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 }
 
 /// Parses the request line and header lines (everything before the blank
-/// line, CRLF separators).
-#[allow(clippy::type_complexity)]
-fn parse_head(
-    head: &[u8],
-    limits: &Limits,
-) -> Result<(Method, String, Version, Vec<(String, String)>), HttpError> {
+/// line, CRLF separators) into a [`Request`] with an empty body.
+fn parse_head(head: &[u8], limits: &Limits) -> Result<Request, HttpError> {
     let mut lines = split_crlf(head);
     let request_line = lines.next().ok_or(HttpError::BadRequestLine)?;
     let (method, target, version) = parse_request_line(request_line)?;
@@ -349,7 +358,13 @@ fn parse_head(
         }
         headers.push(parse_header_line(line)?);
     }
-    Ok((method, target, version, headers))
+    Ok(Request {
+        method,
+        target,
+        version,
+        headers,
+        body: Vec::new(),
+    })
 }
 
 /// Splits on `\r\n` exactly (a bare `\n` or stray `\r` stays inside the
@@ -536,82 +551,85 @@ impl Response {
     }
 
     /// Drains a chunked body into a buffered one (for HTTP/1.0 clients,
-    /// which cannot parse chunked `Transfer-Encoding`). Buffered bodies
-    /// are returned unchanged.
+    /// which cannot parse chunked `Transfer-Encoding`, and for bodies
+    /// that need a `Content-Length`). Buffered bodies are returned
+    /// unchanged.
     pub fn into_buffered(mut self) -> Response {
-        self.body = ResponseBody::Buffered(self.drain_body_bytes());
+        if let ResponseBody::Chunked(source) = &mut self.body {
+            let mut bytes = Vec::new();
+            while let Some(block) = source() {
+                bytes.extend_from_slice(&block);
+            }
+            self.body = ResponseBody::Buffered(bytes);
+        }
         self
     }
 
-    /// The complete body bytes, draining a chunked source if necessary
-    /// (test and HTTP/1.0 convenience — streaming callers use
-    /// [`Response::write_to`]).
-    pub fn into_body_bytes(mut self) -> Vec<u8> {
-        self.drain_body_bytes()
-    }
-
-    fn drain_body_bytes(&mut self) -> Vec<u8> {
-        match &mut self.body {
-            ResponseBody::Buffered(bytes) => std::mem::take(bytes),
-            ResponseBody::Chunked(source) => {
-                let mut out = Vec::new();
-                while let Some(block) = source() {
-                    out.extend_from_slice(&block);
-                }
-                out
-            }
-        }
-    }
-
-    /// Serializes the status line, headers and body to `writer`.
-    ///
-    /// `keep_alive` decides the `Connection` header: `keep-alive` when the
-    /// connection will serve another request, `close` when it won't. A
-    /// chunked body is framed per RFC 7230 §4.1 (hex size line, chunk
-    /// data, terminating `0\r\n\r\n`) and flushed block by block, so a
-    /// client sees the first rows while later ones are still being
-    /// generated; any write failure aborts the stream (the framing is
-    /// unrecoverable mid-body, so the caller must close the connection).
-    pub fn write_to<W: Write>(&mut self, writer: &mut W, keep_alive: bool) -> std::io::Result<()> {
-        let connection = if keep_alive { "keep-alive" } else { "close" };
+    /// The one head writer: the status line, `Content-Type`, the body's
+    /// framing header (`Content-Length` or `Transfer-Encoding: chunked`),
+    /// `Connection` (`keep-alive` when the connection will serve another
+    /// request, `close` when it won't), the extra headers and the blank
+    /// line that ends the head.
+    fn write_head<W: Write>(&self, out: &mut W, keep_alive: bool) -> std::io::Result<()> {
         write!(
-            writer,
+            out,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
             self.status,
             reason_phrase(self.status),
             self.content_type,
         )?;
         match &self.body {
-            ResponseBody::Buffered(bytes) => {
-                write!(writer, "Content-Length: {}\r\n", bytes.len())?;
-            }
-            ResponseBody::Chunked(_) => {
-                write!(writer, "Transfer-Encoding: chunked\r\n")?;
-            }
+            ResponseBody::Buffered(bytes) => write!(out, "Content-Length: {}\r\n", bytes.len())?,
+            ResponseBody::Chunked(_) => out.write_all(b"Transfer-Encoding: chunked\r\n")?,
         }
-        write!(writer, "Connection: {connection}\r\n")?;
+        let connection = if keep_alive { "keep-alive" } else { "close" };
+        write!(out, "Connection: {connection}\r\n")?;
         for (name, value) in &self.extra_headers {
-            write!(writer, "{name}: {value}\r\n")?;
+            write!(out, "{name}: {value}\r\n")?;
         }
-        writer.write_all(b"\r\n")?;
+        out.write_all(b"\r\n")
+    }
+
+    /// Serializes the status line, headers and body to a blocking
+    /// `writer`, leaving a buffered body in place (the same response can
+    /// be written again).
+    ///
+    /// `keep_alive` decides the `Connection` header. A chunked body is
+    /// framed per RFC 7230 §4.1 and flushed block by block, so a client
+    /// sees the first rows while later ones are still being generated;
+    /// any write failure aborts the stream (the framing is unrecoverable
+    /// mid-body, so the caller must close the connection).
+    pub fn write_to<W: Write>(&mut self, writer: &mut W, keep_alive: bool) -> std::io::Result<()> {
+        self.write_head(writer, keep_alive)?;
         match &mut self.body {
             ResponseBody::Buffered(bytes) => writer.write_all(bytes)?,
             ResponseBody::Chunked(source) => {
                 writer.flush()?;
-                while let Some(block) = source() {
-                    if block.is_empty() {
-                        continue;
-                    }
-                    write!(writer, "{:x}\r\n", block.len())?;
-                    writer.write_all(&block)?;
-                    writer.write_all(b"\r\n")?;
+                while write_chunk(source, writer)? {
                     writer.flush()?;
                 }
-                writer.write_all(b"0\r\n\r\n")?;
             }
         }
         writer.flush()
     }
+}
+
+/// The one chunk framer: writes `source`'s next non-empty block to `out`
+/// as an RFC 7230 §4.1 chunk (hex size line, data, CRLF) and returns
+/// `true`, or, once the source is drained, writes the `0\r\n\r\n`
+/// terminator and returns `false`. Empty blocks are skipped: a zero-size
+/// chunk would end the body early.
+fn write_chunk<W: Write>(source: &mut ChunkSource, out: &mut W) -> std::io::Result<bool> {
+    while let Some(block) = source() {
+        if !block.is_empty() {
+            write!(out, "{:x}\r\n", block.len())?;
+            out.write_all(&block)?;
+            out.write_all(b"\r\n")?;
+            return Ok(true);
+        }
+    }
+    out.write_all(b"0\r\n\r\n")?;
+    Ok(false)
 }
 
 /// Progress of a resumable response write ([`ResponseWriter::write_some`]).
@@ -638,9 +656,8 @@ pub enum WriteProgress {
 /// socket, preserving the bounded-memory streaming property.
 ///
 /// The wire bytes are identical to what [`Response::write_to`] produces
-/// for the same response and `keep_alive` flag (pinned by tests): same
-/// head, same RFC 7230 §4.1 chunk framing, same skipping of empty
-/// blocks, same `0\r\n\r\n` terminator.
+/// for the same response and `keep_alive` flag by construction: both
+/// frame through the same head writer and chunk framer.
 pub struct ResponseWriter {
     /// Bytes framed and awaiting the socket (head, then one framed chunk
     /// at a time for chunked bodies).
@@ -666,37 +683,11 @@ impl ResponseWriter {
     /// Frames `response`'s head (and, for buffered bodies, the whole
     /// body) and takes ownership of a chunked body's source.
     pub fn new(response: Response, keep_alive: bool) -> ResponseWriter {
-        let Response {
-            status,
-            content_type,
-            extra_headers,
-            body,
-        } = response;
-        let connection = if keep_alive { "keep-alive" } else { "close" };
         let mut pending = Vec::with_capacity(256);
-        // Writes into a Vec cannot fail; the results are discarded so
-        // this stays panic-free on the D4 surface.
-        let _ = write!(
-            pending,
-            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n",
-            status,
-            reason_phrase(status),
-            content_type,
-        );
-        match &body {
-            ResponseBody::Buffered(bytes) => {
-                let _ = write!(pending, "Content-Length: {}\r\n", bytes.len());
-            }
-            ResponseBody::Chunked(_) => {
-                let _ = write!(pending, "Transfer-Encoding: chunked\r\n");
-            }
-        }
-        let _ = write!(pending, "Connection: {connection}\r\n");
-        for (name, value) in &extra_headers {
-            let _ = write!(pending, "{name}: {value}\r\n");
-        }
-        pending.extend_from_slice(b"\r\n");
-        let source = match body {
+        // Writes into a Vec cannot fail; the result is discarded so this
+        // stays panic-free on the D4 surface.
+        let _ = response.write_head(&mut pending, keep_alive);
+        let source = match response.body {
             ResponseBody::Buffered(bytes) => {
                 pending.extend_from_slice(&bytes);
                 None
@@ -743,23 +734,10 @@ impl ResponseWriter {
             let Some(source) = &mut self.source else {
                 return Ok(WriteProgress::Complete);
             };
-            // Frame the next non-empty block; a drained source frames
-            // the terminator instead and ends the stream.
-            loop {
-                match source() {
-                    Some(block) if block.is_empty() => continue,
-                    Some(block) => {
-                        let _ = write!(self.pending, "{:x}\r\n", block.len());
-                        self.pending.extend_from_slice(&block);
-                        self.pending.extend_from_slice(b"\r\n");
-                        break;
-                    }
-                    None => {
-                        self.pending.extend_from_slice(b"0\r\n\r\n");
-                        self.source = None;
-                        break;
-                    }
-                }
+            // Frame the next block; a drained source frames the
+            // terminator instead and ends the stream.
+            if !write_chunk(source, &mut self.pending)? {
+                self.source = None;
             }
         }
     }
@@ -809,18 +787,16 @@ pub struct ClientResponse {
 impl ClientResponse {
     /// The value of the first header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        find_header(&self.headers, name)
     }
 }
 
 /// The minimal framed-response client used by the benches, examples and
 /// integration tests: parses one response per call — status line,
-/// headers, then a `Content-Length` or chunked body — without reading a
-/// byte past the response's end, so the same keep-alive connection can
-/// carry the next request. Malformed responses are
+/// headers, then a `Content-Length` or chunked body. Bytes read past a
+/// response's end (it reads in blocks) stay buffered for the next call,
+/// so one reader must serve the whole keep-alive connection; a fresh
+/// reader on the same stream would miss them. Malformed responses are
 /// [`std::io::ErrorKind::InvalidData`] errors, never panics.
 #[derive(Debug)]
 pub struct ResponseReader<R> {
@@ -844,12 +820,9 @@ impl<R: Read> ResponseReader<R> {
         let head_end = self.fill_until_terminator()?;
         let head: Vec<u8> = self.carry.drain(..head_end + 4).take(head_end).collect();
         let mut lines = split_crlf(&head);
-        let status_line = lines.next().ok_or_else(bad_response)?;
-        let status: u16 = std::str::from_utf8(status_line)
-            .ok()
-            .filter(|l| l.starts_with("HTTP/1."))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|s| s.parse().ok())
+        let status = lines
+            .next()
+            .and_then(parse_status_code)
             .ok_or_else(bad_response)?;
         let mut headers = Vec::new();
         for line in lines {
@@ -879,6 +852,21 @@ impl<R: Read> ResponseReader<R> {
         })
     }
 
+    /// Reads once into `tmp` and appends what arrived to the carry
+    /// buffer; the peer closing first is an `UnexpectedEof` with
+    /// `cut_short` as its message.
+    fn read_more(&mut self, tmp: &mut [u8], cut_short: &'static str) -> std::io::Result<()> {
+        let n = self.reader.read(tmp)?;
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                cut_short,
+            ));
+        }
+        self.carry.extend_from_slice(&tmp[..n]);
+        Ok(())
+    }
+
     /// Reads until the carry buffer holds a `\r\n\r\n`; returns its
     /// index.
     fn fill_until_terminator(&mut self) -> std::io::Result<usize> {
@@ -890,14 +878,7 @@ impl<R: Read> ResponseReader<R> {
             if self.carry.len() > 1024 * 1024 {
                 return Err(bad_response());
             }
-            let n = self.reader.read(&mut tmp)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-response",
-                ));
-            }
-            self.carry.extend_from_slice(&tmp[..n]);
+            self.read_more(&mut tmp, "connection closed mid-response")?;
         }
     }
 
@@ -906,14 +887,7 @@ impl<R: Read> ResponseReader<R> {
         let mut tmp = [0u8; 4096];
         while self.carry.len() < len {
             let want = (len - self.carry.len()).min(tmp.len());
-            let n = self.reader.read(&mut tmp[..want])?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-body",
-                ));
-            }
-            self.carry.extend_from_slice(&tmp[..n]);
+            self.read_more(&mut tmp[..want], "connection closed mid-body")?;
         }
         Ok(())
     }
@@ -929,14 +903,7 @@ impl<R: Read> ResponseReader<R> {
             if self.carry.len() > 16 * 1024 {
                 return Err(bad_response());
             }
-            let n = self.reader.read(&mut tmp)?;
-            if n == 0 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-chunk",
-                ));
-            }
-            self.carry.extend_from_slice(&tmp[..n]);
+            self.read_more(&mut tmp, "connection closed mid-chunk")?;
         }
     }
 
@@ -947,9 +914,7 @@ impl<R: Read> ResponseReader<R> {
     fn read_chunked_body(&mut self) -> std::io::Result<Vec<u8>> {
         let mut body = Vec::new();
         loop {
-            let line = self.read_line()?;
-            let text = std::str::from_utf8(&line).map_err(|_| bad_response())?;
-            let size = usize::from_str_radix(text.trim(), 16).map_err(|_| bad_response())?;
+            let size = parse_chunk_size(&self.read_line()?).ok_or_else(bad_response)?;
             if size > MAX_CLIENT_BODY_BYTES.saturating_sub(body.len()) {
                 return Err(bad_response());
             }
@@ -969,6 +934,26 @@ impl<R: Read> ResponseReader<R> {
             }
         }
     }
+}
+
+/// The status code of an `HTTP/1.x SP status-code SP reason` line:
+/// exactly three ASCII digits, with no sign or padding.
+fn parse_status_code(line: &[u8]) -> Option<u16> {
+    let mut parts = line.splitn(3, |&b| b == b' ');
+    let (version, code) = (parts.next()?, parts.next()?);
+    if !version.starts_with(b"HTTP/1.") || code.len() != 3 || !code.iter().all(u8::is_ascii_digit) {
+        return None;
+    }
+    std::str::from_utf8(code).ok()?.parse().ok()
+}
+
+/// A chunk-size line: one or more bare hex digits (no sign, padding or
+/// chunk extension) whose value fits a `usize`.
+fn parse_chunk_size(line: &[u8]) -> Option<usize> {
+    if line.is_empty() || !line.iter().all(u8::is_ascii_hexdigit) {
+        return None;
+    }
+    usize::from_str_radix(std::str::from_utf8(line).ok()?, 16).ok()
 }
 
 fn bad_response() -> std::io::Error {
@@ -1059,11 +1044,14 @@ mod tests {
             (first.target.as_str(), first.body.as_slice()),
             ("/a", &b"ok"[..])
         );
-        assert!(reader.has_buffered(), "second request should be buffered");
+        assert!(
+            !reader.between_requests(),
+            "second request should be buffered"
+        );
         let second = reader.next_request(&Limits::default()).unwrap();
         assert_eq!(second.target, "/b");
         assert_eq!(second.method, Method::Get);
-        assert!(!reader.has_buffered());
+        assert!(reader.between_requests());
         assert_eq!(
             reader.next_request(&Limits::default()).unwrap_err(),
             HttpError::Incomplete
@@ -1451,6 +1439,82 @@ mod tests {
         let resp = Response::chunked("text/csv", Box::new(move || blocks.next()));
         let resp = resp.into_buffered();
         assert!(matches!(&resp.body, ResponseBody::Buffered(b) if b == b"abcd"));
-        assert_eq!(resp.into_body_bytes(), b"abcd");
+        // A buffered body comes back unchanged.
+        let resp = resp.into_buffered();
+        assert!(matches!(&resp.body, ResponseBody::Buffered(b) if b == b"abcd"));
+    }
+
+    #[test]
+    fn write_to_leaves_a_buffered_body_intact() {
+        let mut resp = Response::json(200, &crate::json::Json::str("rows"))
+            .with_header("x-p3gm-privacy", "(1.0, 1e-5)-DP");
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        resp.write_to(&mut first, true).unwrap();
+        resp.write_to(&mut second, true).unwrap();
+        assert!(first.ends_with(b"\r\n\r\n\"rows\""));
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn between_requests_counts_every_byte_of_the_next_request() {
+        let limits = Limits::default();
+        // Nothing sent: a close here is clean.
+        let mut reader = RequestReader::new(Cursor::new(Vec::new()));
+        assert_eq!(reader.next_request(&limits), Err(HttpError::Incomplete));
+        assert!(reader.between_requests());
+        // A lone CRLF is skipped by the parser but still counts.
+        let mut reader = RequestReader::new(Cursor::new(b"\r\n".to_vec()));
+        assert_eq!(reader.next_request(&limits), Err(HttpError::Incomplete));
+        assert!(!reader.between_requests());
+        // Bytes carried past a returned request count until parsed, a
+        // stray CRLF as much as the pipelined request of
+        // `request_reader_carries_pipelined_requests_across_calls`.
+        let mut reader = RequestReader::new(Cursor::new(b"GET /a HTTP/1.1\r\n\r\n\r\n".to_vec()));
+        reader.next_request(&limits).unwrap();
+        assert!(!reader.between_requests());
+        assert_eq!(reader.next_request(&limits), Err(HttpError::Incomplete));
+    }
+
+    #[test]
+    fn client_reader_requires_bare_hex_chunk_sizes() {
+        for size in ["+4", " 4 ", "4 ", "-4", "0x4", "4;ext", ""] {
+            let wire = format!(
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nabcd\r\n0\r\n\r\n"
+            );
+            let err = ResponseReader::new(Cursor::new(wire.into_bytes()))
+                .next_response()
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{size:?}");
+        }
+        let wire = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0004\r\nabcd\r\nA\r\n0123456789\r\n0\r\n\r\n";
+        let parsed = ResponseReader::new(Cursor::new(wire.to_vec()))
+            .next_response()
+            .unwrap();
+        assert_eq!(parsed.body, b"abcd0123456789");
+    }
+
+    #[test]
+    fn client_reader_requires_a_three_digit_status_code() {
+        for line in [
+            "HTTP/1.1 +200 OK",
+            "HTTP/1.1 20 OK",
+            "HTTP/1.1 2000 OK",
+            "HTTP/1.1  200 OK",
+            "HTTP/1.1 2O0 OK",
+            "HTTP/2 200 OK",
+        ] {
+            let wire = format!("{line}\r\nContent-Length: 0\r\n\r\n");
+            let err = ResponseReader::new(Cursor::new(wire.into_bytes()))
+                .next_response()
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{line:?}");
+        }
+        for (line, status) in [("HTTP/1.1 200 OK", 200), ("HTTP/1.0 404 Not Found", 404)] {
+            let wire = format!("{line}\r\nContent-Length: 0\r\n\r\n");
+            let parsed = ResponseReader::new(Cursor::new(wire.into_bytes()))
+                .next_response()
+                .unwrap();
+            assert_eq!(parsed.status, status, "{line:?}");
+        }
     }
 }

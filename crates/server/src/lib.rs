@@ -841,8 +841,8 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
     // unknown name → 404, corrupt snapshot or decode-wait timeout → 503
     // (the file may be repaired and reloaded; the request can be
     // retried).
-    let model = match service.registry.get(name) {
-        Ok(model) => model,
+    let snapshot = match service.registry.get(name) {
+        Ok(snapshot) => snapshot,
         Err(RegistryError::NotFound) => return error_response(404, "no such model"),
         Err(e @ (RegistryError::DecodeFailed(_) | RegistryError::LoadTimeout)) => {
             return error_response(503, &e.to_string())
@@ -852,7 +852,6 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
         Ok(spec) => spec,
         Err(msg) => return error_response(400, &msg),
     };
-    let snapshot = model.snapshot();
     let stamp = snapshot.privacy_stamp().copied();
 
     // Validate everything a 400 can reject BEFORE charging: a request
@@ -920,9 +919,9 @@ fn sample(service: &Service, name: &str, body: &[u8]) -> Response {
 
     let response = match &spec.labels {
         None => {
-            let (model, seed) = (Arc::clone(&model), spec.seed);
+            let seed = spec.seed;
             rows_body(name, &spec, None, move |start, rows| {
-                model.snapshot().sample_rows(seed, start, rows)
+                snapshot.sample_rows(seed, start, rows)
             })
         }
         Some(counts) => match snapshot.synthesize_labelled(spec.seed, counts) {
@@ -1050,6 +1049,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The body of `response` after the one production drain,
+    /// [`Response::into_buffered`].
+    fn buffered_bytes(response: Response) -> Vec<u8> {
+        match response.into_buffered().body {
+            http::ResponseBody::Buffered(bytes) => bytes,
+            http::ResponseBody::Chunked(_) => unreachable!("into_buffered drains every source"),
+        }
+    }
+
     /// `rows` written the way labelled synthesis writes them: through
     /// [`rows_body`] over its finished rows, drained into one buffer.
     fn render_rows(
@@ -1057,9 +1065,9 @@ mod tests {
         spec: &SampleSpec,
         rows: &Matrix,
         labels: Option<&[usize]>,
-    ) -> Response {
+    ) -> Vec<u8> {
         let labels = labels.map(<[usize]>::to_vec);
-        rows_body(name, spec, labels, finished_rows(rows.clone())).into_buffered()
+        buffered_bytes(rows_body(name, spec, labels, finished_rows(rows.clone())))
     }
 
     #[test]
@@ -1128,13 +1136,13 @@ mod tests {
             labels: None,
             csv: true,
         };
-        let a = render_rows("m", &spec, &rows, None).into_body_bytes();
-        let b = render_rows("m", &spec, &rows, None).into_body_bytes();
+        let a = render_rows("m", &spec, &rows, None);
+        let b = render_rows("m", &spec, &rows, None);
         assert_eq!(a, b);
         let text = String::from_utf8(a).unwrap();
         assert_eq!(text, format!("0.5,{}\n-1.25,2\n", 1.0 / 3.0));
         // With labels appended as the last column.
-        let labelled = render_rows("m", &spec, &rows, Some(&[1, 0])).into_body_bytes();
+        let labelled = render_rows("m", &spec, &rows, Some(&[1, 0]));
         let text = String::from_utf8(labelled).unwrap();
         assert!(text.ends_with(",0\n"));
         assert!(text.contains("0.5,"));
@@ -1149,8 +1157,7 @@ mod tests {
             labels: None,
             csv: false,
         };
-        let resp = render_rows("m", &spec, &rows, None);
-        let body = String::from_utf8(resp.into_body_bytes()).unwrap();
+        let body = String::from_utf8(render_rows("m", &spec, &rows, None)).unwrap();
         let parsed = json::parse(&body).unwrap();
         let row = parsed.get("rows").unwrap().as_arr().unwrap()[0]
             .as_arr()
@@ -1173,7 +1180,7 @@ mod tests {
             labels: None,
             csv: false,
         };
-        let body = render_rows("na\"me", &spec, &rows, Some(&[1, 0])).into_body_bytes();
+        let body = render_rows("na\"me", &spec, &rows, Some(&[1, 0]));
         let tree = Json::Obj(vec![
             ("model".to_string(), Json::str("na\"me")),
             ("seed".to_string(), Json::Num(42.0)),
@@ -1256,7 +1263,7 @@ mod tests {
             prop_assert_eq!(progress, http::WriteProgress::Complete);
             let streamed = http::ResponseReader::new(wire.as_slice()).next_response().unwrap();
             prop_assert!(streamed.chunked);
-            let buffered = body().into_buffered().into_body_bytes();
+            let buffered = buffered_bytes(body());
             prop_assert_eq!(&streamed.body, &buffered);
 
             let want = if csv {

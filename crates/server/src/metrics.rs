@@ -344,7 +344,9 @@ mod tests {
         let source: crate::http::ChunkSource = Box::new(move || remaining.pop());
         let mut response = Response::chunked("text/plain", source);
         m.instrument_stream(&mut response, Instant::now());
-        let body = response.into_body_bytes();
+        let ResponseBody::Buffered(body) = response.into_buffered().body else {
+            unreachable!("into_buffered drains every source");
+        };
         assert_eq!(body, b"hello world");
         assert_eq!(m.stream_bytes.get(), 11);
         assert_eq!(m.stream_first_byte.count(), 1);

@@ -25,10 +25,13 @@
 //! slab slot, never a thread.
 //!
 //! The connection contracts: responses byte-identical to
-//! `Response::write_to` for the same `route()` output (same head and
-//! chunk framing); a request-read deadline that answers a typed 408
+//! `Response::write_to` for the same `route()` output (by construction:
+//! `ResponseWriter` frames through the same head writer and chunk
+//! framer); a request-read deadline that answers a typed 408
 //! (`HttpError::Io(TimedOut)`), and a keep-alive deadline that closes an
-//! idle connection silently; silent close on clean EOF between requests;
+//! idle connection silently; on EOF, a silent close when the reader says
+//! no byte of the next request arrived
+//! (`RequestReader::between_requests`) and a 400 otherwise;
 //! `max_requests_per_connection`; exactly-once ledger charging (inside
 //! `route()`, before any byte is written); and graceful shutdown that
 //! drains in-flight work but retires idle connections immediately. A
@@ -39,7 +42,7 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -84,30 +87,23 @@ fn unix_millis() -> u64 {
 }
 
 /// A `TcpStream` shared between the reactor (reads, polls, closes) and
-/// executors (writes), with a running count of bytes read so the
-/// reactor can distinguish "clean EOF while idle" (silent close) from
-/// "bytes arrived, then EOF" (400).
+/// executors (writes).
 #[derive(Clone)]
-pub(crate) struct SharedStream {
-    stream: Arc<TcpStream>,
-    read_bytes: Arc<AtomicU64>,
-}
+pub(crate) struct SharedStream(Arc<TcpStream>);
 
 impl Read for SharedStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = (&*self.stream).read(buf)?;
-        self.read_bytes.fetch_add(n as u64, Ordering::Relaxed);
-        Ok(n)
+        (&*self.0).read(buf)
     }
 }
 
 impl Write for SharedStream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        (&*self.stream).write(buf)
+        (&*self.0).write(buf)
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        (&*self.stream).flush()
+        (&*self.0).flush()
     }
 }
 
@@ -287,18 +283,22 @@ struct Conn {
     served: usize,
     state: State,
     deadline: Option<Instant>,
-    bytes_in: Arc<AtomicU64>,
-    /// `bytes_in` snapshot at the moment the connection last went
-    /// `Idle`; EOF with no bytes past the marker is a silent close.
-    read_marker: u64,
 }
 
 impl Conn {
-    fn shared(&self) -> SharedStream {
-        SharedStream {
-            stream: Arc::clone(&self.stream),
-            read_bytes: Arc::clone(&self.bytes_in),
+    fn new(stream: TcpStream, deadline: Option<Instant>) -> Conn {
+        let stream = Arc::new(stream);
+        Conn {
+            reader: RequestReader::new(SharedStream(Arc::clone(&stream))),
+            stream,
+            served: 0,
+            state: State::Idle,
+            deadline,
         }
+    }
+
+    fn shared(&self) -> SharedStream {
+        SharedStream(Arc::clone(&self.stream))
     }
 }
 
@@ -539,22 +539,8 @@ impl Reactor {
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let stream = Arc::new(stream);
-                    let bytes_in = Arc::new(AtomicU64::new(0));
-                    let shared = SharedStream {
-                        stream: Arc::clone(&stream),
-                        read_bytes: Arc::clone(&bytes_in),
-                    };
-                    let conn = Conn {
-                        stream,
-                        reader: RequestReader::new(shared),
-                        served: 0,
-                        state: State::Idle,
-                        deadline: deadline_after(self.config.keep_alive_timeout),
-                        bytes_in,
-                        read_marker: 0,
-                    };
-                    self.slab.insert(conn);
+                    let deadline = deadline_after(self.config.keep_alive_timeout);
+                    self.slab.insert(Conn::new(stream, deadline));
                     if let Some(metrics) = self.service.metrics.as_ref() {
                         metrics.connection_opened();
                     }
@@ -611,9 +597,7 @@ impl Reactor {
                 // request-read deadline keeps ticking.
             }
             Err(err) => {
-                let silent = matches!(err, HttpError::Incomplete)
-                    && !conn.reader.has_buffered()
-                    && conn.bytes_in.load(Ordering::Relaxed) == conn.read_marker;
+                let silent = matches!(err, HttpError::Incomplete) && conn.reader.between_requests();
                 if silent {
                     self.close(id);
                 } else {
@@ -770,8 +754,7 @@ impl Reactor {
         }
         let parse_now = match self.slab.get_mut(id) {
             Some(conn) => {
-                conn.read_marker = conn.bytes_in.load(Ordering::Relaxed);
-                if conn.reader.has_buffered() {
+                if !conn.reader.between_requests() {
                     // Pipelined bytes already in the carry never raise
                     // POLLIN — parse immediately.
                     conn.state = State::Reading;
@@ -889,25 +872,10 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
-        // Keep the client end alive for the duration of the slab tests
-        // by leaking it into the connection's bytes_in Arc lifetime —
-        // simplest is to just forget it; the fd closes at process exit.
+        // Keep the client end alive for the duration of the slab tests:
+        // forget it, and the fd closes at process exit.
         std::mem::forget(client);
-        let stream = Arc::new(server);
-        let bytes_in = Arc::new(AtomicU64::new(0));
-        let shared = SharedStream {
-            stream: Arc::clone(&stream),
-            read_bytes: Arc::clone(&bytes_in),
-        };
-        Conn {
-            stream,
-            reader: RequestReader::new(shared),
-            served: 0,
-            state: State::Idle,
-            deadline: None,
-            bytes_in,
-            read_marker: 0,
-        }
+        Conn::new(server, None)
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //! weights: when a load pushes estimated residency (from header
 //! geometry, see [`ModelHeader::approx_resident_bytes`]) past the
 //! budget, least-recently-used models are evicted back to `Unloaded`.
-//! Eviction only drops the registry's own `Arc<LoadedModel>`; requests
-//! already holding a handle — including **streamed** sampling responses,
-//! whose chunked body generator owns its `Arc` for the whole response —
-//! keep sampling the evicted model until the last handle drops, so
-//! eviction (like reload) can never yank a model mid-chunk. A later
-//! `get` simply decodes the file again.
+//! Eviction only drops the registry's own `Arc<SynthesisSnapshot>`;
+//! requests already holding a handle — including **streamed** sampling
+//! responses, whose chunked body generator owns its `Arc` for the whole
+//! response — keep sampling the evicted model until the last handle
+//! drops, so eviction (like reload) can never yank a model mid-chunk. A
+//! later `get` simply decodes the file again.
 //!
 //! Reload is incremental: files whose `(length, mtime)` fingerprint is
 //! unchanged keep their existing entry (loaded weights stay resident),
@@ -112,25 +112,6 @@ impl std::fmt::Display for RegistryError {
 
 impl std::error::Error for RegistryError {}
 
-/// One loaded, serving model.
-#[derive(Debug)]
-pub struct LoadedModel {
-    name: String,
-    snapshot: SynthesisSnapshot,
-}
-
-impl LoadedModel {
-    /// The model's name (the snapshot file's stem).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The decoded snapshot.
-    pub fn snapshot(&self) -> &SynthesisSnapshot {
-        &self.snapshot
-    }
-}
-
 /// The change-detection fingerprint of a snapshot file: byte length and
 /// modification time (nanoseconds since the epoch; 0 when the filesystem
 /// does not report one).
@@ -190,7 +171,10 @@ enum LoadState {
     /// entry's condvar.
     Loading,
     /// Weights resident; `cost` is what the budget was charged.
-    Loaded { model: Arc<LoadedModel>, cost: u64 },
+    Loaded {
+        model: Arc<SynthesisSnapshot>,
+        cost: u64,
+    },
     /// The full decode failed; cached until the file changes.
     Failed { reason: String },
 }
@@ -311,12 +295,12 @@ impl Registry {
         &self.dir
     }
 
-    /// A serving handle for a named model, decoding the snapshot on
-    /// first touch (single-flight: concurrent first requests share one
-    /// decode). The returned `Arc` keeps the model alive across
+    /// A serving handle for a named model's decoded snapshot, decoding
+    /// it on first touch (single-flight: concurrent first requests share
+    /// one decode). The returned `Arc` keeps the model alive across
     /// concurrent reloads **and evictions** — the registry dropping its
     /// reference never invalidates a handle already serving a request.
-    pub fn get(&self, name: &str) -> Result<Arc<LoadedModel>, RegistryError> {
+    pub fn get(&self, name: &str) -> Result<Arc<SynthesisSnapshot>, RegistryError> {
         let entry = {
             let entries = self
                 .entries
@@ -703,13 +687,9 @@ fn fingerprint(path: &Path) -> std::io::Result<Fingerprint> {
 }
 
 /// The full checksummed decode a lazy `get` performs on first touch.
-fn load_model(header: &ModelHeader) -> Result<LoadedModel, String> {
+fn load_model(header: &ModelHeader) -> Result<SynthesisSnapshot, String> {
     let bytes = std::fs::read(&header.path).map_err(|e| format!("read failed: {e}"))?;
-    let snapshot = SynthesisSnapshot::from_bytes(&bytes).map_err(|e| e.to_string())?;
-    Ok(LoadedModel {
-        name: header.name.clone(),
-        snapshot,
-    })
+    SynthesisSnapshot::from_bytes(&bytes).map_err(|e| e.to_string())
 }
 
 #[cfg(test)]

@@ -286,8 +286,7 @@ fn header_listing_agrees_with_the_loaded_model() {
     let dir = model_dir("header_agrees", &["m"]);
     let (registry, _) = Registry::open_with(&dir, RegistryConfig::default()).unwrap();
     let header = registry.header("m").unwrap();
-    let model = registry.get("m").unwrap();
-    let snapshot = model.snapshot();
+    let snapshot = registry.get("m").unwrap();
     assert_eq!(header.data_dim(), snapshot.model().data_dim());
     assert_eq!(header.latent_dim(), snapshot.model().config().latent_dim);
     assert_eq!(
@@ -319,7 +318,7 @@ fn eviction_under_concurrent_sampling_keeps_streams_intact() {
 
     // Open a large streamed download of "a" and do NOT read it yet: the
     // server generates chunks as the socket drains, so the response
-    // stays in flight holding its Arc<LoadedModel>.
+    // stays in flight holding its Arc<SynthesisSnapshot>.
     let body = r#"{"seed": 5, "n": 30000, "format": "csv"}"#;
     let mut stream = connect(addr);
     write_request(&mut stream, "POST", "/models/a/sample", body);

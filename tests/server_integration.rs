@@ -24,7 +24,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::{Cursor, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -355,6 +355,59 @@ fn idle_connections_are_closed_silently() {
     assert_eq!(client.next_response().unwrap().status, 200);
     assert_eq!(stream.read(&mut probe).unwrap_or(0), 0);
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends a `GET first` and reads its keep-alive response (when `first` is
+/// given), then sends `then`, half-closes, and returns the status of every
+/// response the server writes before it closes.
+fn statuses_after_close(addr: SocketAddr, first: Option<&str>, then: &[u8]) -> Vec<u16> {
+    let mut stream = connect(addr);
+    let mut reader = ResponseReader::new(stream.try_clone().unwrap());
+    if let Some(path) = first {
+        write_request(&mut stream, "GET", path, "");
+        let response = reader.next_response().unwrap();
+        assert_eq!(response.header("connection"), Some("keep-alive"));
+    }
+    stream.write_all(then).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut statuses = Vec::new();
+    loop {
+        match reader.next_response() {
+            Ok(response) => statuses.push(response.status),
+            Err(err) => {
+                assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+                return statuses;
+            }
+        }
+    }
+}
+
+#[test]
+fn closing_between_requests_is_silent_and_closing_mid_request_is_a_400() {
+    let dir = model_dir("eof", &[]);
+    let server = start_server(&dir, 1, None);
+    let addr = server.addr();
+    // On a fresh connection and after a keep-alive response alike.
+    for first in [None, Some("/healthz")] {
+        // No byte of a next request: the server closes without a word.
+        assert_eq!(
+            statuses_after_close(addr, first, b""),
+            Vec::<u16>::new(),
+            "{first:?}"
+        );
+        // Any byte counts, even a lone CRLF the parser skips: the close
+        // cuts a request short and gets a 400 first.
+        for then in [&b"\r\n"[..], b"GET /models HTTP/1.1\r\nHost"] {
+            let shown = String::from_utf8_lossy(then);
+            assert_eq!(
+                statuses_after_close(addr, first, then),
+                [400],
+                "{first:?} then {shown:?}"
+            );
+        }
+    }
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
