@@ -149,14 +149,15 @@ pub enum HttpError {
     /// The connection closed (or an in-memory buffer ended) before a
     /// complete request was read.
     Incomplete,
-    /// The request line is not `METHOD SP TARGET SP VERSION`.
+    /// The request line is not `METHOD SP TARGET SP VERSION CRLF` (a
+    /// bare LF ends it too early).
     BadRequestLine,
     /// The method is a valid token but not one the service supports.
     UnsupportedMethod,
     /// The HTTP version is not 1.0 or 1.1.
     UnsupportedVersion,
     /// A header line is malformed (missing colon, bad name token,
-    /// control bytes, obsolete line folding).
+    /// control bytes, obsolete line folding, a bare LF).
     BadHeader,
     /// Request line + headers exceed [`Limits::max_head_bytes`].
     HeadTooLarge,
@@ -292,7 +293,7 @@ impl<R: Read> RequestReader<R> {
             while self.carry.starts_with(b"\r\n") {
                 self.carry.drain(..2);
             }
-            if let Some(pos) = find_head_end(&self.carry) {
+            if let Some(pos) = find_head_end(&self.carry)? {
                 if pos > limits.max_head_bytes {
                     return Err(HttpError::HeadTooLarge);
                 }
@@ -339,9 +340,30 @@ pub fn read_request<R: Read>(reader: &mut R, limits: &Limits) -> Result<Request,
     RequestReader::new(reader).next_request(limits)
 }
 
-/// Index of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Index of the `\r\n\r\n` head terminator, if buffered. A LF without a
+/// CR before it, ahead of the terminator, can never end a head: it fails
+/// at once, as a [`HttpError::BadRequestLine`] when it ends the request
+/// line and a [`HttpError::BadHeader`] after that. Bytes past the
+/// terminator (the body) are not scanned.
+fn find_head_end(buf: &[u8]) -> Result<Option<usize>, HttpError> {
+    let mut line_start = 0;
+    for (i, &b) in buf.iter().enumerate() {
+        if b != b'\n' {
+            continue;
+        }
+        if i == 0 || buf[i - 1] != b'\r' {
+            return Err(if line_start == 0 {
+                HttpError::BadRequestLine
+            } else {
+                HttpError::BadHeader
+            });
+        }
+        if line_start > 0 && i == line_start + 1 {
+            return Ok(Some(line_start - 2));
+        }
+        line_start = i + 1;
+    }
+    Ok(None)
 }
 
 /// Parses the request line and header lines (everything before the blank
@@ -868,11 +890,11 @@ impl<R: Read> ResponseReader<R> {
     }
 
     /// Reads until the carry buffer holds a `\r\n\r\n`; returns its
-    /// index.
+    /// index. A bare LF ahead of it is a malformed response.
     fn fill_until_terminator(&mut self) -> std::io::Result<usize> {
         let mut tmp = [0u8; 1024];
         loop {
-            if let Some(pos) = find_head_end(&self.carry) {
+            if let Some(pos) = find_head_end(&self.carry).map_err(|_| bad_response())? {
                 return Ok(pos);
             }
             if self.carry.len() > 1024 * 1024 {
@@ -1142,6 +1164,27 @@ mod tests {
         assert!(
             parse(b"POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok").is_ok()
         );
+    }
+
+    #[test]
+    fn bare_lf_heads_are_rejected_at_once() {
+        // A LF without its CR never completes a head, so the reader answers
+        // as soon as one is buffered rather than waiting for more bytes.
+        for (head, want) in [
+            (
+                &b"GET / HTTP/1.1\nHost: t\n\n"[..],
+                HttpError::BadRequestLine,
+            ),
+            (b"GET / HTTP/1.1\n", HttpError::BadRequestLine),
+            (b"\nGET / HTTP/1.1\r\n\r\n", HttpError::BadRequestLine),
+            (b"GET / HTTP/1.1\r\nHost: t\n\r\n", HttpError::BadHeader),
+            (b"GET / HTTP/1.1\r\nHost: t\r\nA: b\n", HttpError::BadHeader),
+        ] {
+            assert_eq!(parse(head).unwrap_err(), want, "{head:?}");
+        }
+        // Body bytes are not head bytes.
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\na\nb").unwrap();
+        assert_eq!(req.body, b"a\nb");
     }
 
     #[test]

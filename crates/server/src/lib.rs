@@ -110,7 +110,7 @@ use p3gm_linalg::Matrix;
 use p3gm_obs::{AccessLogger, ObsConfig};
 use p3gm_privacy::rdp::PrivacySpec;
 use registry::{Registry, RegistryConfig, RegistryError};
-use std::fmt::Write as _;
+use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -975,7 +975,7 @@ fn rows_body(
         if let Some(head) = head.take() {
             return Some(head.into_bytes());
         }
-        let mut out = String::new();
+        let mut out = Vec::new();
         if next_row < n {
             let len = STREAM_CHUNK_ROWS.min(n - next_row);
             for (i, row) in window(next_row, len).row_iter().enumerate() {
@@ -983,22 +983,22 @@ fn rows_body(
             }
             next_row += len;
         } else if std::mem::take(&mut tail) {
-            out.push(']');
+            out.push(b']');
             if let Some(labels) = &labels {
-                out.push_str(",\"labels\":[");
+                out.extend_from_slice(b",\"labels\":[");
                 for (i, &label) in labels.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    let _ = write!(out, "{}", Json::Num(label as f64));
+                    json::write_number(&mut out, label as f64);
                 }
-                out.push(']');
+                out.push(b']');
             }
-            out.push('}');
+            out.push(b'}');
         } else {
             return None;
         }
-        Some(out.into_bytes())
+        Some(out)
     };
     let content_type = if csv { "text/csv" } else { "application/json" };
     Response::chunked(content_type, Box::new(source))
@@ -1006,36 +1006,37 @@ fn rows_body(
 
 /// Writes row `index` of a sample body into `out`: a CSV line whose last
 /// column is the row's label, if any, or a JSON array, comma-led after the
-/// first row (JSON carries its labels in the tail). Each value is
-/// `write!`n in place, so it prints the bytes `f64`'s `Display` (CSV) or
-/// `Json::Num`'s (JSON) gives, without allocating a `String` for it.
-fn write_row(out: &mut String, row: &[f64], index: usize, labels: Option<&[usize]>, csv: bool) {
+/// first row (JSON carries its labels in the tail). Each value goes
+/// straight into the chunk through the crate's Ryū writer: CSV prints
+/// `f64`'s `Display` bytes ([`json::write_f64`]), JSON what `Json::Num`
+/// prints ([`json::write_number`]).
+fn write_row(out: &mut Vec<u8>, row: &[f64], index: usize, labels: Option<&[usize]>, csv: bool) {
     if csv {
-        for (j, v) in row.iter().enumerate() {
+        for (j, &v) in row.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(out, "{v}");
+            json::write_f64(out, v);
         }
         if let Some(labels) = labels {
             if !row.is_empty() {
-                out.push(',');
+                out.push(b',');
             }
             let _ = write!(out, "{}", labels.get(index).copied().unwrap_or(0));
         }
-        out.push('\n');
+        out.push(b'\n');
     } else {
         if index > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        out.push('[');
+        out.push(b'[');
         for (j, &v) in row.iter().enumerate() {
             if j > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            let _ = write!(out, "{}", Json::Num(v));
+            json::write_number(out, v);
         }
-        out.push(']');
+        out.push(b']');
     }
 }
 
@@ -1212,7 +1213,8 @@ mod tests {
     }
 
     /// An arbitrary finite `f64`: one in eight is an edge value (±0, the
-    /// smallest and largest subnormals, ±2^53), the rest are raw bit
+    /// smallest and largest subnormals, ±2^53, and the exact `1.0` and tiny
+    /// magnitudes that dominate served bodies), the rest are raw bit
     /// patterns with infinities and NaNs folded back to finite exponents.
     fn finite_value(bits: u64) -> f64 {
         let edges = [
@@ -1222,6 +1224,8 @@ mod tests {
             -f64::from_bits(0x000F_FFFF_FFFF_FFFF),
             9_007_199_254_740_992.0,
             -9_007_199_254_740_992.0,
+            1.0,
+            1e-300,
         ];
         if bits.is_multiple_of(8) {
             return edges[(bits >> 3) as usize % edges.len()];
@@ -1239,10 +1243,11 @@ mod tests {
 
         /// The one writer against std: over arbitrary finite values, 1–40
         /// columns and bodies that cross the 512- and 1024-row chunk
-        /// boundaries, the JSON body is the `Json` tree's serialization,
-        /// the CSV body is every value's `Display` joined by commas with
-        /// the label last, and the body streamed through the reactor's
-        /// writer de-chunks to the drained bytes.
+        /// boundaries, the JSON body is the document with every number
+        /// printed by std's `Display`, the CSV body is every value's
+        /// `Display` joined by commas with the label last, and the body
+        /// streamed through the reactor's writer de-chunks to the drained
+        /// bytes.
         #[test]
         fn sample_bodies_match_the_std_oracle(
             seed in any::<u64>(),
@@ -1278,18 +1283,25 @@ mod tests {
                 }
                 want
             } else {
-                let num_arr = |values: &[f64]| Json::Arr(values.iter().map(|&v| Json::Num(v)).collect());
-                let mut members = vec![
-                    ("model".to_string(), Json::str("m\"x")),
-                    ("seed".to_string(), Json::Num(seed as f64)),
-                    ("n".to_string(), Json::Num(n as f64)),
-                    ("rows".to_string(), Json::Arr(rows.row_iter().map(num_arr).collect())),
-                ];
+                // Numbers through std, not through `Json`, whose serializer
+                // shares the writer under test.
+                let num_arr = |values: &[f64]| {
+                    let values: Vec<String> = values.iter().map(f64::to_string).collect();
+                    format!("[{}]", values.join(","))
+                };
+                let rows: Vec<String> = rows.row_iter().map(num_arr).collect();
+                let mut want = format!(
+                    r#"{{"model":"m\"x","seed":{},"n":{},"rows":[{}]"#,
+                    seed as f64,
+                    n as f64,
+                    rows.join(",")
+                );
                 if let Some(labels) = &labels {
                     let labels: Vec<f64> = labels.iter().map(|&l| l as f64).collect();
-                    members.push(("labels".to_string(), num_arr(&labels)));
+                    want.push_str(&format!(",\"labels\":{}", num_arr(&labels)));
                 }
-                Json::Obj(members).to_string()
+                want.push('}');
+                want
             };
             prop_assert_eq!(String::from_utf8(buffered).unwrap(), want);
         }

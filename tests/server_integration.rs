@@ -412,6 +412,41 @@ fn closing_between_requests_is_silent_and_closing_mid_request_is_a_400() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A head with a bare LF can never complete, so it gets its 400 as soon as
+/// the LF arrives: the client (10 s read timeout) holds the connection
+/// open and would otherwise wait out the 60 s request-read deadline.
+#[test]
+fn bare_lf_heads_get_a_400_at_once() {
+    let dir = model_dir("bare-lf", &[]);
+    let server = start(
+        ServerConfig::builder(&dir)
+            .request_read_timeout(Duration::from_secs(60))
+            .build(),
+    )
+    .unwrap();
+    for (head, error) in [
+        (
+            &b"GET /healthz HTTP/1.1\nHost: t\n\n"[..],
+            "malformed request line",
+        ),
+        (
+            b"GET /healthz HTTP/1.1\r\nHost: t\n\r\n",
+            "malformed header",
+        ),
+    ] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(head).unwrap();
+        let (status, _, body) = unpack(ResponseReader::new(stream).next_response().unwrap());
+        assert_eq!(status, 400, "{head:?}");
+        assert!(body.contains(error), "{head:?} -> {body}");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `Duration::MAX` disables a deadline rather than overflowing the
 /// reactor's `Instant` arithmetic: the server keeps answering new
 /// connections, and a response whose writes block while the client
