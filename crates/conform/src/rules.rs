@@ -15,7 +15,8 @@
 //!
 //! *Numeric crates*: `linalg`, `mixture`, `nn`, `privacy`, `preprocess`,
 //! `core`. *Untrusted-byte zones*: all of `crates/store/src/`, plus
-//! `crates/server/src/{http,json,ledger}.rs`.
+//! `crates/core/src/snapshot.rs` (the registry peeks every file dropped
+//! into its model directory) and `crates/server/src/{http,json,ledger}.rs`.
 //!
 //! `#[cfg(test)]` items are exempt from the token rules (tests *should*
 //! `unwrap()`), and `debug_assert*` is deliberately not matched by D4:
@@ -46,6 +47,7 @@ pub const D2_EXEMPT_CRATES: &[&str] = &["parallel", "bench", "server"];
 /// Files whose inputs are untrusted bytes: the D4 no-panic zones.
 pub const D4_ZONES: &[&str] = &[
     "crates/store/src/",
+    "crates/core/src/snapshot.rs",
     "crates/server/src/http.rs",
     "crates/server/src/json.rs",
     "crates/server/src/ledger.rs",

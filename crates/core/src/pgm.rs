@@ -484,11 +484,13 @@ impl PhasedGenerativeModel {
     pub fn from_bytes(bytes: &[u8]) -> p3gm_store::Result<Self> {
         use p3gm_store::StoreError;
         let mut dec = p3gm_store::Decoder::new(bytes, p3gm_store::tags::PGM_MODEL)?;
-        let config = PgmConfig::decode_from(&mut dec)?;
-        let data_dim = dec.usize()?;
-        let input_scale = dec.f64()?;
-        let trained_epochs = dec.usize()?;
-        let n_train = dec.usize()?;
+        let ModelHead {
+            config,
+            data_dim,
+            input_scale,
+            trained_epochs,
+            n_train,
+        } = ModelHead::decode(&mut dec)?;
         let projection = match dec.u8()? {
             0 => Projection::Exact(Pca::from_bytes(dec.nested()?)?),
             1 => Projection::Private(DpPca::from_bytes(dec.nested()?)?),
@@ -503,14 +505,6 @@ impl PhasedGenerativeModel {
         let decoder = Mlp::from_bytes(dec.nested()?)?;
         dec.finish()?;
 
-        config
-            .validate(n_train, data_dim)
-            .map_err(|e| StoreError::Invalid { msg: e.to_string() })?;
-        if !(input_scale.is_finite() && input_scale > 0.0) {
-            return Err(StoreError::Invalid {
-                msg: format!("input scale must be positive and finite, got {input_scale}"),
-            });
-        }
         let (proj_in, proj_out) = match &projection {
             Projection::Exact(p) => (p.input_dim(), p.n_components()),
             Projection::Private(p) => (p.pca().input_dim(), p.pca().n_components()),
@@ -556,6 +550,47 @@ impl PhasedGenerativeModel {
             input_scale,
             n_train,
             trainer,
+        })
+    }
+}
+
+/// The leading fields of a model buffer, ahead of the weights: the
+/// configuration and the dataset geometry.
+pub(crate) struct ModelHead {
+    pub(crate) config: PgmConfig,
+    pub(crate) data_dim: usize,
+    pub(crate) input_scale: f64,
+    pub(crate) trained_epochs: usize,
+    pub(crate) n_train: usize,
+}
+
+impl ModelHead {
+    /// Reads the head and applies the checks it passes on its own: the
+    /// configuration is valid for `n_train` rows of `data_dim` features,
+    /// and the input scale is positive and finite. The one reader of
+    /// these fields: [`PhasedGenerativeModel::from_bytes`] calls it on
+    /// the whole buffer, the snapshot header peek on a prefix.
+    pub(crate) fn decode(dec: &mut p3gm_store::Decoder<'_>) -> p3gm_store::Result<ModelHead> {
+        use p3gm_store::StoreError;
+        let config = PgmConfig::decode_from(dec)?;
+        let data_dim = dec.usize()?;
+        let input_scale = dec.f64()?;
+        let trained_epochs = dec.usize()?;
+        let n_train = dec.usize()?;
+        config
+            .validate(n_train, data_dim)
+            .map_err(|e| StoreError::Invalid { msg: e.to_string() })?;
+        if !(input_scale.is_finite() && input_scale > 0.0) {
+            return Err(StoreError::Invalid {
+                msg: format!("input scale must be positive and finite, got {input_scale}"),
+            });
+        }
+        Ok(ModelHead {
+            config,
+            data_dim,
+            input_scale,
+            trained_epochs,
+            n_train,
         })
     }
 }

@@ -33,14 +33,14 @@
 //! client re-requesting a longer prefix sees the rows it already holds.
 
 use crate::config::PgmConfig;
-use crate::pgm::PhasedGenerativeModel;
+use crate::pgm::{ModelHead, PhasedGenerativeModel};
 use crate::synthesis::{synthesize_labelled, LabelledSynthesizer};
 use crate::{CoreError, Result};
 use p3gm_linalg::Matrix;
 use p3gm_privacy::rdp::PrivacySpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::io::{Read as _, Seek as _, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Rows per RNG seed block of the canonical sample stream.
@@ -239,22 +239,27 @@ impl SynthesisSnapshot {
 /// buffers come after), and the (ε, δ) stamp is recomputed from the
 /// configuration anyway ([`PgmConfig::privacy_spec`]), so everything a
 /// registry listing or a `GET /models` response needs is available from
-/// a few hundred leading bytes:
+/// a few hundred leading bytes and the synthesizer section.
 ///
-/// * [`SnapshotHeader::peek`] reads it from an in-memory buffer (or any
-///   prefix long enough to cover the leading frames),
-/// * [`SnapshotHeader::peek_file`] reads it from a file with two bounded
-///   reads and one seek — O(1) I/O per snapshot regardless of weight
-///   size, which is what lets a registry scan thousands of tenant
-///   snapshots without decoding a single weight payload.
+/// [`SnapshotHeader::peek`] (a buffer) and [`SnapshotHeader::peek_file`]
+/// (a file) share one parse. It reads a prefix of at most 4,096 bytes,
+/// decodes the model's leading fields with the reader the full decode
+/// uses, and checks the source's length against what the outer frame
+/// claims, so a truncated or concatenated upload is caught at scan time.
+/// When the prefix does not hold the whole snapshot, the synthesizer
+/// section (which follows the weights) comes from one more read of at
+/// most 256 bytes, at the offset the decoder reports. That is O(1) I/O
+/// per snapshot regardless of weight size, which is what lets a registry
+/// scan thousands of tenant snapshots without decoding a single weight
+/// payload.
 ///
-/// The peek path deliberately skips the trailing CRC (reading it would
+/// The peek deliberately skips the trailing CRC (reading it would
 /// mean reading the whole file): a header can therefore look healthy
 /// while the weight payload is corrupt. The full, checksummed
 /// [`SynthesisSnapshot::from_bytes`] decode remains the integrity
 /// authority and runs on first model use; the peeked fields themselves
-/// are semantically validated (config ranges, finite floats, geometry)
-/// exactly as the full decode validates them.
+/// pass the same semantic checks (config ranges, finite floats,
+/// geometry) as in the full decode, by the same code.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotHeader {
     /// The persisted training configuration (hyper-parameters and DP
@@ -274,36 +279,29 @@ pub struct SnapshotHeader {
     /// never a stored value.
     pub stamp: Option<PrivacySpec>,
     /// Total byte length of the framed snapshot buffer this header was
-    /// peeked from (what the outer frame claims; [`Self::peek_file`]
-    /// verifies the file length matches it).
+    /// peeked from (what the outer frame claims; the peek verifies the
+    /// source's length matches it).
     pub framed_len: u64,
 }
 
 impl SnapshotHeader {
-    /// Decodes the header from a snapshot buffer (or any prefix of one
-    /// that covers the leading frames and the synthesizer section).
-    /// Never panics on untrusted bytes; every failure is a typed
-    /// [`p3gm_store::StoreError`].
+    /// Decodes the header from a snapshot buffer, reading it as
+    /// [`Self::peek_file`] reads a file. Never panics on untrusted
+    /// bytes; every failure is a typed [`p3gm_store::StoreError`].
     pub fn peek(bytes: &[u8]) -> p3gm_store::Result<SnapshotHeader> {
-        let (mut header, synth_off) = Self::peek_leading(bytes)?;
-        if bytes.len() < synth_off {
-            return Err(p3gm_store::StoreError::Truncated {
-                needed: synth_off,
-                available: bytes.len(),
-            });
-        }
-        header.n_classes = peek_synth_classes(&bytes[synth_off..])?;
-        Ok(header)
+        Self::peek_from(&mut std::io::Cursor::new(bytes))
     }
 
     /// Decodes the header from a snapshot file without reading the
-    /// weight payload: one bounded read of the file's head (config +
-    /// geometry), one seek past the model frame, and one bounded read of
-    /// the synthesizer section. Also verifies that the file's byte
-    /// length matches what the outer frame claims, so a truncated or
-    /// concatenated upload is caught at scan time. I/O failures are
-    /// reported as [`p3gm_store::StoreError::Invalid`].
+    /// weight payload. I/O failures are reported as
+    /// [`p3gm_store::StoreError::Invalid`].
     pub fn peek_file(path: &Path) -> p3gm_store::Result<SnapshotHeader> {
+        Self::peek_from(&mut std::fs::File::open(path).map_err(io_err)?)
+    }
+
+    /// The one parse behind both peeks (see the type docs).
+    fn peek_from<R: Read + Seek>(source: &mut R) -> p3gm_store::Result<SnapshotHeader> {
+        use p3gm_store::{tags, Decoder};
         // Enough for the outer header, the model frame header, the
         // configuration and the geometry fields, with generous slack for
         // format growth; tiny snapshots fit entirely.
@@ -311,46 +309,37 @@ impl SnapshotHeader {
         // Flag byte + nested length + the one-hot encoder's framed
         // buffer: the synthesizer section's leading fields.
         const TAIL_READ: u64 = 256;
-        let io_err = |e: std::io::Error| p3gm_store::StoreError::Invalid {
-            msg: format!("read failed: {e}"),
-        };
-        let mut file = std::fs::File::open(path).map_err(io_err)?;
-        let file_len = file.metadata().map_err(io_err)?.len();
-        let mut prefix = Vec::with_capacity(PREFIX_READ.min(file_len) as usize);
-        std::io::Read::take(&mut file, PREFIX_READ)
-            .read_to_end(&mut prefix)
-            .map_err(io_err)?;
-        let (mut header, synth_off) = Self::peek_leading(&prefix)?;
-        if file_len < header.framed_len {
-            return Err(p3gm_store::StoreError::Truncated {
-                needed: header.framed_len as usize,
-                available: file_len as usize,
-            });
-        }
-        if file_len > header.framed_len {
-            return Err(p3gm_store::StoreError::TrailingBytes {
-                count: (file_len - header.framed_len) as usize,
-            });
-        }
-        header.n_classes = if (prefix.len() as u64) == file_len {
-            // The whole file fit in the head read: parse in place.
-            if prefix.len() < synth_off {
-                return Err(p3gm_store::StoreError::Truncated {
-                    needed: synth_off,
-                    available: prefix.len(),
-                });
-            }
-            peek_synth_classes(&prefix[synth_off..])?
+        let len = source.seek(SeekFrom::End(0)).map_err(io_err)?;
+        let prefix = read_at(source, 0, PREFIX_READ)?;
+        let mut dec = Decoder::over_prefix(&prefix, tags::SYNTHESIS_SNAPSHOT)?;
+        let (model, synth_at) = dec.nested_prefix()?;
+        let head = ModelHead::decode(&mut Decoder::over_prefix(model, tags::PGM_MODEL)?)?;
+        let framed_len = p3gm_store::peek_frame(&prefix)?
+            .check_len(usize::try_from(len).unwrap_or(usize::MAX))?;
+        // The synthesizer section follows the weights: read it where the
+        // prefix decoder stands when the prefix holds the whole snapshot,
+        // else from one bounded read at the offset the decoder reported.
+        // An offset past the end (a corrupt nested length) reads nothing
+        // and fails `Truncated`, as the same bytes do in memory, instead
+        // of a seek past the file system's size limit.
+        let tail = (prefix.len() as u64 != len)
+            .then(|| read_at(source, (synth_at as u64).min(len), TAIL_READ))
+            .transpose()?;
+        let mut dec = tail.as_deref().map_or(dec, Decoder::fields);
+        let n_classes = if dec.bool()? {
+            Some(LabelledSynthesizer::peek_n_classes(dec.nested_prefix()?.0)?)
         } else {
-            file.seek(SeekFrom::Start(synth_off as u64))
-                .map_err(io_err)?;
-            let mut tail = Vec::with_capacity(TAIL_READ as usize);
-            std::io::Read::take(&mut file, TAIL_READ)
-                .read_to_end(&mut tail)
-                .map_err(io_err)?;
-            peek_synth_classes(&tail)?
+            None
         };
-        Ok(header)
+        Ok(SnapshotHeader {
+            stamp: head.config.privacy_spec(head.n_train),
+            config: head.config,
+            data_dim: head.data_dim,
+            trained_epochs: head.trained_epochs,
+            n_train: head.n_train,
+            n_classes,
+            framed_len: framed_len as u64,
+        })
     }
 
     /// Approximate resident (decoded, in-RAM) footprint of this model in
@@ -389,123 +378,25 @@ impl SnapshotHeader {
         // 8 bytes per f64, ×1.25 for Vec/cache overhead, + a fixed floor.
         params.saturating_mul(10).saturating_add(4096)
     }
+}
 
-    /// Parses the outer frame and the model's leading payload fields
-    /// (config + geometry), returning the partially-filled header (no
-    /// `n_classes` yet) and the byte offset of the synthesizer flag.
-    fn peek_leading(bytes: &[u8]) -> p3gm_store::Result<(SnapshotHeader, usize)> {
-        use p3gm_store::StoreError;
-        let outer = p3gm_store::peek_frame(bytes)?;
-        if outer.tag != p3gm_store::tags::SYNTHESIS_SNAPSHOT {
-            return Err(StoreError::WrongTag {
-                expected: p3gm_store::tags::SYNTHESIS_SNAPSHOT,
-                found: outer.tag,
-            });
-        }
-        let framed_len = outer.framed_len().ok_or_else(|| StoreError::Invalid {
-            msg: "claimed payload length overflows".to_string(),
-        })? as u64;
-        let model_off = p3gm_store::HEADER_LEN + 8;
-        let model_len: usize = read_u64_at(bytes, p3gm_store::HEADER_LEN)?
-            .try_into()
-            .map_err(|_| StoreError::Invalid {
-                msg: "nested model length does not fit in usize".to_string(),
-            })?;
-        if bytes.len() < model_off {
-            return Err(StoreError::Truncated {
-                needed: model_off,
-                available: bytes.len(),
-            });
-        }
-        let mut dec =
-            p3gm_store::Decoder::over_prefix(&bytes[model_off..], p3gm_store::tags::PGM_MODEL)?;
-        let config = PgmConfig::decode_from(&mut dec)?;
-        let data_dim = dec.usize()?;
-        let input_scale = dec.f64()?;
-        let trained_epochs = dec.usize()?;
-        let n_train = dec.usize()?;
-        // The same semantic gates the full decode applies to these
-        // fields, so header-vs-full-decode verdicts agree on them.
-        config
-            .validate(n_train, data_dim)
-            .map_err(|e| StoreError::Invalid { msg: e.to_string() })?;
-        if !(input_scale.is_finite() && input_scale > 0.0) {
-            return Err(StoreError::Invalid {
-                msg: format!("input scale must be positive and finite, got {input_scale}"),
-            });
-        }
-        let stamp = config.privacy_spec(n_train);
-        let synth_off = model_off
-            .checked_add(model_len)
-            .ok_or_else(|| StoreError::Invalid {
-                msg: "nested model length overflows".to_string(),
-            })?;
-        Ok((
-            SnapshotHeader {
-                config,
-                data_dim,
-                trained_epochs,
-                n_train,
-                n_classes: None,
-                stamp,
-                framed_len,
-            },
-            synth_off,
-        ))
+/// A failed read, as a peek reports it.
+fn io_err(e: std::io::Error) -> p3gm_store::StoreError {
+    p3gm_store::StoreError::Invalid {
+        msg: format!("read failed: {e}"),
     }
 }
 
-/// Reads a little-endian `u64` at `off`, typed-erroring on a short
-/// buffer.
-fn read_u64_at(bytes: &[u8], off: usize) -> p3gm_store::Result<u64> {
-    let end = off
-        .checked_add(8)
-        .ok_or_else(|| p3gm_store::StoreError::Invalid {
-            msg: "offset overflows".to_string(),
-        })?;
-    if bytes.len() < end {
-        return Err(p3gm_store::StoreError::Truncated {
-            needed: end,
-            available: bytes.len(),
-        });
-    }
-    Ok(u64::from_le_bytes(
-        bytes[off..end].try_into().expect("8 bytes"),
-    ))
-}
-
-/// Parses the synthesizer section (starting at its presence flag):
-/// `None` for a bare snapshot, otherwise the class count read from the
-/// synthesizer's leading one-hot-encoder frame (a tiny, fully
-/// CRC-checked decode).
-fn peek_synth_classes(bytes: &[u8]) -> p3gm_store::Result<Option<usize>> {
-    use p3gm_store::StoreError;
-    let flag = *bytes.first().ok_or(StoreError::Truncated {
-        needed: 1,
-        available: 0,
-    })?;
-    match flag {
-        0 => Ok(None),
-        1 => {
-            let synth_off = 1 + 8;
-            let _synth_len = read_u64_at(bytes, 1)?;
-            if bytes.len() < synth_off {
-                return Err(StoreError::Truncated {
-                    needed: synth_off,
-                    available: bytes.len(),
-                });
-            }
-            let mut dec = p3gm_store::Decoder::over_prefix(
-                &bytes[synth_off..],
-                p3gm_store::tags::LABELLED_SYNTHESIZER,
-            )?;
-            let encoder = p3gm_preprocess::encoding::OneHotEncoder::from_bytes(dec.nested()?)?;
-            Ok(Some(encoder.n_classes()))
-        }
-        other => Err(StoreError::Invalid {
-            msg: format!("invalid synthesizer flag byte {other}"),
-        }),
-    }
+/// Reads at most `max` bytes of `source`, starting at `offset`.
+fn read_at<R: Read + Seek>(source: &mut R, offset: u64, max: u64) -> p3gm_store::Result<Vec<u8>> {
+    source.seek(SeekFrom::Start(offset)).map_err(io_err)?;
+    let mut buf = Vec::with_capacity(max as usize);
+    source
+        .by_ref()
+        .take(max)
+        .read_to_end(&mut buf)
+        .map_err(io_err)?;
+    Ok(buf)
 }
 
 /// SplitMix64-style mixing of a base seed and a seed-block index into the
@@ -762,6 +653,93 @@ mod tests {
         // A missing file is a typed error, not a panic.
         assert!(SnapshotHeader::peek_file(&dir.join("absent.snapshot")).is_err());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A reader that counts the bytes it hands out.
+    struct Counting<R> {
+        inner: R,
+        handed: u64,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.handed += n as u64;
+            Ok(n)
+        }
+    }
+
+    impl<R: Seek> Seek for Counting<R> {
+        fn seek(&mut self, pos: SeekFrom) -> std::io::Result<u64> {
+            self.inner.seek(pos)
+        }
+    }
+
+    /// An Encoding-Phase-only labelled snapshot with an 8,192-wide
+    /// hidden layer: over a megabyte of weights lies between the model's
+    /// head and the synthesizer section.
+    fn wide_snapshot_bytes() -> Vec<u8> {
+        let mut r = rng();
+        let (x, y) = toy_labelled(&mut r, 80);
+        let (synth, prepared) = LabelledSynthesizer::prepare(&x, &y, 2).unwrap();
+        let config = PgmConfig {
+            hidden_dim: 8192,
+            ..tiny_config(prepared.cols())
+        };
+        let model = PhasedGenerativeModel::encode_phase(&mut r, &prepared, config).unwrap();
+        let bytes = SynthesisSnapshot::capture(model)
+            .with_synthesizer(synth)
+            .to_bytes();
+        assert!(bytes.len() > 1 << 20, "{} bytes", bytes.len());
+        bytes
+    }
+
+    #[test]
+    fn header_peek_reads_a_bounded_prefix_and_tail_past_megabytes_of_weights() {
+        // The peek is handed the 4,096-byte prefix and one read of at
+        // most 256 bytes, never the weights.
+        let bytes = wide_snapshot_bytes();
+
+        let mut source = Counting {
+            inner: std::io::Cursor::new(&bytes),
+            handed: 0,
+        };
+        let header = SnapshotHeader::peek_from(&mut source).unwrap();
+        assert!(
+            (4096..=4096 + 256).contains(&source.handed),
+            "the peek was handed {} bytes",
+            source.handed
+        );
+        let full = SynthesisSnapshot::from_bytes(&bytes).unwrap();
+        assert_eq!(header.config, *full.model().config());
+        assert_eq!(header.data_dim, full.model().data_dim());
+        assert_eq!(header.trained_epochs, 0);
+        assert_eq!(header.trained_epochs, full.model().trained_epochs());
+        assert_eq!(header.n_classes, Some(2));
+        assert_eq!(header.stamp.as_ref(), full.privacy_stamp());
+        assert_eq!(header.framed_len, bytes.len() as u64);
+        assert_eq!(SnapshotHeader::peek(&bytes).unwrap(), header);
+    }
+
+    #[test]
+    fn a_nested_length_past_the_end_is_truncated_in_a_file_as_in_memory() {
+        // Setting the top byte of the nested model length puts the
+        // synthesizer section past 2^63: the tail read finds nothing, and
+        // the file peek reports the truncation the in-memory peek does
+        // rather than a failed seek.
+        let mut bytes = wide_snapshot_bytes();
+        bytes[p3gm_store::HEADER_LEN + 7] = 0xFF;
+        let dir = std::env::temp_dir().join(format!("p3gm_peek_past_end_{}", std::process::id()));
+        let _ = std::fs::create_dir_all(&dir);
+        let path = dir.join("m.snapshot");
+        std::fs::write(&path, &bytes).unwrap();
+        let from_file = SnapshotHeader::peek_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(
+            matches!(from_file, Err(p3gm_store::StoreError::Truncated { .. })),
+            "{from_file:?}"
+        );
+        assert_eq!(from_file, SnapshotHeader::peek(&bytes));
     }
 
     #[test]

@@ -138,6 +138,15 @@ impl LabelledSynthesizer {
         })
     }
 
+    /// The class count, read from the leading one-hot-encoder frame of a
+    /// synthesizer buffer or of any prefix of one that holds that frame
+    /// (a tiny, fully checksummed decode).
+    pub(crate) fn peek_n_classes(bytes: &[u8]) -> p3gm_store::Result<usize> {
+        let mut dec =
+            p3gm_store::Decoder::over_prefix(bytes, p3gm_store::tags::LABELLED_SYNTHESIZER)?;
+        Ok(OneHotEncoder::from_bytes(dec.nested()?)?.n_classes())
+    }
+
     /// Splits generated rows back into original-unit features and labels.
     pub fn split(&self, generated: &Matrix) -> Result<(Matrix, Vec<usize>)> {
         let (weighted, labels) = self

@@ -433,32 +433,29 @@ impl Gmm {
         let mut dec = p3gm_store::Decoder::new(bytes, p3gm_store::tags::GMM)?;
         let weights = dec.f64_vec()?;
         let means = Matrix::from_bytes(dec.nested()?)?;
+        let k = weights.len();
+        // One covariance per weight. Checking the claimed count before
+        // reading any covariance bounds the allocation below by the
+        // weights already decoded, so a crafted count cannot trigger a
+        // huge up-front allocation.
         let n_covs = dec.usize()?;
-        // Each nested covariance occupies at least its 8-byte length prefix
-        // plus the minimal frame; bounding the claimed count by the bytes
-        // actually present keeps a crafted buffer from triggering a huge
-        // up-front allocation.
-        let min_nested = 8 + p3gm_store::HEADER_LEN + p3gm_store::CHECKSUM_LEN;
-        if n_covs > dec.remaining() / min_nested {
-            return Err(StoreError::Truncated {
-                needed: n_covs.saturating_mul(min_nested),
-                available: dec.remaining(),
+        if n_covs != k {
+            return Err(StoreError::Invalid {
+                msg: format!("mixture shape mismatch: {k} weights, {n_covs} covariances"),
             });
         }
-        let mut covariances = Vec::with_capacity(n_covs);
-        for _ in 0..n_covs {
+        let mut covariances = Vec::with_capacity(k);
+        for _ in 0..k {
             covariances.push(Matrix::from_bytes(dec.nested()?)?);
         }
         dec.finish()?;
 
-        let k = weights.len();
         let d = means.cols();
-        if k == 0 || means.rows() != k || covariances.len() != k || d == 0 {
+        if k == 0 || means.rows() != k || d == 0 {
             return Err(StoreError::Invalid {
                 msg: format!(
-                    "mixture shape mismatch: {k} weights, {} means, {} covariances",
-                    means.rows(),
-                    covariances.len()
+                    "mixture shape mismatch: {k} weights, {} means",
+                    means.rows()
                 ),
             });
         }
@@ -893,6 +890,22 @@ mod tests {
         for cov in gmm.covariances() {
             enc.nested(&cov.to_bytes());
         }
+        assert!(matches!(
+            Gmm::from_bytes(&enc.finish()),
+            Err(p3gm_store::StoreError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn a_huge_claimed_covariance_count_is_invalid_before_any_allocation() {
+        // A count of 2^60 covariances against two weights is rejected
+        // before a covariance is read; reserving space for it would
+        // abort the process instead.
+        let gmm = two_component_gmm();
+        let mut enc = p3gm_store::Encoder::new(p3gm_store::tags::GMM);
+        enc.f64_slice(gmm.weights());
+        enc.nested(&gmm.means().to_bytes());
+        enc.usize(1 << 60);
         assert!(matches!(
             Gmm::from_bytes(&enc.finish()),
             Err(p3gm_store::StoreError::Invalid { .. })

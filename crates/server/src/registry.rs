@@ -50,7 +50,7 @@ use p3gm_privacy::rdp::PrivacySpec;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
 use std::time::Duration;
 
 /// File extension a registry directory entry must carry to be considered
@@ -190,6 +190,26 @@ struct ModelEntry {
     last_used: AtomicU64,
 }
 
+impl ModelEntry {
+    /// Whether the entry's weights are resident (decoded and held by the
+    /// registry): the one residency check eviction, `is_resident` and
+    /// `stats` share.
+    fn is_resident(&self) -> bool {
+        matches!(*unpoisoned(self.state.lock()), LoadState::Loaded { .. })
+    }
+}
+
+/// The registry's one rule for a poisoned lock: take the guard and carry
+/// on. A panic on one request thread must not fail every later request
+/// for the rest of the process. Recovering is sound because no critical
+/// section here can leave its data half updated: each changes it in
+/// whole-value steps (a `LoadState` swap, a map insert or remove). The
+/// decode and the header peeks, the steps that run on untrusted bytes,
+/// hold no lock that guards data (reload's serializing lock guards `()`).
+fn unpoisoned<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// What one [`Registry::reload`] (or the initial scan) did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReloadReport {
@@ -301,22 +321,16 @@ impl Registry {
     /// concurrent reloads **and evictions** — the registry dropping its
     /// reference never invalidates a handle already serving a request.
     pub fn get(&self, name: &str) -> Result<Arc<SynthesisSnapshot>, RegistryError> {
-        let entry = {
-            let entries = self
-                .entries
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            entries.get(name).cloned().ok_or(RegistryError::NotFound)?
-        };
+        let entry = unpoisoned(self.entries.read())
+            .get(name)
+            .cloned()
+            .ok_or(RegistryError::NotFound)?;
         entry.last_used.store(
             self.clock.fetch_add(1, Ordering::Relaxed) + 1,
             Ordering::Relaxed,
         );
 
-        let mut state = entry
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut state = unpoisoned(entry.state.lock());
         loop {
             match &*state {
                 LoadState::Loaded { model, .. } => {
@@ -327,10 +341,8 @@ impl Registry {
                     return Err(RegistryError::DecodeFailed(reason.clone()));
                 }
                 LoadState::Loading => {
-                    let (next, wait) = entry
-                        .loaded_cond
-                        .wait_timeout(state, self.config.load_wait)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let (next, wait) =
+                        unpoisoned(entry.loaded_cond.wait_timeout(state, self.config.load_wait));
                     state = next;
                     if wait.timed_out() && matches!(&*state, LoadState::Loading) {
                         return Err(RegistryError::LoadTimeout);
@@ -343,10 +355,7 @@ impl Registry {
                     // Decode outside the entry lock so waiters can block
                     // on the condvar and the registry stays responsive.
                     let decoded = load_model(&entry.header);
-                    let mut state = entry
-                        .state
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    let mut state = unpoisoned(entry.state.lock());
                     let result = match decoded {
                         Ok(model) => {
                             let model = Arc::new(model);
@@ -387,35 +396,18 @@ impl Registry {
             return;
         };
         while self.resident_bytes.load(Ordering::Relaxed) > budget {
-            let victim = {
-                let entries = self
-                    .entries
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                entries
-                    .iter()
-                    .filter(|(name, _)| name.as_str() != protect)
-                    .filter(|(_, e)| {
-                        matches!(
-                            &*e.state
-                                .lock()
-                                .unwrap_or_else(std::sync::PoisonError::into_inner),
-                            LoadState::Loaded { .. }
-                        )
-                    })
-                    .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                    .map(|(_, e)| Arc::clone(e))
-            };
+            let victim = unpoisoned(self.entries.read())
+                .iter()
+                .filter(|(name, e)| name.as_str() != protect && e.is_resident())
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(_, e)| Arc::clone(e));
             let Some(victim) = victim else {
                 // Nothing evictable (only the protected model is
                 // resident): the budget over-run rides until handles
                 // drop naturally.
                 return;
             };
-            let mut state = victim
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut state = unpoisoned(victim.state.lock());
             // Re-check under the lock: a racing `get` may have touched
             // the entry, but evicting it is still safe — its handle
             // keeps the model alive; only the registry's copy drops.
@@ -432,9 +424,7 @@ impl Registry {
     /// The peeked header for a named model, if registered. Never decodes
     /// or touches weight payloads.
     pub fn header(&self, name: &str) -> Option<Arc<ModelHeader>> {
-        self.entries
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.entries.read())
             .get(name)
             .map(|e| Arc::clone(&e.header))
     }
@@ -442,9 +432,7 @@ impl Registry {
     /// Headers for every registered model, sorted by name. Listing is
     /// metadata-only: no weight payload is decoded or cloned.
     pub fn list_headers(&self) -> Vec<Arc<ModelHeader>> {
-        self.entries
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        unpoisoned(self.entries.read())
             .values()
             .map(|e| Arc::clone(&e.header))
             .collect()
@@ -453,29 +441,13 @@ impl Registry {
     /// Whether a model's weights are currently resident (decoded and
     /// held by the registry).
     pub fn is_resident(&self, name: &str) -> bool {
-        let entry = {
-            let entries = self
-                .entries
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            entries.get(name).cloned()
-        };
-        entry.is_some_and(|e| {
-            matches!(
-                &*e.state
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-                LoadState::Loaded { .. }
-            )
-        })
+        let entry = unpoisoned(self.entries.read()).get(name).cloned();
+        entry.is_some_and(|e| e.is_resident())
     }
 
     /// Number of registered models.
     pub fn len(&self) -> usize {
-        self.entries
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+        unpoisoned(self.entries.read()).len()
     }
 
     /// Whether no models are registered.
@@ -497,21 +469,8 @@ impl Registry {
     /// request hot path.
     pub fn stats(&self) -> RegistryStats {
         let (models, resident_models) = {
-            let entries = self
-                .entries
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let resident = entries
-                .values()
-                .filter(|e| {
-                    matches!(
-                        &*e.state
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner),
-                        LoadState::Loaded { .. }
-                    )
-                })
-                .count() as u64;
+            let entries = unpoisoned(self.entries.read());
+            let resident = entries.values().filter(|e| e.is_resident()).count() as u64;
             (entries.len() as u64, resident)
         };
         RegistryStats {
@@ -541,10 +500,7 @@ impl Registry {
     /// it. Returns what changed; `Err` only when the directory itself
     /// cannot be listed.
     pub fn reload(&self) -> std::io::Result<ReloadReport> {
-        let _serialized = self
-            .reload_lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _serialized = unpoisoned(self.reload_lock.lock());
         let mut report = ReloadReport::default();
         let mut seen: Vec<(String, Fingerprint, PathBuf)> = Vec::new();
 
@@ -583,16 +539,10 @@ impl Registry {
         }
 
         // Peek new/changed files without holding any lock.
-        let current: BTreeMap<String, Fingerprint> = {
-            let entries = self
-                .entries
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            entries
-                .iter()
-                .map(|(name, e)| (name.clone(), e.header.fingerprint))
-                .collect()
-        };
+        let current: BTreeMap<String, Fingerprint> = unpoisoned(self.entries.read())
+            .iter()
+            .map(|(name, e)| (name.clone(), e.header.fingerprint))
+            .collect();
         let mut fresh: Vec<Arc<ModelEntry>> = Vec::new();
         for (name, fp, path) in &seen {
             if current.get(name) == Some(fp) {
@@ -628,10 +578,7 @@ impl Registry {
             .collect();
         let mut replaced: Vec<Arc<ModelEntry>> = Vec::new();
         {
-            let mut entries = self
-                .entries
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut entries = unpoisoned(self.entries.write());
             let vanished: Vec<String> = entries
                 .keys()
                 .filter(|name| !keep.contains(name.as_str()))
@@ -653,11 +600,7 @@ impl Registry {
         // superseded while they were resident; in-flight handles still
         // keep the models themselves alive.
         for old in replaced {
-            let state = old
-                .state
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let LoadState::Loaded { cost, .. } = &*state {
+            if let LoadState::Loaded { cost, .. } = &*unpoisoned(old.state.lock()) {
                 self.resident_bytes.fetch_sub(*cost, Ordering::Relaxed);
             }
         }

@@ -46,12 +46,22 @@
 //!
 //! ## Decoding discipline
 //!
-//! [`Decoder::new`] validates the frame before any field is read: length,
-//! magic, version, tag, payload length, then checksum. Field reads are
-//! bounds-checked and a type's `from_bytes` finishes with
+//! [`Decoder::new`] validates the frame before any field is read:
+//! [`peek_frame`], the one frame-header parser, checks length, magic and
+//! version; then come the tag, the buffer length against the claimed
+//! payload length ([`FrameInfo::check_len`]) and the checksum. Field reads are bounds-checked and a type's `from_bytes` finishes with
 //! [`Decoder::finish`], which rejects trailing payload bytes. Truncated,
 //! bit-flipped, wrong-tag and future-version buffers therefore all fail
 //! with a typed error — never a panic and never a silently wrong value.
+//!
+//! A header peek reads a bounded prefix instead of the whole buffer.
+//! [`Decoder::over_prefix`] checks the frame header the same way and
+//! holds whatever payload the prefix carries; [`Decoder::nested_prefix`]
+//! steps over a nested buffer the prefix may cut short and reports the
+//! offset of the field after it; [`Decoder::fields`] decodes a second
+//! bounded read taken at that offset. These prefix readers are the only
+//! code that computes a frame offset: no other crate does arithmetic on
+//! [`HEADER_LEN`], [`CHECKSUM_LEN`] or a length prefix's width.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -248,6 +258,29 @@ impl FrameInfo {
             .ok()
             .and_then(|p| p.checked_add(HEADER_LEN + CHECKSUM_LEN))
     }
+
+    /// Checks that `len` bytes (a whole buffer or file) hold exactly this
+    /// frame and returns the framed length: [`StoreError::Truncated`]
+    /// when they fall short of it, [`StoreError::TrailingBytes`] when
+    /// they run past it.
+    pub fn check_len(&self, len: usize) -> Result<usize> {
+        let framed_len = self.framed_len().ok_or(StoreError::Truncated {
+            needed: usize::MAX,
+            available: len,
+        })?;
+        if len < framed_len {
+            return Err(StoreError::Truncated {
+                needed: framed_len,
+                available: len,
+            });
+        }
+        if len > framed_len {
+            return Err(StoreError::TrailingBytes {
+                count: len - framed_len,
+            });
+        }
+        Ok(framed_len)
+    }
 }
 
 /// Little-endian `u32` from the first four bytes of `bytes`. Slice
@@ -309,6 +342,18 @@ pub fn peek_frame(bytes: &[u8]) -> Result<FrameInfo> {
         tag,
         payload_len,
     })
+}
+
+/// [`peek_frame`] plus the tag check both decoders start with.
+fn peek_tagged(bytes: &[u8], expected_tag: u32) -> Result<FrameInfo> {
+    let info = peek_frame(bytes)?;
+    if info.tag != expected_tag {
+        return Err(StoreError::WrongTag {
+            expected: expected_tag,
+            found: info.tag,
+        });
+    }
+    Ok(info)
 }
 
 /// Builds one framed snapshot buffer (see the crate docs for the layout).
@@ -405,69 +450,27 @@ impl Encoder {
 /// bounds-checking every field read.
 #[derive(Debug)]
 pub struct Decoder<'a> {
-    payload: &'a [u8],
+    bytes: &'a [u8],
+    /// Offset in `bytes` of the next field.
     pos: usize,
+    /// Offset in `bytes` where the readable fields end.
+    end: usize,
 }
 
 impl<'a> Decoder<'a> {
     /// Validates the frame (magic, version, tag, payload length, checksum)
     /// and positions the decoder at the start of the payload.
     pub fn new(bytes: &'a [u8], expected_tag: u32) -> Result<Self> {
-        if bytes.len() < HEADER_LEN + CHECKSUM_LEN {
-            return Err(StoreError::Truncated {
-                needed: HEADER_LEN + CHECKSUM_LEN,
-                available: bytes.len(),
-            });
-        }
-        if bytes[..4] != MAGIC {
-            return Err(StoreError::BadMagic);
-        }
-        let version = le_u32(&bytes[4..])?;
-        if version != FORMAT_VERSION {
-            return Err(StoreError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let tag = le_u32(&bytes[8..])?;
-        if tag != expected_tag {
-            return Err(StoreError::WrongTag {
-                expected: expected_tag,
-                found: tag,
-            });
-        }
-        let payload_len = le_u64(&bytes[12..])?;
-        let payload_len: usize = payload_len.try_into().map_err(|_| StoreError::Truncated {
-            needed: usize::MAX,
-            available: bytes.len(),
-        })?;
-        let framed_len = HEADER_LEN
-            .checked_add(payload_len)
-            .and_then(|n| n.checked_add(CHECKSUM_LEN))
-            .ok_or(StoreError::Truncated {
-                needed: usize::MAX,
-                available: bytes.len(),
-            })?;
-        if bytes.len() < framed_len {
-            return Err(StoreError::Truncated {
-                needed: framed_len,
-                available: bytes.len(),
-            });
-        }
-        if bytes.len() > framed_len {
-            return Err(StoreError::TrailingBytes {
-                count: bytes.len() - framed_len,
-            });
-        }
-        let body = &bytes[..HEADER_LEN + payload_len];
-        let stored = le_u32(&bytes[HEADER_LEN + payload_len..])?;
-        let computed = crc32(body);
+        let end = peek_tagged(bytes, expected_tag)?.check_len(bytes.len())? - CHECKSUM_LEN;
+        let stored = le_u32(&bytes[end..])?;
+        let computed = crc32(&bytes[..end]);
         if computed != stored {
             return Err(StoreError::ChecksumMismatch { computed, stored });
         }
         Ok(Decoder {
-            payload: &bytes[HEADER_LEN..HEADER_LEN + payload_len],
-            pos: 0,
+            bytes,
+            pos: HEADER_LEN,
+            end,
         })
     }
 
@@ -487,32 +490,38 @@ impl<'a> Decoder<'a> {
     /// whole point). Integrity-critical decodes must keep using
     /// [`Decoder::new`].
     pub fn over_prefix(bytes: &'a [u8], expected_tag: u32) -> Result<Self> {
-        let info = peek_frame(bytes)?;
-        if info.tag != expected_tag {
-            return Err(StoreError::WrongTag {
-                expected: expected_tag,
-                found: info.tag,
-            });
-        }
-        let available = bytes.len() - HEADER_LEN;
-        let payload_len = usize::try_from(info.payload_len)
-            .unwrap_or(usize::MAX)
-            .min(available);
+        let info = peek_tagged(bytes, expected_tag)?;
+        let end = info
+            .framed_len()
+            .map_or(bytes.len(), |n| (n - CHECKSUM_LEN).min(bytes.len()));
         Ok(Decoder {
-            payload: &bytes[HEADER_LEN..HEADER_LEN + payload_len],
-            pos: 0,
+            bytes,
+            pos: HEADER_LEN,
+            end,
         })
     }
 
+    /// A decoder over bare payload fields with no frame of their own:
+    /// the second bounded read of a peek, taken at an offset
+    /// [`Decoder::nested_prefix`] reported. Reads are bounds-checked
+    /// against `bytes`; there is no tag or checksum to check.
+    pub fn fields(bytes: &'a [u8]) -> Self {
+        Decoder {
+            bytes,
+            pos: 0,
+            end: bytes.len(),
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let available = self.payload.len() - self.pos;
+        let available = self.end - self.pos;
         if available < n {
             return Err(StoreError::Truncated {
                 needed: n,
                 available,
             });
         }
-        let slice = &self.payload[self.pos..self.pos + n];
+        let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
     }
@@ -558,7 +567,7 @@ impl<'a> Decoder<'a> {
     /// Reads a length-prefixed `f64` vector.
     pub fn f64_vec(&mut self) -> Result<Vec<f64>> {
         let len = self.usize()?;
-        let available = self.payload.len() - self.pos;
+        let available = self.end - self.pos;
         // Bound the allocation by the bytes actually present so a crafted
         // length cannot trigger an out-of-memory allocation.
         if len > available / 8 {
@@ -580,6 +589,26 @@ impl<'a> Decoder<'a> {
         self.take(len)
     }
 
+    /// Reads a length-prefixed nested buffer that may run past the bytes
+    /// this decoder holds, as in a peek over a bounded prefix. Returns
+    /// the part of the nested buffer the decoder holds and the offset,
+    /// in the bytes the decoder was built over, of the field after it;
+    /// the decoder moves to that field (or to its end, when the field
+    /// lies past it). These offsets are the only frame arithmetic a
+    /// peek needs.
+    pub fn nested_prefix(&mut self) -> Result<(&'a [u8], usize)> {
+        let len = self.usize()?;
+        let next = self
+            .pos
+            .checked_add(len)
+            .ok_or_else(|| StoreError::Invalid {
+                msg: "nested length overflows".to_string(),
+            })?;
+        let held = &self.bytes[self.pos..next.min(self.end)];
+        self.pos = next.min(self.end);
+        Ok((held, next))
+    }
+
     /// Reads a length-prefixed UTF-8 string written by [`Encoder::str`].
     /// Invalid UTF-8 is a typed [`StoreError::Invalid`]; the length is
     /// bounds-checked against the remaining payload before any allocation.
@@ -593,16 +622,11 @@ impl<'a> Decoder<'a> {
             })
     }
 
-    /// Number of unread payload bytes.
-    pub fn remaining(&self) -> usize {
-        self.payload.len() - self.pos
-    }
-
     /// Finishes decoding, rejecting unread payload bytes.
     pub fn finish(self) -> Result<()> {
-        if self.pos != self.payload.len() {
+        if self.pos != self.end {
             return Err(StoreError::TrailingBytes {
-                count: self.payload.len() - self.pos,
+                count: self.end - self.pos,
             });
         }
         Ok(())
@@ -716,6 +740,49 @@ mod tests {
         extended.extend_from_slice(b"junk");
         let mut dec = Decoder::over_prefix(&extended, tags::MATRIX).unwrap();
         assert_eq!(dec.u64().unwrap(), 3);
+    }
+
+    #[test]
+    fn nested_prefix_reports_the_next_field_past_a_cut_prefix() {
+        let inner = sample_buffer();
+        let mut enc = Encoder::new(tags::GMM);
+        enc.nested(&inner).u8(9);
+        let bytes = enc.finish();
+
+        // The whole buffer: the nested buffer is held in full and the
+        // decoder continues with the field after it.
+        let mut dec = Decoder::over_prefix(&bytes, tags::GMM).unwrap();
+        let (held, next) = dec.nested_prefix().unwrap();
+        assert_eq!(held, inner.as_slice());
+        assert_eq!(bytes[next], 9);
+        assert_eq!(dec.u8().unwrap(), 9);
+
+        // A prefix that cuts the nested buffer: the decoder holds its
+        // first bytes, reports the same offset, and reads past the cut
+        // fail typed. A second read at that offset carries on.
+        let cut = HEADER_LEN + 8 + 30;
+        let mut dec = Decoder::over_prefix(&bytes[..cut], tags::GMM).unwrap();
+        let (held, at) = dec.nested_prefix().unwrap();
+        assert_eq!(held, &inner[..30]);
+        assert_eq!(at, next);
+        assert!(matches!(dec.u8(), Err(StoreError::Truncated { .. })));
+        let mut rest = Decoder::fields(&bytes[at..]);
+        assert_eq!(rest.u8().unwrap(), 9);
+
+        // A claimed length that overflows the offset is a typed error.
+        let mut enc = Encoder::new(tags::GMM);
+        enc.u64(u64::MAX);
+        let bytes = enc.finish();
+        let mut dec = Decoder::over_prefix(&bytes, tags::GMM).unwrap();
+        assert!(matches!(
+            dec.nested_prefix(),
+            Err(StoreError::Invalid { .. })
+        ));
+        // An empty second read is a truncation, never a panic.
+        assert!(matches!(
+            Decoder::fields(&[]).bool(),
+            Err(StoreError::Truncated { .. })
+        ));
     }
 
     #[test]

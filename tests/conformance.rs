@@ -124,6 +124,13 @@ fn d4_fires_on_panic_paths_in_untrusted_byte_zones() {
         rules_hit("crates/server/src/json.rs", &src),
         vec![RuleId::D4]
     );
+    // The snapshot header peek reads files dropped into a model
+    // directory, so its module is a zone too.
+    let src = "pub fn f(b: &[u8]) -> [u8; 8] { b[..8].try_into().expect(\"8 bytes\") }\n";
+    assert_eq!(
+        rules_hit("crates/core/src/snapshot.rs", src),
+        vec![RuleId::D4]
+    );
     // The same code under #[cfg(test)] is a test's prerogative.
     let src = format!(
         "{FORBID}#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{ assert!(1 < 2); [0u8][0]; Some(1).unwrap(); }}\n}}\n"
