@@ -1,9 +1,10 @@
 //! Microbenchmarks for the numeric kernels the P3GM pipeline spends its
 //! time in — register-tiled matmul and gram, per-example DP-SGD gradients
-//! (batched forward + backward), the fused clip-and-sum pass, and the
+//! (batched forward + backward), the fused clip-and-sum pass, the
 //! batched (DP-)EM E-step (with its n×k log-density sub-kernel measured
-//! separately) — each swept over 1/2/4 worker threads via
-//! `p3gm_parallel::with_threads`.
+//! separately), and a served window's prior draws plus batched decode
+//! (`SynthesisSnapshot::sample_rows`) — each swept over 1/2/4 worker
+//! threads via `p3gm_parallel::with_threads`.
 //!
 //! Before timing, every kernel's output at 2 and 4 threads is asserted to
 //! be **bit-identical** to the single-threaded run (the determinism
@@ -18,6 +19,12 @@
 //! ```
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use p3gm_core::config::PgmConfig;
+use p3gm_core::pgm::PhasedGenerativeModel;
+use p3gm_core::snapshot::SynthesisSnapshot;
+use p3gm_core::synthesis::LabelledSynthesizer;
+use p3gm_datasets::Dataset;
+use p3gm_eval::scale::Scale;
 use p3gm_linalg::Matrix;
 use p3gm_mixture::Gmm;
 use p3gm_nn::activation::Activation;
@@ -157,6 +164,67 @@ fn bench_em_log_densities(c: &mut Criterion) {
     }
 }
 
+/// A snapshot fitted to `data`'s prepared rows (scaled features and a
+/// one-hot label) under `config`. Sampling cost depends on the trained
+/// decoder, whose logits mostly saturate the sigmoid, so the served shapes
+/// are fitted rather than freshly initialized.
+fn fitted(data: &Dataset, config: PgmConfig) -> SynthesisSnapshot {
+    let (_, prepared) =
+        LabelledSynthesizer::prepare(&data.features, &data.labels, data.n_classes).unwrap();
+    let mut rng = StdRng::seed_from_u64(1);
+    let (model, _) = PhasedGenerativeModel::fit(&mut rng, &prepared, config).unwrap();
+    SynthesisSnapshot::capture(model)
+}
+
+fn bench_sample_rows(c: &mut Criterion) {
+    // The two served shapes: a 512-row window (the server's stream chunk)
+    // of an adult-like model, and an n = 64 request to the 206-column
+    // MNIST-like model at `Scale::Paper`.
+    let mut rng = StdRng::seed_from_u64(0xDA7A_5EED);
+    let adult = p3gm_datasets::tabular::adult_like(&mut rng, 400);
+    let adult = fitted(
+        &adult,
+        PgmConfig {
+            latent_dim: 6,
+            hidden_dim: 24,
+            epochs: 2,
+            batch_size: 64,
+            ..PgmConfig::default()
+        },
+    );
+    let scale = Scale::Paper;
+    let mnist = p3gm_datasets::images::mnist_like(&mut rng, scale.n_images(), scale.image_size());
+    let mnist = fitted(
+        &mnist,
+        PgmConfig {
+            latent_dim: scale.latent_dim(),
+            hidden_dim: scale.hidden_dim(),
+            epochs: scale.epochs(),
+            batch_size: scale.batch_size(),
+            ..PgmConfig::default()
+        },
+    );
+    for (shape, snapshot, rows) in [("adult_w512", &adult, 512), ("mnist_n64", &mnist, 64)] {
+        let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let reference = with_threads(1, || bits(&snapshot.sample_rows(7, 0, rows)));
+        for t in THREADS {
+            let out = with_threads(t, || bits(&snapshot.sample_rows(7, 0, rows)));
+            assert_eq!(
+                out, reference,
+                "sample_rows must be bit-identical at {t} threads"
+            );
+            c.bench_function(
+                &format!("kernels/sample_rows_{shape}/threads={t}"),
+                |bench| {
+                    bench.iter(|| {
+                        with_threads(t, || black_box(snapshot.sample_rows(7, 0, rows).get(0, 0)))
+                    })
+                },
+            );
+        }
+    }
+}
+
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -168,6 +236,6 @@ criterion_group! {
     name = kernels;
     config = config();
     targets = bench_matmul, bench_gram, bench_clip_and_sum, bench_dpsgd_gradients,
-        bench_em_estep, bench_em_log_densities
+        bench_em_estep, bench_em_log_densities, bench_sample_rows
 }
 criterion_main!(kernels);

@@ -170,34 +170,33 @@ impl SynthesisSnapshot {
     /// This is the random-access primitive every sampling path consumes:
     /// the result depends only on `(seed, start, rows)` — requesting the
     /// same row range in any larger or smaller batch yields the same
-    /// bytes. A `start` that is not a multiple of [`SEED_BLOCK_ROWS`]
-    /// re-derives the prior draws of the partial leading block (decoding —
-    /// the expensive step — is never repeated). Zero rows yield a
-    /// `0 × data_dim` matrix.
+    /// bytes. Zero rows yield a `0 × data_dim` matrix.
+    ///
+    /// The window's prior draws land in place in one `rows × latent_dim`
+    /// matrix, which one [`PhasedGenerativeModel::decode`] turns into the
+    /// window's rows: a batched forward pass and an in-place sigmoid
+    /// sweep, on the calling thread. A `start` that is not a multiple of
+    /// [`SEED_BLOCK_ROWS`] re-derives the prior draws of the partial
+    /// leading block into the window's first row, which its own draw then
+    /// overwrites; decoding, the expensive step, is never repeated.
     pub fn sample_rows(&self, seed: u64, start: usize, rows: usize) -> Matrix {
-        let d = self.model.data_dim();
-        let mut out = Matrix::zeros(rows, d);
-        let buf = out.as_mut_slice();
+        let prior = self.model.prior();
+        let mut latents = Matrix::zeros(rows, prior.dim());
         let end = start + rows;
         let mut row = start;
         while row < end {
             let block = row / SEED_BLOCK_ROWS;
             let block_start = block * SEED_BLOCK_ROWS;
-            let block_end = block_start + SEED_BLOCK_ROWS;
+            let block_end = (block_start + SEED_BLOCK_ROWS).min(end);
             let mut rng = StdRng::seed_from_u64(derive_seed(seed, block as u64));
-            // Burn the prior draws of rows before `row` in this block so
-            // an unaligned start continues the exact block stream.
-            for _ in block_start..row {
-                let _ = self.model.prior().sample(&mut rng);
-            }
-            for r in row..end.min(block_end) {
-                let z = self.model.prior().sample(&mut rng);
-                let offset = (r - start) * d;
-                buf[offset..offset + d].copy_from_slice(&self.model.decode(&z));
+            // Rows before `row` are burn-in: their draws land in the row
+            // that the draw for `row` then overwrites.
+            for r in block_start..block_end {
+                prior.sample(&mut rng, latents.row_mut(r.max(row) - start));
             }
             row = block_end;
         }
-        out
+        self.model.decode(&latents)
     }
 
     /// Draws `n` model-space rows from the stream identified by `seed`:
@@ -412,7 +411,7 @@ fn derive_seed(seed: u64, index: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::config::PgmConfig;
-    use crate::VarianceMode;
+    use crate::{GenerativeModel, VarianceMode};
     use p3gm_privacy::sampling;
 
     fn rng() -> StdRng {
@@ -509,6 +508,71 @@ mod tests {
                 "rows {start}..{}",
                 start + rows
             );
+        }
+    }
+
+    /// The sigmoid as the two-branch formula, for the per-row reference.
+    fn two_branch_sigmoid(x: f64) -> f64 {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    /// One latent row decoded on its own: `Mlp::forward`, then the
+    /// two-branch sigmoid of each logit.
+    fn decode_row(model: &PhasedGenerativeModel, z: &[f64]) -> Vec<f64> {
+        let logits = model.decoder().forward(z);
+        logits.into_iter().map(two_branch_sigmoid).collect()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_windows_match_a_per_row_draw_and_decode() {
+        let (snapshot, model) = trained_snapshot();
+        let prior = model.prior();
+        let d = model.data_dim();
+        let seed = 21;
+        // The stream's rows 0..1025 drawn and decoded one at a time, each
+        // block's generator seeded as the stream defines it.
+        let mut z = vec![0.0; prior.dim()];
+        let mut stream = Vec::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        for r in 0..1025 {
+            if r % SEED_BLOCK_ROWS == 0 {
+                rng = StdRng::seed_from_u64(derive_seed(seed, (r / SEED_BLOCK_ROWS) as u64));
+            }
+            prior.sample(&mut rng, &mut z);
+            stream.extend(decode_row(&model, &z));
+        }
+        // `GenerativeModel::sample` draws from the caller's generator.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut drawn = Vec::new();
+        for _ in 0..70 {
+            prior.sample(&mut rng, &mut z);
+            drawn.extend(decode_row(&model, &z));
+        }
+        let n = 130;
+        for threads in [1, 2, 4] {
+            p3gm_parallel::with_threads(threads, || {
+                for (start, rows) in [(0, n), (3, 70), (63, 2), (513, 512), (0, 0), (100, 0)] {
+                    let window = snapshot.sample_rows(seed, start, rows);
+                    assert_eq!(window.shape(), (rows, d));
+                    assert_eq!(
+                        bits(window.as_slice()),
+                        bits(&stream[start * d..(start + rows) * d]),
+                        "rows {start}..{} at {threads} threads",
+                        start + rows
+                    );
+                }
+                let sampled = model.sample(&mut StdRng::seed_from_u64(seed), 70);
+                assert_eq!(bits(sampled.as_slice()), bits(&drawn), "{threads} threads");
+            });
         }
     }
 

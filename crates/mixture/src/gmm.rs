@@ -348,17 +348,22 @@ impl Gmm {
         resp
     }
 
-    /// Draws one sample from the mixture.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
+    /// Draws one sample from the mixture into `out`: a component by
+    /// weight, then that component's Gaussian in place
+    /// ([`sampling::multivariate_normal`]).
+    ///
+    /// # Panics
+    /// Panics if `out` is not [`Gmm::dim`] long.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
         let k = sampling::categorical(rng, &self.weights);
-        sampling::multivariate_normal(rng, self.means.row(k), &self.factors[k])
+        sampling::multivariate_normal(rng, self.means.row(k), &self.factors[k], out);
     }
 
     /// Draws `n` samples from the mixture as rows of a matrix.
     pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Matrix {
         let mut out = Matrix::zeros(n, self.dim());
         for i in 0..n {
-            out.row_mut(i).copy_from_slice(&self.sample(rng));
+            self.sample(rng, out.row_mut(i));
         }
         out
     }
@@ -723,6 +728,42 @@ mod tests {
     }
 
     #[test]
+    fn in_place_sample_matches_mean_plus_l_z_from_an_allocated_z() {
+        // The reference is the allocating sampler: pick a component, draw
+        // z into a fresh vector, then set each entry to mean + Σ_j L[i][j]
+        // z[j]. Full 4 × 4 covariances give every row of L off-diagonal
+        // terms, so an entry overwritten too early would show.
+        let d = 4;
+        let cov = |s: f64| Matrix::from_fn(d, d, |i, j| if i == j { 1.0 + s } else { 0.3 * s });
+        let gmm = Gmm::new(
+            vec![0.2, 0.5, 0.3],
+            Matrix::from_fn(3, d, |k, i| (k * d + i) as f64 * 0.7 - 3.0),
+            vec![cov(0.5), cov(1.0), cov(2.0)],
+        )
+        .unwrap();
+        let mut r1 = rng();
+        let mut r2 = rng();
+        let mut out = vec![f64::NAN; d];
+        for _ in 0..500 {
+            gmm.sample(&mut r1, &mut out);
+            let k = sampling::categorical(&mut r2, gmm.weights());
+            let z = sampling::normal_vec(&mut r2, d, 1.0);
+            let l = gmm.factors[k].lower();
+            let reference: Vec<f64> = (0..d)
+                .map(|i| {
+                    let mut acc = 0.0;
+                    for (j, &zj) in z.iter().enumerate().take(i + 1) {
+                        acc += l.get(i, j) * zj;
+                    }
+                    gmm.means().get(k, i) + acc
+                })
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&reference));
+        }
+    }
+
+    #[test]
     fn mean_log_likelihood_prefers_generating_model() {
         let mut r = rng();
         let gmm = two_component_gmm();
@@ -850,8 +891,11 @@ mod tests {
         // The rebuilt caches reproduce the exact sample stream.
         let mut r1 = rng();
         let mut r2 = rng();
+        let (mut a, mut b) = ([0.0; 2], [0.0; 2]);
         for _ in 0..50 {
-            assert_eq!(gmm.sample(&mut r1), back.sample(&mut r2));
+            gmm.sample(&mut r1, &mut a);
+            back.sample(&mut r2, &mut b);
+            assert_eq!(a, b);
         }
         // And densities match bitwise too.
         assert_eq!(

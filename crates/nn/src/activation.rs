@@ -75,11 +75,31 @@ impl Activation {
     }
 }
 
-/// Numerically stable logistic sigmoid.
+/// Numerically stable logistic sigmoid: `1 / (1 + e^−x)` for `x ≥ 0` and
+/// `e^x / (1 + e^x)` below, returned without calling `exp` wherever
+/// rounding already fixes the result, with the same bits on every input:
+///
+/// * `x > 37` gives `1.0`: `e^−37 ≈ 8.5e−17` is below `2^−53`, half an
+///   ulp of 1, so `1 + e^−x` rounds to 1.
+/// * `x < −37` gives `e^x`: `1 + e^x` rounds to 1 the same way, so the
+///   quotient is `e^x` itself.
+/// * `x < −750` gives `0.0`: `e^−750 ≈ 2e−326` is under half the least
+///   subnormal (`2^−1075 ≈ 2.5e−324`), so `e^x` rounds to zero.
+///
+/// A trained decoder's logits mostly lie far outside ±37, where the
+/// skipped `exp` would take libm's underflow and subnormal paths. NaN
+/// fails every comparison and takes the last branch, as it took the
+/// second branch of the formula.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
+    if x > 37.0 {
+        1.0
+    } else if x >= 0.0 {
         1.0 / (1.0 + (-x).exp())
+    } else if x < -750.0 {
+        0.0
+    } else if x < -37.0 {
+        x.exp()
     } else {
         let e = x.exp();
         e / (1.0 + e)
@@ -89,6 +109,72 @@ pub fn sigmoid(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The two-branch formula [`sigmoid`] must match bit for bit.
+    fn two_branch_sigmoid(x: f64) -> f64 {
+        if x >= 0.0 {
+            1.0 / (1.0 + (-x).exp())
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    fn assert_matches_two_branch(x: f64) {
+        assert_eq!(
+            sigmoid(x).to_bits(),
+            two_branch_sigmoid(x).to_bits(),
+            "sigmoid({x:e}) (bits {:#018x})",
+            x.to_bits()
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200_000))]
+        #[test]
+        fn sigmoid_matches_the_two_branch_formula_on_any_bits(bits in any::<u64>()) {
+            assert_matches_two_branch(f64::from_bits(bits));
+        }
+    }
+
+    #[test]
+    fn sigmoid_matches_the_two_branch_formula_around_every_threshold() {
+        // ±2^20 ulps around the saturation thresholds (±37, −750) and
+        // where exp(x) turns subnormal (−708.4) and rounds to zero
+        // (−745.13).
+        for centre in [37.0, -37.0, -708.4, -745.13, -750.0] {
+            let bits = f64::to_bits(centre);
+            for offset in -(1i64 << 20)..=(1 << 20) {
+                assert_matches_two_branch(f64::from_bits(bits.wrapping_add_signed(offset)));
+            }
+        }
+        // Every multiple of 1/16 in [−1100, 1100], so a threshold moved
+        // anywhere in that range fails too.
+        for k in -17_600..=17_600 {
+            assert_matches_two_branch(k as f64 / 16.0);
+        }
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            -f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+        ];
+        for x in specials {
+            assert_matches_two_branch(x);
+        }
+    }
 
     const ACTS: [Activation; 2] = [Activation::Identity, Activation::Relu];
 

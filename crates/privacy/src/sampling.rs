@@ -58,25 +58,36 @@ pub fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
 }
 
 /// Draws one sample from the multivariate normal `N(mean, L Lᵀ)` given the
-/// Cholesky factor `L` of the covariance.
+/// Cholesky factor `L` of the covariance, into `out`.
+///
+/// The standard normal draws `z` land in `out` first; `mean + L·z` is then
+/// formed in place from the last entry up, so entry `i` still reads
+/// `z[..=i]` and each entry sums `L[i][j]·z[j]` in increasing `j` order.
+///
+/// # Panics
+/// Panics if `mean` or `out` is not `chol.dim()` long.
 pub fn multivariate_normal<R: Rng + ?Sized>(
     rng: &mut R,
     mean: &[f64],
     chol: &Cholesky,
-) -> Vec<f64> {
-    let d = mean.len();
-    debug_assert_eq!(d, chol.dim());
-    let z = normal_vec(rng, d, 1.0);
-    let l = chol.lower();
-    let mut out = mean.to_vec();
-    for (i, o) in out.iter_mut().enumerate() {
-        let mut acc = 0.0;
-        for (j, &zj) in z.iter().enumerate().take(i + 1) {
-            acc += l.get(i, j) * zj;
-        }
-        *o += acc;
+    out: &mut [f64],
+) {
+    let d = chol.dim();
+    assert!(
+        mean.len() == d && out.len() == d,
+        "multivariate_normal: mean and out must have the factor's dimension"
+    );
+    for z in out.iter_mut() {
+        *z = standard_normal(rng);
     }
-    out
+    let l = chol.lower();
+    for i in (0..d).rev() {
+        let mut acc = 0.0;
+        for (&lij, &zj) in l.row(i)[..=i].iter().zip(&out[..=i]) {
+            acc += lij * zj;
+        }
+        out[i] = mean[i] + acc;
+    }
 }
 
 /// Draws a `d x d` sample from the Wishart distribution `W_d(df, scale)`
@@ -91,9 +102,10 @@ pub(crate) fn wishart<R: Rng + ?Sized>(rng: &mut R, df: usize, scale_chol: &Chol
     let d = scale_chol.dim();
     assert!(df >= d, "Wishart requires df >= dimension");
     let zeros = vec![0.0; d];
+    let mut x = vec![0.0; d];
     let mut w = Matrix::zeros(d, d);
     for _ in 0..df {
-        let x = multivariate_normal(rng, &zeros, scale_chol);
+        multivariate_normal(rng, &zeros, scale_chol, &mut x);
         for i in 0..d {
             for j in 0..d {
                 let v = w.get(i, j) + x[i] * x[j];
@@ -231,7 +243,11 @@ mod tests {
         let mut sum = [0.0, 0.0];
         let mut cov_acc = [[0.0; 2]; 2];
         let samples: Vec<Vec<f64>> = (0..n)
-            .map(|_| multivariate_normal(&mut r, &mean, &chol))
+            .map(|_| {
+                let mut s = vec![0.0; 2];
+                multivariate_normal(&mut r, &mean, &chol, &mut s);
+                s
+            })
             .collect();
         for s in &samples {
             sum[0] += s[0];

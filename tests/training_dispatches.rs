@@ -1,16 +1,19 @@
-//! How many parallel dispatches training makes, counted with the pool's
-//! global dispatch counter. The counter is process-wide, so these tests
-//! live in a test binary of their own, and each holds [`SERIAL`] for its
-//! whole body: set-up work, such as an Encoding Phase, dispatches too.
+//! How many parallel dispatches training and sampling make, counted with
+//! the pool's global dispatch counter. The counter is process-wide, so
+//! these tests live in a test binary of their own, and each holds
+//! [`SERIAL`] for its whole body: set-up work, such as an Encoding Phase,
+//! dispatches too.
 //!
 //! * A DP-SGD step (PGM or VAE, private or not) is one dispatch: the
 //!   calling thread draws the step's noise while the helpers map the lot.
 //! * A (DP-)EM iteration is two dispatches (pass A and pass B), plus one
 //!   pass A on the initial model, after the k-means initialization.
+//! * A sampled window is none: it is decoded on the calling thread.
 
 use p3gm::core::config::{PgmConfig, VaeConfig};
 use p3gm::core::pgm::PhasedGenerativeModel;
-use p3gm::core::Vae;
+use p3gm::core::snapshot::SynthesisSnapshot;
+use p3gm::core::{GenerativeModel, Vae};
 use p3gm::linalg::Matrix;
 use p3gm::mixture::dpem::{self, DpEmConfig};
 use p3gm::mixture::em::{self, EmConfig};
@@ -140,4 +143,27 @@ fn an_em_iteration_is_two_dispatches() {
             "{max_iters} iterations"
         );
     }
+}
+
+#[test]
+fn a_sampled_window_is_no_dispatch() {
+    let _turn = exclusive();
+    let data = data();
+    let config = PgmConfig {
+        latent_dim: 3,
+        hidden_dim: 16,
+        mog_components: 2,
+        em_iterations: 2,
+        ..PgmConfig::default()
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    let model = PhasedGenerativeModel::encode_phase(&mut rng, &data, config).unwrap();
+    let snapshot = SynthesisSnapshot::capture(model.clone());
+    // 512 rows: the server's largest window, from an unaligned start.
+    let (window, count) = dispatches(|| snapshot.sample_rows(7, 3, 512));
+    assert_eq!(window.rows(), 512);
+    assert_eq!(count, 0, "sample_rows");
+    let (rows, count) = dispatches(|| model.sample(&mut rng, 512));
+    assert_eq!(rows.rows(), 512);
+    assert_eq!(count, 0, "GenerativeModel::sample");
 }
