@@ -117,17 +117,14 @@ impl Vae {
         (out[..d].to_vec(), out[d..].to_vec())
     }
 
-    /// Decodes a latent vector to the data-space mean (the sigmoid of the
-    /// decoder's logits).
-    pub fn decode(&self, z: &[f64]) -> Vec<f64> {
-        let logits = self.decoder.forward(z);
-        logits.iter().map(|&l| sigmoid(l)).collect()
-    }
-
-    /// Deterministic reconstruction of one row (encode to the mean, decode).
-    pub fn reconstruct(&self, x: &[f64]) -> Vec<f64> {
-        let (mu, _) = self.encode(x);
-        self.decode(&mu)
+    /// Decodes each row of `latents` to its data-space mean, the sigmoid
+    /// of the decoder's logits: one [`Mlp::forward_batch`] and an in-place
+    /// sigmoid sweep. Row `i` is bit-identical to [`sigmoid`] applied to
+    /// [`Mlp::forward`] of `latents.row(i)`, at every thread count.
+    pub fn decode(&self, latents: &Matrix) -> Matrix {
+        let mut means = self.decoder.forward_batch(latents);
+        means.map_inplace(sigmoid);
+        means
     }
 
     /// Average per-example reconstruction loss over a dataset (no sampling
@@ -251,14 +248,17 @@ impl LotModel for Vae {
 }
 
 impl GenerativeModel for Vae {
+    /// Draws each row's latent from the standard-normal prior into one
+    /// `n × latent_dim` matrix, then decodes it in one batch.
     fn sample(&self, rng: &mut dyn rand::RngCore, n: usize) -> Matrix {
         let d = self.config.latent_dim;
-        let mut out = Matrix::zeros(n, self.data_dim);
+        let mut latents = Matrix::zeros(n, d);
         for i in 0..n {
-            let z = sampling::normal_vec(rng, d, 1.0);
-            out.row_mut(i).copy_from_slice(&self.decode(&z));
+            latents
+                .row_mut(i)
+                .copy_from_slice(&sampling::normal_vec(rng, d, 1.0));
         }
-        out
+        self.decode(&latents)
     }
 }
 
@@ -508,8 +508,37 @@ mod tests {
         let (mu, logvar) = vae.encode(&[0.5; 6]);
         assert_eq!(mu.len(), 2);
         assert_eq!(logvar.len(), 2);
-        assert_eq!(vae.decode(&mu).len(), 6);
-        assert_eq!(vae.reconstruct(&[0.5; 6]).len(), 6);
+        let latents = Matrix::from_vec(1, 2, mu).unwrap();
+        assert_eq!(vae.decode(&latents).shape(), (1, 6));
+    }
+
+    #[test]
+    fn batched_samples_match_a_per_row_draw_and_decode() {
+        let mut r = rng();
+        let data = bimodal(&mut r, 60);
+        let (vae, _) = Vae::fit(&mut r, &data, small_config()).unwrap();
+        let d = vae.config.latent_dim;
+        let n = 130;
+        // Each row drawn and decoded on its own: `Mlp::forward`, then the
+        // sigmoid of each logit.
+        let mut draws = StdRng::seed_from_u64(5);
+        let per_row: Vec<u64> = (0..n)
+            .flat_map(|_| {
+                let z = sampling::normal_vec(&mut draws, d, 1.0);
+                vae.decoder
+                    .forward(&z)
+                    .into_iter()
+                    .map(|l| sigmoid(l).to_bits())
+            })
+            .collect();
+        for threads in [1, 2, 4] {
+            let sampled = p3gm_parallel::with_threads(threads, || {
+                vae.sample(&mut StdRng::seed_from_u64(5), n)
+            });
+            assert_eq!(sampled.shape(), (n, 6));
+            let bits: Vec<u64> = sampled.as_slice().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(bits, per_row, "{threads} threads");
+        }
     }
 
     #[test]

@@ -95,8 +95,11 @@ impl Linear {
     }
 
     /// Batched forward pass: `Z = X Wᵀ + 1 bᵀ` for a `batch x in_dim` input,
-    /// computed with the register-tiled `A·Bᵀ` kernel directly against the
-    /// layer's row-major weights (no transpose is materialized).
+    /// computed by [`Matrix::matmul_transposed_flat`] directly against the
+    /// layer's row-major weights (no transpose is materialized). That
+    /// kernel is not register-tiled: it computes each output as its own
+    /// lane-folded dot product of an input row with a weight row, with row
+    /// chunks spread over the thread pool.
     ///
     /// Row `i` of the result is bit-identical to `forward(x.row(i))`: both
     /// reduce each dot product with the same lane fold, and the bias add is

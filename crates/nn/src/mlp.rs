@@ -312,9 +312,9 @@ impl Mlp {
     /// the result.
     ///
     /// The batch flows through the network layer-wise: each layer is one
-    /// register-tiled `X Wᵀ` product ([`Linear::forward_batch`]) followed by
-    /// an element-wise activation sweep — no per-row dispatch or
-    /// allocation. Row `i` of the result is bit-identical to
+    /// `X Wᵀ` product ([`Linear::forward_batch`], one lane-folded dot
+    /// product per output, not register-tiled) followed by an element-wise
+    /// activation sweep — no per-row dispatch or allocation. Row `i` of the result is bit-identical to
     /// `forward(x.row(i))` (both paths reduce every dot product with the
     /// same lane fold), and the matrix kernel parallelizes over row chunks,
     /// so the result is also bit-identical for every thread count.

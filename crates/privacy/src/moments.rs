@@ -52,51 +52,110 @@ pub fn ma_dp_em(alpha: f64, sigma_e: f64, n_components: usize) -> f64 {
 ///
 /// Terms are evaluated in log-space and the result saturates at
 /// `f64::INFINITY` for orders where the expansion blows up; the accountant
-/// simply never selects those orders.
+/// simply never selects those orders. This is a one-order read of the
+/// crate's Eq. (4) term table; the accountants, which need many orders
+/// of one `(q, σ)`, build that table once and read every order from it.
 ///
 /// # Panics
 /// Panics if `q` is not in `(0, 1)` or `sigma <= 0`.
 pub fn ma_dp_sgd(lambda: u32, q: f64, sigma: f64) -> f64 {
-    assert!(q > 0.0 && q < 1.0, "sampling probability must be in (0,1)");
-    assert!(sigma > 0.0, "sigma must be positive");
-    let lam = f64::from(lambda);
-    if lambda == 0 {
-        return 0.0;
-    }
-    let one_minus_q = 1.0 - q;
+    Eq4Terms::new(q, sigma, lambda).ma(lambda)
+}
 
-    // Leading term: q²λ(λ−1)/((1−q)σ²).
-    let mut total = q * q * lam * (lam - 1.0) / (one_minus_q * sigma * sigma);
+/// The bracketed terms of paper Eq. (4) for one `(q, σ)`, shared by every
+/// moment order.
+///
+/// The t-th term depends on `t`, `q` and `σ` only, and `MA(λ)` sums terms
+/// `t = 3 ..= λ + 1` in increasing `t` after its leading term. So a grid
+/// of orders reads one table instead of re-evaluating each term, with its
+/// `O(t)` `ln((t−1)!!)`, once per order: [`Eq4Terms::ma`] performs the
+/// same additions, in the same order, on the same values as a per-order
+/// loop, and returns the same bits.
+#[derive(Debug)]
+pub(crate) struct Eq4Terms {
+    q: f64,
+    sigma: f64,
+    max_lambda: u32,
+    /// `terms[i]` is the bracketed term at `t = i + 3`, for `t` up to
+    /// `max_lambda + 1` or up to the first non-finite term, whichever
+    /// comes first: past a non-finite term every `MA(λ)` is `+∞`.
+    terms: Vec<f64>,
+}
 
-    // Higher-order terms, t = 3 ..= λ+1, accumulated from log-space values.
-    for t in 3..=(lambda as u64 + 1) {
-        let tf = t as f64;
+impl Eq4Terms {
+    /// The terms every order up to `max_lambda` needs.
+    ///
+    /// # Panics
+    /// Panics if `q` is not in `(0, 1)` or `sigma <= 0`.
+    pub(crate) fn new(q: f64, sigma: f64, max_lambda: u32) -> Eq4Terms {
+        assert!(q > 0.0 && q < 1.0, "sampling probability must be in (0,1)");
+        assert!(sigma > 0.0, "sigma must be positive");
         let ln_q = q.ln();
         let ln_2q = (2.0 * q).ln();
-        let ln_1mq = one_minus_q.ln();
+        let ln_1mq = (1.0 - q).ln();
         let ln_sigma = sigma.ln();
-        let ln_double_fact = ln_double_factorial(t - 1);
+        let mut terms = Vec::new();
+        for t in 3..=(u64::from(max_lambda) + 1) {
+            let tf = t as f64;
+            let ln_double_fact = ln_double_factorial(t - 1);
 
-        // (2q)^t (t−1)!! / (2 (1−q)^{t−1} σ^t)
-        let term1 =
-            tf * ln_2q + ln_double_fact - (2.0_f64).ln() - (tf - 1.0) * ln_1mq - tf * ln_sigma;
+            // (2q)^t (t−1)!! / (2 (1−q)^{t−1} σ^t)
+            let term1 =
+                tf * ln_2q + ln_double_fact - (2.0_f64).ln() - (tf - 1.0) * ln_1mq - tf * ln_sigma;
 
-        // q^t / ((1−q)^t σ^{2t})
-        let term2 = tf * ln_q - tf * ln_1mq - 2.0 * tf * ln_sigma;
+            // q^t / ((1−q)^t σ^{2t})
+            let term2 = tf * ln_q - tf * ln_1mq - 2.0 * tf * ln_sigma;
 
-        // (2q)^t exp((t²−t)/(2σ²)) (σ^t (t−1)!! + t^t) / (2 (1−q)^{t−1} σ^{2t})
-        let ln_inner = log_add_exp(tf * ln_sigma + ln_double_fact, tf * tf.ln());
-        let term3 = tf * ln_2q + (tf * tf - tf) / (2.0 * sigma * sigma) + ln_inner
-            - (2.0_f64).ln()
-            - (tf - 1.0) * ln_1mq
-            - 2.0 * tf * ln_sigma;
+            // (2q)^t exp((t²−t)/(2σ²)) (σ^t (t−1)!! + t^t) / (2 (1−q)^{t−1} σ^{2t})
+            let ln_inner = log_add_exp(tf * ln_sigma + ln_double_fact, tf * tf.ln());
+            let term3 = tf * ln_2q + (tf * tf - tf) / (2.0 * sigma * sigma) + ln_inner
+                - (2.0_f64).ln()
+                - (tf - 1.0) * ln_1mq
+                - 2.0 * tf * ln_sigma;
 
-        total += term1.exp() + term2.exp() + term3.exp();
-        if !total.is_finite() {
-            return f64::INFINITY;
+            let term = term1.exp() + term2.exp() + term3.exp();
+            terms.push(term);
+            if !term.is_finite() {
+                break;
+            }
+        }
+        Eq4Terms {
+            q,
+            sigma,
+            max_lambda,
+            terms,
         }
     }
-    total
+
+    /// `MA(λ)` of paper Eq. (4): the leading term, then `+= term(t)` for
+    /// `t = 3 ..= λ + 1`, returning `+∞` as soon as the sum is not finite.
+    ///
+    /// # Panics
+    /// Panics if `lambda` exceeds the `max_lambda` the table was built for.
+    pub(crate) fn ma(&self, lambda: u32) -> f64 {
+        assert!(
+            lambda <= self.max_lambda,
+            "order {lambda} is past the table's {}",
+            self.max_lambda
+        );
+        if lambda == 0 {
+            return 0.0;
+        }
+        let (q, sigma) = (self.q, self.sigma);
+        let lam = f64::from(lambda);
+        // Leading term: q²λ(λ−1)/((1−q)σ²).
+        let mut total = q * q * lam * (lam - 1.0) / ((1.0 - q) * sigma * sigma);
+        // A table cut short ends in a non-finite term, which the sum
+        // reaches before it runs out.
+        let count = (lambda as usize - 1).min(self.terms.len());
+        for &term in &self.terms[..count] {
+            total += term;
+            if !total.is_finite() {
+                return f64::INFINITY;
+            }
+        }
+        total
+    }
 }
 
 /// RDP of the sampled Gaussian mechanism at an **integer** order `alpha >= 2`
@@ -216,6 +275,74 @@ mod tests {
     #[should_panic(expected = "sigma_e must be positive")]
     fn dp_em_rejects_bad_sigma() {
         ma_dp_em(2.0, 0.0, 3);
+    }
+
+    /// Eq. (4) evaluated for one order on its own, every term
+    /// re-evaluated inside the order's loop: the reference the term table
+    /// must match bit for bit.
+    fn ma_dp_sgd_per_order(lambda: u32, q: f64, sigma: f64) -> f64 {
+        let lam = f64::from(lambda);
+        if lambda == 0 {
+            return 0.0;
+        }
+        let one_minus_q = 1.0 - q;
+        let mut total = q * q * lam * (lam - 1.0) / (one_minus_q * sigma * sigma);
+        for t in 3..=(lambda as u64 + 1) {
+            let tf = t as f64;
+            let ln_q = q.ln();
+            let ln_2q = (2.0 * q).ln();
+            let ln_1mq = one_minus_q.ln();
+            let ln_sigma = sigma.ln();
+            let ln_double_fact = ln_double_factorial(t - 1);
+            let term1 =
+                tf * ln_2q + ln_double_fact - (2.0_f64).ln() - (tf - 1.0) * ln_1mq - tf * ln_sigma;
+            let term2 = tf * ln_q - tf * ln_1mq - 2.0 * tf * ln_sigma;
+            let ln_inner = log_add_exp(tf * ln_sigma + ln_double_fact, tf * tf.ln());
+            let term3 = tf * ln_2q + (tf * tf - tf) / (2.0 * sigma * sigma) + ln_inner
+                - (2.0_f64).ln()
+                - (tf - 1.0) * ln_1mq
+                - 2.0 * tf * ln_sigma;
+            total += term1.exp() + term2.exp() + term3.exp();
+            if !total.is_finite() {
+                return f64::INFINITY;
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn term_table_matches_the_per_order_loop_bit_for_bit() {
+        // 36,864 points: q 0.001–0.99 and σ 0.5–10 (edges included) at
+        // every order 0–511, covering finite sums, sums cut short by a
+        // non-finite term, and tables that never overflow.
+        let qs = [0.001, 0.0038, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9, 0.99];
+        let sigmas = [0.5, 0.8, 1.0, 1.42, 2.0, 3.0, 5.0, 10.0];
+        let mut infinite = 0;
+        for &q in &qs {
+            for &sigma in &sigmas {
+                let terms = Eq4Terms::new(q, sigma, 511);
+                for lambda in 0..=511 {
+                    let want = ma_dp_sgd_per_order(lambda, q, sigma);
+                    let got = terms.ma(lambda);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "q {q} sigma {sigma} lambda {lambda}: {got} vs {want}"
+                    );
+                    if lambda <= 64 || lambda % 37 == 0 {
+                        assert_eq!(ma_dp_sgd(lambda, q, sigma).to_bits(), want.to_bits());
+                    }
+                    infinite += usize::from(want.is_infinite());
+                }
+            }
+        }
+        assert!(infinite > 0, "the grid must reach saturated orders");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the table")]
+    fn term_table_rejects_orders_it_was_not_built_for() {
+        Eq4Terms::new(0.01, 4.0, 8).ma(9);
     }
 
     #[test]

@@ -140,8 +140,9 @@ pub fn baseline_composition_epsilon(
             });
         }
         let mut best = f64::INFINITY;
+        let terms = crate::moments::Eq4Terms::new(q, sigma_s, 64);
         for lambda in 1..=64u32 {
-            let ma = t_s as f64 * crate::moments::ma_dp_sgd(lambda, q, sigma_s);
+            let ma = t_s as f64 * terms.ma(lambda);
             if !ma.is_finite() {
                 continue;
             }

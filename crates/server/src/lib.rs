@@ -657,6 +657,7 @@ fn stats(service: &Service) -> Response {
             ("resident_bytes".to_string(), num(s.resident_bytes)),
             ("max_resident_bytes".to_string(), num(s.max_resident_bytes)),
             ("loads".to_string(), num(s.loads)),
+            ("load_nanos".to_string(), num(s.load_nanos)),
             ("evictions".to_string(), num(s.evictions)),
             ("hits".to_string(), num(s.hits)),
             ("misses".to_string(), num(s.misses)),

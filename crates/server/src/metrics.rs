@@ -204,6 +204,12 @@ impl ServerMetrics {
             s.loads,
         );
         counter(
+            "p3gm_registry_load_nanoseconds_total",
+            "Time spent in cold loads (file read and checksummed decode, failed loads included); \
+             over loads plus load failures it is the mean cost of a miss.",
+            s.load_nanos,
+        );
+        counter(
             "p3gm_registry_evictions_total",
             "LRU evictions back to header-only entries.",
             s.evictions,

@@ -51,7 +51,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, PoisonError, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// File extension a registry directory entry must carry to be considered
 /// a model snapshot.
@@ -240,6 +240,10 @@ pub struct RegistryStats {
     /// Full weight decodes performed (initial loads and re-loads after
     /// eviction).
     pub loads: u64,
+    /// Wall time spent in cold loads (file read plus checksummed decode,
+    /// failed loads included), in nanoseconds. Divided by
+    /// `loads + load_failures` it is the mean cost of a registry miss.
+    pub load_nanos: u64,
     /// Models evicted back to `Unloaded` by the budget.
     pub evictions: u64,
     /// `get` calls served from already-resident weights.
@@ -272,6 +276,7 @@ pub struct Registry {
     clock: AtomicU64,
     resident_bytes: AtomicU64,
     loads: AtomicU64,
+    load_nanos: AtomicU64,
     evictions: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -300,6 +305,7 @@ impl Registry {
             clock: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
             loads: AtomicU64::new(0),
+            load_nanos: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -354,7 +360,10 @@ impl Registry {
                     drop(state);
                     // Decode outside the entry lock so waiters can block
                     // on the condvar and the registry stays responsive.
+                    let started = Instant::now();
                     let decoded = load_model(&entry.header);
+                    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                    self.load_nanos.fetch_add(nanos, Ordering::Relaxed);
                     let mut state = unpoisoned(entry.state.lock());
                     let result = match decoded {
                         Ok(model) => {
@@ -479,6 +488,7 @@ impl Registry {
             resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
             max_resident_bytes: self.config.max_resident_bytes.unwrap_or(0),
             loads: self.loads.load(Ordering::Relaxed),
+            load_nanos: self.load_nanos.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -1256,6 +1256,63 @@ fn metrics_endpoint_exposes_requests_denials_and_budget_end_to_end() {
     server.shutdown();
 }
 
+/// A cold load's wall time is exported beside the load count, so an
+/// operator reads the mean cost of a registry miss as their ratio; timing
+/// the loads changes no response byte.
+#[test]
+fn registry_load_time_is_exported_and_changes_no_response_byte() {
+    use p3gm::obs::ObsConfig;
+
+    let mut runs = Vec::new();
+    for (obs, metrics) in [(ObsConfig::enabled(), true), (ObsConfig::disabled(), false)] {
+        // A fresh directory (and ledger) per server; a one-byte residency
+        // budget holds one model, so alternating between two models makes
+        // every sampling request a cold load.
+        let dir = model_dir(&format!("load_time_{metrics}"), &["a", "b"]);
+        let server = start(
+            ServerConfig::builder(&dir)
+                .threads(1)
+                .max_resident_bytes(Some(1))
+                .obs(obs)
+                .build(),
+        )
+        .unwrap();
+        let addr = server.addr();
+        let names = ["a", "b", "a", "b", "a", "b"];
+        let responses: Vec<_> = names
+            .iter()
+            .enumerate()
+            .map(|(seed, name)| {
+                let body = format!(r#"{{"seed": {seed}, "n": 5}}"#);
+                request(addr, "POST", &format!("/models/{name}/sample"), &body)
+            })
+            .collect();
+        let (_, _, stats) = request(addr, "GET", "/stats", "");
+        let stats = json::parse(&stats).unwrap();
+        assert_eq!(
+            stats.get("loads").unwrap().as_u64(),
+            Some(names.len() as u64)
+        );
+        let nanos = stats.get("load_nanos").unwrap().as_u64().unwrap();
+        assert!(nanos > 0, "six cold loads took no time");
+        if metrics {
+            let (_, _, text) = request(addr, "GET", "/metrics", "");
+            for needle in [
+                "p3gm_registry_loads_total 6".to_string(),
+                format!("p3gm_registry_load_nanoseconds_total {nanos}"),
+            ] {
+                assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
+            }
+        }
+        server.shutdown();
+        runs.push(responses);
+    }
+    assert!(
+        runs[0] == runs[1],
+        "responses differ with observability on and off"
+    );
+}
+
 /// `p3gm_stream_first_byte_seconds` and `p3gm_request_duration_seconds`
 /// are both timed from the request's parse, and a streamed body's first
 /// chunk is produced after its response is ready. So over the same
